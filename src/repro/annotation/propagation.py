@@ -9,6 +9,8 @@ name), where the wrapper algorithm consumes them.
 
 from __future__ import annotations
 
+from typing import Iterable
+
 from repro.htmlkit.dom import Element, Node, Text
 
 
@@ -25,32 +27,74 @@ def _child_annotation_sets(element: Element) -> list[set[str]]:
     return sets
 
 
+def _absorb_children(element: Element) -> None:
+    """One propagation step: ``element`` inherits from its children.
+
+    An element inherits annotation ``t`` if it has exactly one
+    content-bearing child (linear path) and that child is annotated ``t``,
+    or if *all* its content-bearing children are annotated ``t``.
+    """
+    child_sets = _child_annotation_sets(element)
+    if not child_sets:
+        return
+    if len(child_sets) == 1:
+        element.annotations |= child_sets[0]
+        return
+    common = set(child_sets[0])
+    for annotations in child_sets[1:]:
+        common &= annotations
+        if not common:
+            return
+    element.annotations |= common
+
+
 def propagate_annotations(root: Element) -> None:
     """Propagate annotations upward throughout the subtree of ``root``.
 
-    Bottom-up pass: an element inherits annotation ``t`` if it has exactly
-    one content-bearing child annotated ``t`` (linear path), or if *all*
-    its content-bearing children are annotated ``t``.
+    One bottom-up pass of :func:`_absorb_children` over every element; it
+    leaves the subtree at a fixpoint (another pass would change nothing).
     """
 
     def visit(element: Element) -> None:
         for child in element.children:
             if isinstance(child, Element):
                 visit(child)
-        child_sets = _child_annotation_sets(element)
-        if not child_sets:
-            return
-        if len(child_sets) == 1:
-            element.annotations |= child_sets[0]
-            return
-        common = set(child_sets[0])
-        for annotations in child_sets[1:]:
-            common &= annotations
-            if not common:
-                return
-        element.annotations |= common
+        _absorb_children(element)
 
     visit(root)
+
+
+def propagate_upward(nodes: Iterable[Node], root: Element) -> None:
+    """Re-propagate only along the ancestor paths of ``nodes`` up to ``root``.
+
+    Equivalent to :func:`propagate_annotations` on ``root`` when the
+    subtree was at a propagation fixpoint before annotations were added to
+    ``nodes`` (and to their parents): inheritance is monotone and
+    independent per type, so only the ancestors of changed nodes can
+    change.  Ancestors are updated deepest first, children before parents.
+    """
+    depth_of: dict[int, int] = {}
+    affected: list[tuple[int, Element]] = []
+    for node in nodes:
+        path: list[Element] = []
+        base = -1  # depth of the already-collected ancestor the walk stops at
+        element = node.parent
+        while element is not None:
+            known = depth_of.get(id(element))
+            if known is not None:
+                base = known
+                break
+            path.append(element)
+            if element is root:
+                break
+            element = element.parent
+        for position, element in enumerate(path):
+            depth = base + len(path) - position
+            depth_of[id(element)] = depth
+            affected.append((depth, element))
+    affected.sort(key=lambda item: -item[0])
+    for __, element in affected:
+        _absorb_children(element)
 
 
 def clear_annotations(root: Element) -> None:

@@ -114,10 +114,20 @@ def _enclosing_block_signatures(
                 mapping[id(node)] = "page-body"
         return mapping
     for tree in block_trees:
-        # Deepest blocks last so they overwrite ancestors in the map.
-        for block in tree.all_blocks():
-            for node in block.element.iter_elements():
-                mapping[id(node)] = block.signature
+        # One DFS per tree, carrying the innermost enclosing block's
+        # signature down; block elements nest as their blocks do.
+        signature_at = {
+            id(block.element): block.signature for block in tree.all_blocks()
+        }
+        root = tree.root.element
+        stack = [(root, signature_at[id(root)])]
+        while stack:
+            element, signature = stack.pop()
+            signature = signature_at.get(id(element), signature)
+            mapping[id(element)] = signature
+            for child in element.children:
+                if isinstance(child, Element):
+                    stack.append((child, signature))
     return mapping
 
 

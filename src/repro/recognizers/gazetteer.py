@@ -1,9 +1,12 @@
 """Dictionary-based (isInstanceOf) recognizers.
 
 A gazetteer maps instance surface forms to confidences.  Matching is done
-over word boundaries with a longest-match-first strategy, using a token
-index so that scanning a page is linear in the page length rather than the
-dictionary size.
+over word boundaries with a longest-match-first strategy.  A first-token
+index (first word of each entry -> entries starting with it, plus the
+word's offset inside the entry) is maintained by :meth:`add` and
+:meth:`remove`, so :meth:`GazetteerRecognizer.find` never passes over the
+dictionary: a scan costs one tokenisation of the text, O(words in the
+text), plus one comparison per candidate entry sharing a word's token.
 """
 
 from __future__ import annotations
@@ -14,9 +17,12 @@ from typing import Iterable, Mapping
 from repro.recognizers.base import Match
 from repro.utils.text import collapse_whitespace
 
+#: What counts as a word for the first-token index.
+_WORD_RE = re.compile(r"[\w$€£]+")
 
-def _entry_key(value: str) -> str:
-    return collapse_whitespace(value).lower()
+
+def _is_word_char(char: str) -> bool:
+    return char.isalnum() or char == "_"
 
 
 class GazetteerRecognizer:
@@ -40,27 +46,45 @@ class GazetteerRecognizer:
         self._case_sensitive = case_sensitive
         self._entries: dict[str, float] = {}
         self._surface: dict[str, str] = {}
+        #: First word token -> {entry key: offset of that token in the key}.
+        self._first_token_index: dict[str, dict[str, int]] = {}
         for value, confidence in entries.items():
             self.add(value, confidence)
         self._explicit_selectivity = selectivity
 
     # -- dictionary management -------------------------------------------
 
+    def _key(self, value: str) -> str:
+        """The lookup key of ``value``: whitespace-collapsed, and lowered
+        unless the gazetteer is case sensitive."""
+        surface = collapse_whitespace(value)
+        return surface if self._case_sensitive else surface.lower()
+
     def add(self, value: str, confidence: float = 1.0) -> None:
         """Add (or raise the confidence of) one dictionary entry."""
-        surface = collapse_whitespace(value)
-        if not surface:
+        key = self._key(value)
+        if not key or confidence < self._entries.get(key, 0.0):
             return
-        key = surface if self._case_sensitive else _entry_key(surface)
-        if confidence >= self._entries.get(key, 0.0):
-            self._entries[key] = confidence
-            self._surface[key] = surface
+        if key not in self._entries:
+            first = _WORD_RE.search(key)
+            if first is not None:
+                bucket = self._first_token_index.setdefault(first.group(0), {})
+                bucket[key] = first.start()
+        self._entries[key] = confidence
+        self._surface[key] = collapse_whitespace(value)
 
     def remove(self, value: str) -> None:
         """Drop an entry if present."""
-        key = value if self._case_sensitive else _entry_key(value)
-        self._entries.pop(key, None)
+        key = self._key(value)
+        if self._entries.pop(key, None) is None:
+            return
         self._surface.pop(key, None)
+        first = _WORD_RE.search(key)
+        if first is not None:
+            bucket = self._first_token_index[first.group(0)]
+            del bucket[key]
+            if not bucket:
+                del self._first_token_index[first.group(0)]
 
     def entries(self) -> dict[str, float]:
         """Surface form -> confidence for every entry."""
@@ -68,15 +92,13 @@ class GazetteerRecognizer:
 
     def confidence_of(self, value: str) -> float:
         """Confidence of ``value`` (0.0 if absent)."""
-        key = value if self._case_sensitive else _entry_key(value)
-        return self._entries.get(key, 0.0)
+        return self._entries.get(self._key(value), 0.0)
 
     def __len__(self) -> int:
         return len(self._entries)
 
     def __contains__(self, value: str) -> bool:
-        key = value if self._case_sensitive else _entry_key(value)
-        return key in self._entries
+        return self._key(value) in self._entries
 
     # -- Recognizer protocol ----------------------------------------------
 
@@ -85,48 +107,46 @@ class GazetteerRecognizer:
         return self._type_name
 
     def find(self, text: str) -> list[Match]:
-        """All dictionary hits in ``text``, longest match first per offset."""
+        """All dictionary hits in ``text``, leftmost-longest per word.
+
+        A candidate entry is compared at its own start (the word's offset
+        minus the token's offset inside the entry), and must not extend a
+        word on either side.  Hits never overlap: a candidate starting
+        inside an earlier hit is skipped.
+        """
         if not self._entries:
             return []
         haystack = text if self._case_sensitive else text.lower()
-        # Group entries by their first word for a cheap candidate filter.
+        index = self._first_token_index
         matches: list[Match] = []
-        word_re = re.compile(r"[\w$€£]+")
-        words = list(word_re.finditer(haystack))
-        # Precompute: first token of each entry -> entry keys.
-        first_token_index: dict[str, list[str]] = {}
-        for key in self._entries:
-            first = word_re.search(key)
-            if first is None:
-                continue
-            first_token_index.setdefault(first.group(0), []).append(key)
-        taken_until = -1
-        for word in words:
-            candidates = first_token_index.get(word.group(0))
+        taken_until = 0
+        for word in _WORD_RE.finditer(haystack):
+            candidates = index.get(word.group(0))
             if not candidates:
                 continue
-            best: tuple[int, str] | None = None
-            for key in candidates:
-                end = word.start() + len(key)
-                if haystack[word.start() : end] != key:
+            best: tuple[int, int, str] | None = None
+            for key, offset in candidates.items():
+                start = word.start() - offset
+                if start < taken_until:
                     continue
-                # Word-boundary check on the right side.
-                if end < len(haystack) and (haystack[end].isalnum() or haystack[end] == "_"):
+                end = start + len(key)
+                if haystack[start:end] != key:
                     continue
-                if best is None or end > best[0]:
-                    best = (end, key)
+                if start > 0 and _is_word_char(haystack[start - 1]):
+                    continue
+                if end < len(haystack) and _is_word_char(haystack[end]):
+                    continue
+                if best is None or (start, -end) < (best[0], -best[1]):
+                    best = (start, end, key)
             if best is None:
                 continue
-            end, key = best
-            if word.start() < taken_until:
-                continue  # inside a previous (longer) match of this type
+            start, end, key = best
             taken_until = end
-            value = text[word.start() : end]
             matches.append(
                 Match(
-                    start=word.start(),
+                    start=start,
                     end=end,
-                    value=value,
+                    value=text[start:end],
                     type_name=self._type_name,
                     confidence=self._entries[key],
                 )
