@@ -1,12 +1,14 @@
-"""Content-hash-keyed memoization of tidied/cleaned page trees.
+"""Content-hash-keyed memoization of tidied/cleaned pages, as snapshots.
 
 Tidying (tag-soup repair) and cleaning are deterministic functions of the
-raw HTML, yet they dominate pre-processing cost and the monolithic runner
-re-ran them on every enrichment pass and every repeated benchmark run.
-:class:`PreprocessCache` computes each page's tree once, keyed by a hash
-of the raw bytes, and hands out a fresh deep copy on every request — the
-annotation stage mutates trees in place, so cached originals must never
-escape.
+raw HTML, and enrichment passes and repeated runs ask for the same pages
+again.  :class:`PreprocessCache` computes each page's tree once, keyed by
+a hash of the raw bytes, and keeps it as a flat
+:func:`~repro.htmlkit.dom.freeze` snapshot — one tuple of ``str`` and
+``int`` per page, which the garbage collector untracks — rather than as a
+live tree.  A miss hands out the tree it just built; a hit thaws a fresh
+tree from the snapshot.  The annotation stage mutates trees in place, so
+every request gets a tree of its own.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from collections import OrderedDict
 from dataclasses import dataclass
 
 from repro.htmlkit.clean import clean_tree
-from repro.htmlkit.dom import Element, clone
+from repro.htmlkit.dom import Element, Snapshot, freeze, thaw
 from repro.htmlkit.tidy import tidy
 
 
@@ -31,23 +33,23 @@ class CachedPages:
 
 
 class PreprocessCache:
-    """LRU cache of cleaned page trees, keyed by raw-content hash.
+    """LRU cache of cleaned page snapshots, keyed by raw-content hash.
 
     Thread-safe: a single cache may serve a parallel multi-source run.
     The expensive tidy/clean computation happens outside the lock, so
     concurrent misses on *different* pages do not serialize.  Two threads
     racing on the *same* page may both compute it; the loser detects the
-    winner's entry under the second lock, discards its own tree (keeping
-    the winner's LRU recency intact) and counts the redundant computation
-    as a ``race`` instead of a second ``miss`` — so ``misses`` equals the
-    number of computations that actually populated the cache, and
-    ``hits + misses`` accounts for every request served without
+    winner's entry under the second lock, keeps the winner's snapshot and
+    LRU recency (serving its own, identical tree) and counts the redundant
+    computation as a ``race`` instead of a second ``miss`` — so ``misses``
+    equals the number of computations that actually populated the cache,
+    and ``hits + misses`` accounts for every request served without
     redundant work.
     """
 
     def __init__(self, max_entries: int = 512):
         self.max_entries = max(1, max_entries)
-        self._entries: OrderedDict[str, Element] = OrderedDict()
+        self._entries: OrderedDict[str, Snapshot] = OrderedDict()
         self._lock = threading.Lock()
         #: Lifetime hit/miss totals, for diagnostics.
         self.hits = 0
@@ -62,7 +64,7 @@ class PreprocessCache:
         return hashlib.sha256(raw.encode("utf-8", "surrogatepass")).hexdigest()
 
     def clean_page(self, raw: str) -> Element:
-        """The tidied+cleaned tree for ``raw``, always a fresh mutable copy."""
+        """The tidied+cleaned tree for ``raw``, never shared with another call."""
         tree, __ = self._clean_one(raw)
         return tree
 
@@ -86,34 +88,28 @@ class PreprocessCache:
                 self._entries.move_to_end(key)
                 self.hits += 1
         if cached is not None:
-            copy = clone(cached)
-            assert isinstance(copy, Element)
-            return copy, True
+            return thaw(cached), True
         tree = clean_tree(tidy(raw))
+        snapshot = freeze(tree)
         with self._lock:
-            winner = self._entries.get(key)
-            if winner is not None:
+            if key in self._entries:
                 # Another thread computed and inserted this key while we
-                # were computing: keep the winner's tree and LRU recency.
+                # were computing: keep the winner's entry and LRU recency.
                 self.races += 1
-                tree = winner
             else:
                 self.misses += 1
-                self._entries[key] = tree
-                self._entries.move_to_end(key)
+                self._entries[key] = snapshot
                 while len(self._entries) > self.max_entries:
                     self._entries.popitem(last=False)
-        copy = clone(tree)
-        assert isinstance(copy, Element)
-        return copy, False
+        return tree, False
 
     def clear(self) -> None:
-        """Drop every cached tree (hit/miss totals are kept)."""
+        """Drop every cached snapshot (hit/miss totals are kept)."""
         with self._lock:
             self._entries.clear()
 
     def __len__(self) -> int:
-        """Number of trees currently cached."""
+        """Number of pages currently cached."""
         with self._lock:
             return len(self._entries)
 

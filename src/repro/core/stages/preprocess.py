@@ -4,8 +4,8 @@ Tidying repairs tag soup into a well-formed tree and cleaning drops
 scripts, styles, hidden and empty elements (paper Section III-B).  Both
 are deterministic, so the stage memoizes through the context's
 :class:`~repro.core.cache.PreprocessCache` — enrichment passes beyond the
-first and repeated runs over the same pages cost one deep copy instead of
-a full re-parse.
+first and repeated runs over the same pages rebuild a tree from a flat
+snapshot instead of re-parsing.
 
 Segmentation estimates a render box for every element and selects, by
 majority across pages, the largest and most central block — the region

@@ -45,6 +45,8 @@ class CleanerConfig:
 
 
 def _is_hidden(element: Element) -> bool:
+    if not element.attributes:
+        return False
     for attribute in _HIDING_ATTRIBUTES:
         if attribute in element.attributes:
             return True

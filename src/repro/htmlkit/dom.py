@@ -11,6 +11,12 @@ from typing import Callable, Iterator
 
 from repro.utils.text import collapse_whitespace
 
+#: A flat, immutable copy of a tree; see :func:`freeze`.
+Snapshot = tuple[str | int, ...]
+
+#: The record that closes the element opened last in a :data:`Snapshot`.
+_CLOSE = -1
+
 
 class Node:
     """Base class for DOM nodes."""
@@ -59,7 +65,7 @@ class Text(Node):
     __slots__ = ("text", "annotations")
 
     def __init__(self, text: str):
-        super().__init__()
+        self.parent = None
         self.text = text
         #: Semantic entity-type names attached by the annotator.
         self.annotations: set[str] = set()
@@ -83,14 +89,15 @@ class Element(Node):
         attributes: dict[str, str] | None = None,
         children: list[Node] | None = None,
     ):
-        super().__init__()
+        self.parent = None
         self.tag = tag
-        self.attributes: dict[str, str] = dict(attributes or {})
+        self.attributes: dict[str, str] = dict(attributes) if attributes else {}
         self.children: list[Node] = []
         #: Semantic entity-type names attached by the annotator.
         self.annotations: set[str] = set()
-        for child in children or []:
-            self.append(child)
+        if children:
+            for child in children:
+                self.append(child)
 
     # -- mutation ----------------------------------------------------------
 
@@ -115,9 +122,9 @@ class Element(Node):
         """Replace all children at once."""
         for child in self.children:
             child.parent = None
-        self.children = []
-        for child in children:
-            self.append(child)
+        self.children = list(children)
+        for child in self.children:
+            child.parent = self
 
     # -- traversal -----------------------------------------------------------
 
@@ -231,3 +238,76 @@ def clone(node: Node) -> Node:
     for child in node.children:
         copy_element.append(clone(child))
     return copy_element
+
+
+def freeze(root: Element) -> Snapshot:
+    """Flatten the tree under ``root`` into one tuple of ``str`` and ``int``.
+
+    Records appear in pre-order.  An element opens with the ``int``
+    number of its attributes, then its tag, then one name and one value
+    per attribute; its children follow, and the ``int`` ``-1`` closes
+    it.  A text node is its ``str`` alone.  Annotations and the parent
+    of ``root`` are not kept.  Such a tuple references no container, so
+    the garbage collector untracks it and never walks it again.
+    """
+    out: list[str | int] = []
+    append = out.append
+    extend = out.extend
+
+    def visit(element: Element) -> None:
+        attributes = element.attributes
+        append(len(attributes))
+        append(element.tag)
+        for item in attributes.items():
+            extend(item)
+        for child in element.children:
+            if isinstance(child, Text):
+                append(child.text)
+            else:
+                visit(child)  # type: ignore[arg-type]
+        append(_CLOSE)
+
+    visit(root)
+    return tuple(out)
+
+
+def thaw(snapshot: Snapshot) -> Element:
+    """Build a fresh, detached tree from a :func:`freeze` snapshot.
+
+    Nodes are allocated without running their constructors: every slot
+    is assigned here, with the parent and sibling list already known.
+    """
+    records = iter(snapshot)
+    new = object.__new__
+    holder = parent = Element("#snapshot")
+    siblings = holder.children
+    stack: list[Element] = []
+    for record in records:
+        if isinstance(record, str):
+            text = new(Text)
+            text.parent = parent
+            text.text = record
+            text.annotations = set()
+            siblings.append(text)
+        elif record == _CLOSE:
+            parent = stack.pop()
+            siblings = parent.children
+        else:
+            element = new(Element)
+            element.parent = parent
+            element.tag = next(records)
+            element.attributes = (
+                {next(records): next(records) for __ in range(record)}
+                if record
+                else {}
+            )
+            element.children = []
+            element.annotations = set()
+            siblings.append(element)
+            stack.append(parent)
+            parent = element
+            siblings = element.children
+    (tree,) = holder.children
+    assert isinstance(tree, Element)
+    tree.parent = None
+    return tree

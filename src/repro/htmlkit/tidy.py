@@ -1,72 +1,57 @@
 """JTidy-style document normalization.
 
 The paper runs JTidy to turn often-malformed HTML into well-formed XML
-before extraction.  :func:`tidy` plays that role here: it parses with the
-tolerant tree builder, then normalizes the document shape so downstream
+before extraction.  :func:`tidy` plays that role here in one lexer walk:
+the lexer feeds the tree builder directly, and the builder already
+
+- merges adjacent text nodes as it appends them;
+- drops pure-whitespace text runs inside block elements as each run ends.
+
+What is left for :func:`tidy` is the document shape, so downstream
 stages can assume a canonical ``html > body > ...`` tree:
 
 - guarantees a single ``<html>`` root with a ``<body>``;
 - hoists stray top-level nodes into the body;
-- merges adjacent text nodes;
-- drops pure-whitespace text nodes between block elements.
+- re-applies the two text rules to the ``html``/``head``/``body``
+  elements only, the ones whose children the shape fix-up moves.
 """
 
 from __future__ import annotations
 
 from repro.htmlkit.dom import Element, Node, Text
-from repro.htmlkit.parser import parse_html
-
-#: Block-level elements between which whitespace-only text is insignificant.
-_BLOCK_ELEMENTS = frozenset(
-    {
-        "html", "body", "head", "div", "ul", "ol", "li", "table", "thead",
-        "tbody", "tfoot", "tr", "td", "th", "p", "h1", "h2", "h3", "h4",
-        "h5", "h6", "section", "article", "nav", "header", "footer", "form",
-        "dl", "dt", "dd", "blockquote", "pre",
-    }
-)
+from repro.htmlkit.parser import build_tree
 
 _HEAD_ONLY = frozenset({"title", "meta", "link", "base", "style"})
 
 
-def _merge_text_nodes(element: Element) -> None:
-    merged: list[Node] = []
+def _normalize_text_children(element: Element) -> None:
+    """Merge adjacent text children, then drop whitespace-only ones."""
+    kept: list[Node] = []
     for child in element.children:
-        if (
-            isinstance(child, Text)
-            and merged
-            and isinstance(merged[-1], Text)
-        ):
-            merged[-1] = Text(merged[-1].text + child.text)
+        if isinstance(child, Text) and kept and isinstance(kept[-1], Text):
+            kept[-1] = Text(kept[-1].text + child.text)
         else:
-            merged.append(child)
-    element.replace_children(merged)
-    for child in element.children:
-        if isinstance(child, Element):
-            _merge_text_nodes(child)
-
-
-def _strip_interblock_whitespace(element: Element) -> None:
-    keep: list[Node] = []
-    for child in element.children:
-        if isinstance(child, Text) and not child.text.strip():
-            if element.tag in _BLOCK_ELEMENTS:
-                continue
-        keep.append(child)
-    element.replace_children(keep)
-    for child in element.children:
-        if isinstance(child, Element):
-            _strip_interblock_whitespace(child)
+            kept.append(child)
+    kept = [
+        child
+        for child in kept
+        if not isinstance(child, Text) or child.text.strip()
+    ]
+    if len(kept) != len(element.children):
+        element.replace_children(kept)
 
 
 def tidy(source: str) -> Element:
     """Parse and normalize an HTML document.
 
-    Returns the ``<html>`` element of a well-formed tree.  Whatever the
-    input looked like, the result has exactly one ``<body>`` containing all
-    content nodes, with head-only elements collected under ``<head>``.
+    Returns the ``<html>`` element of a well-formed tree, detached (its
+    ``parent`` is ``None``), so element paths start at ``html``.
+    Whatever the input looked like, the result has exactly one ``<body>``
+    containing all content nodes, with head-only elements collected under
+    ``<head>``.
     """
-    document = parse_html(source)
+    builder = build_tree(source, tidy_text=True)
+    document = builder.root
 
     html = None
     loose: list[Node] = []
@@ -80,6 +65,7 @@ def tidy(source: str) -> Element:
             loose.append(child)
     if html is None:
         html = Element("html")
+    html.parent = None
 
     head = html.find("head")
     body = None
@@ -121,6 +107,10 @@ def tidy(source: str) -> Element:
         else:
             body.append(node)
 
-    _merge_text_nodes(html)
-    _strip_interblock_whitespace(html)
+    # The builder left the text of html/head/body elements unmerged; those
+    # still in the document get it normalized now (the unwrapped ones were
+    # discarded above).
+    for element in dict.fromkeys([html, head, body, *builder.document_elements]):
+        if element.root() is html:
+            _normalize_text_children(element)
     return html
