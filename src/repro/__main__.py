@@ -78,7 +78,7 @@ from pathlib import Path
 
 from repro.core.faults import FAILURE_POLICIES
 from repro.core.objectrunner import ObjectRunner
-from repro.core.params import BACKENDS, RunParams
+from repro.core.params import RunParams
 from repro.core.sharding import ShardSpec
 from repro.core.pipeline import TraceObserver
 from repro.errors import ReproError
@@ -148,7 +148,6 @@ def _cmd_extract(args: argparse.Namespace) -> int:
         params = RunParams().with_overrides(
             failure_policy=args.failure_policy,
             max_retries=args.max_retries,
-            backend=args.backend,
             shard=shard,
         )
     except ValueError as exc:
@@ -519,13 +518,6 @@ def build_parser() -> argparse.ArgumentParser:
         "of N (stable across processes and PYTHONHASHSEED); a driver "
         "fanning invocations out across shards gets a disjoint, "
         "exhaustive partition of its sources",
-    )
-    extract.add_argument(
-        "--backend",
-        choices=BACKENDS,
-        default="thread",
-        help="multi-source fan-out backend for programmatic run_sources "
-        "batches (default: thread)",
     )
     extract.add_argument("pages", nargs="+", help="HTML files of one source")
     extract.set_defaults(func=_cmd_extract)

@@ -6,9 +6,10 @@ run.  Any write to module-level mutable state from code the workers can
 reach breaks that promise silently (last-writer-wins counters, orderless
 registries).  This rule builds the import graph of the scanned tree,
 marks every module transitively reachable from a module that uses
-``ThreadPoolExecutor``, and flags function-level writes to module-level
-names inside those modules: ``global`` rebinding, subscript/attribute
-stores, augmented assignment, and mutating method calls.
+``ThreadPoolExecutor`` or imports one that does, and flags
+function-level writes to module-level names inside those modules:
+``global`` rebinding, subscript/attribute stores, augmented assignment,
+and mutating method calls.
 
 Import-time registration patterns (decorators filling a module registry
 before any pool exists) are expected findings — they belong in the
@@ -105,10 +106,20 @@ class SharedStateRule(Rule):
     def prepare_graph(self, graph: ProjectGraph) -> None:
         """Mark the modules pool-using code can (transitively) import."""
         self._prepared = True
-        pool_roots = sorted(
+        pool_modules = {
             name
             for name, info in graph.modules.items()
             if _uses_thread_pool(info.tree)
+        }
+        # Importers of a pool module hand it their callables (run_sources
+        # passes _run_item to the batch executor): pool roots too.
+        pool_roots = sorted(
+            pool_modules
+            | {
+                name
+                for name, info in graph.modules.items()
+                if info.imports & pool_modules
+            }
         )
         reachable: set[str] = set()
         frontier = list(pool_roots)

@@ -118,7 +118,7 @@ class UnpicklableBoundaryRule(_ProcBoundRule):
         "Task specs shipped to worker processes must pickle; a lock, "
         "pool, open file, lambda or generator smuggled into one fails "
         "at dispatch time — or worse, pickles a stale copy. Rebuild "
-        "unpicklable services inside the worker (the _ProcessShardTask "
+        "unpicklable services inside the worker (the ShardTask "
         "pattern) or give the carrying class __getstate__/__setstate__."
     )
     example = (

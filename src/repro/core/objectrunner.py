@@ -23,8 +23,7 @@ and counters of every run.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
-from dataclasses import dataclass
+from concurrent.futures import ProcessPoolExecutor
 from typing import Iterable
 
 from repro.baselines.interface import SystemOutput
@@ -34,10 +33,15 @@ from repro.core.faults import (
     FaultInjector,
     RetryPolicy,
     SleepFn,
-    SourceFailure,
+)
+from repro.core.executor import (
+    ShardResult,
+    ShardTask,
+    pool_outcomes,
+    run_batch,
+    run_worker_shard,
 )
 from repro.core.params import RunParams
-from repro.core.sharding import stable_shard
 from repro.core.pipeline import (
     DEFAULT_STAGE_ORDER,
     REGISTRY_STAGE_ORDER,
@@ -50,26 +54,17 @@ from repro.core.pipeline import (
 )
 from repro.core.results import MultiSourceResult, SourceResult
 from repro.corpus.store import Corpus
-from repro.errors import (
-    MultiSourceError,
-    ProcessBackendConfigError,
-    SodError,
-)
+from repro.errors import ProcessBackendConfigError, SodError
 from repro.htmlkit.dom import Element
 from repro.kb.ontology import Ontology
 from repro.metrics.observer import MetricsObserver
-from repro.metrics.registry import MetricsRegistry
 from repro.recognizers.base import Recognizer
 from repro.recognizers.build import DictionaryBuilder
 from repro.recognizers.gazetteer import GazetteerRecognizer
 from repro.recognizers.predefined import predefined_names, predefined_recognizer
 from repro.recognizers.registry import RecognizerRegistry
 from repro.recognizers.rules import FullNodeRecognizer
-from repro.registry.store import (
-    StagedRegistryView,
-    StagedWrites,
-    WrapperRegistry,
-)
+from repro.registry.store import StagedRegistryView, WrapperRegistry
 from repro.sod.types import (
     KIND_IS_INSTANCE_OF,
     KIND_PREDEFINED,
@@ -80,50 +75,7 @@ from repro.sod.types import (
 from repro.wrapper.generate import Wrapper
 
 
-@dataclass(frozen=True)
-class _ProcessShardTask:
-    """Everything one worker process needs to run its shard serially.
-
-    Every field is picklable: the runner is *rebuilt* in the worker (with
-    its own :class:`PreprocessCache`, :class:`MetricsObserver` and
-    wrapper-registry handle) rather than shipped, because the live runner
-    holds locks and open observers.  ``params`` arrives pre-flattened to
-    a serial thread backend so workers never recurse into fan-out.
-    """
-
-    sod: SodType
-    registry: RecognizerRegistry
-    ontology: Ontology | None
-    corpus: Corpus | None
-    gazetteer_classes: dict[str, str]
-    extra_gazetteer_entries: dict[str, dict[str, float]]
-    params: RunParams
-    retry_policy: RetryPolicy | None
-    registry_root: str | None
-    items: tuple[tuple[str, tuple[str, ...]], ...]
-    isolate: bool
-
-
-@dataclass(frozen=True)
-class _ProcessShardResult:
-    """What one worker ships home: outcomes plus mergeable state.
-
-    ``outcomes`` aligns with the task's item prefix (a fail-fast worker
-    stops at its first failure); ``registries`` hold per-source metrics
-    for :meth:`MetricsObserver.adopt_source`; ``writes`` hold each
-    completed source's buffered registry writes for the order-pinned
-    apply; ``registry_stats``/``cache_stats`` are the worker's lifetime
-    counters, folded into the parent's reporting.
-    """
-
-    outcomes: tuple["SourceResult | SourceFailure", ...]
-    registries: dict[str, "MetricsRegistry"]
-    writes: dict[str, StagedWrites]
-    registry_stats: dict[str, int] | None
-    cache_stats: dict[str, int]
-
-
-def _run_process_shard(task: _ProcessShardTask) -> _ProcessShardResult:
+def _run_process_shard(task: ShardTask) -> ShardResult:
     """Run one shard inside a worker process (module-level for pickling).
 
     The worker mirrors the serial batch path: per-source staged registry
@@ -133,51 +85,19 @@ def _run_process_shard(task: _ProcessShardTask) -> _ProcessShardResult:
     global input order, which is what keeps an N-way process run
     byte-identical to the serial one.
     """
+    kwargs, registry_root = task.worker
     observer = MetricsObserver()
-    wrapper_registry = (
-        WrapperRegistry(task.registry_root) if task.registry_root else None
-    )
+    registry = WrapperRegistry(registry_root) if registry_root else None
     runner = ObjectRunner(
-        sod=task.sod,
-        registry=task.registry,
-        ontology=task.ontology,
-        corpus=task.corpus,
-        gazetteer_classes=task.gazetteer_classes,
-        params=task.params,
-        extra_gazetteer_entries=task.extra_gazetteer_entries,
-        observers=(observer,),
-        retry_policy=task.retry_policy,
-        wrapper_registry=wrapper_registry,
+        **kwargs, observers=(observer,), wrapper_registry=registry
     )
-    observer.note_source_order(source for source, __ in task.items)
-    outcomes: list[SourceResult | SourceFailure] = []
-    writes: dict[str, StagedWrites] = {}
-    for source, raw_pages in task.items:
-        view = (
-            StagedRegistryView(wrapper_registry)
-            if wrapper_registry is not None
-            else None
-        )
-        try:
-            outcomes.append(runner._run_item(source, list(raw_pages), view))
-        except Exception as exc:
-            outcomes.append(SourceFailure.from_exception(source, exc))
-            if not task.isolate:
-                break
-        if view is not None:
-            writes[source] = view.export()
-    return _ProcessShardResult(
-        outcomes=tuple(outcomes),
-        registries={
-            source: observer.source_registry(source)
-            for source in observer.sources()
-        },
-        writes=writes,
-        registry_stats=(
-            wrapper_registry.stats() if wrapper_registry is not None else None
-        ),
-        cache_stats=runner.cache.stats(),
-    )
+    return run_worker_shard(task, runner._run_item, observer, registry)
+
+
+def _dispatch_shards(tasks: list[ShardTask]) -> list[ShardResult]:
+    """Run the shards on a process pool, one worker per shard."""
+    with ProcessPoolExecutor(max_workers=len(tasks)) as pool:
+        return list(pool.map(_run_process_shard, tasks))
 
 
 class ObjectRunner:
@@ -300,14 +220,8 @@ class ObjectRunner:
         their measurements across the boundary, so anything else is
         rejected here, at subscription time.
         """
-        if self.params.backend == "process" and not isinstance(
-            observer, MetricsObserver
-        ):
-            raise ProcessBackendConfigError(
-                "observers",
-                "the process backend supports only MetricsObserver "
-                f"observers; got {type(observer).__name__}",
-            )
+        if self.params.backend == "process":
+            self._check_process_backend_support(extra_observers=(observer,))
         self.observers.append(observer)
         if isinstance(observer, MetricsObserver):
             observer.observe_cache(self.cache)
@@ -499,10 +413,10 @@ class ObjectRunner:
         discard) follow ``params.failure_policy``: under ``isolate`` the
         failure is recorded on ``MultiSourceResult.failures`` and every
         surviving source completes exactly as it would have in a
-        fault-free run; under ``fail_fast`` pending sources are cancelled
-        and :class:`~repro.errors.MultiSourceError` is raised, carrying
-        the results of the sources that completed before the failing one
-        (in input order) as ``partial``.
+        fault-free run; under ``fail_fast`` every shard stops at its
+        first failure and :class:`~repro.errors.MultiSourceError` is
+        raised, carrying the results of the sources that completed
+        before the failing one (in input order) as ``partial``.
 
         With ``deduplicate_across=True``, the pooled objects pass through
         the de-duplication stage of the paper's Figure 1 architecture —
@@ -516,65 +430,31 @@ class ObjectRunner:
         if self.params.shard is not None:
             # Deterministic hash-mod membership: the same source lands in
             # the same shard in every process, under every PYTHONHASHSEED.
-            items = [
-                (source, raw_pages)
-                for source, raw_pages in items
-                if self.params.shard.contains(source)
-            ]
-        # Pin the metrics merge order to the input order before fanning
-        # out, so parallel runs snapshot identically to serial ones.
-        for observer in self.observers:
-            if isinstance(observer, MetricsObserver):
-                observer.note_source_order(source for source, __ in items)
-        isolate = self.params.failure_policy == ISOLATE
+            kept = self.params.shard.partition(sources)
+            items = [(source, sources[source]) for source in kept]
         workers = max(1, int(self.params.max_workers))
         if self.params.enrich_dictionaries:
             workers = 1
-        if (
-            self.params.backend == "process"
-            and workers > 1
-            and len(items) > 1
-        ):
-            outcomes = self._run_items_process(items, workers, isolate)
-        else:
-            # Per-source staged registry views: every source sees the
-            # registry as it was at batch start, and buffered writes apply
-            # in input order afterwards — hit/miss never depends on thread
-            # scheduling, so parallel batches snapshot byte-identically to
-            # serial ones.
-            registry = self._active_registry()
-            views: list[StagedRegistryView | None] = [
-                StagedRegistryView(registry) if registry is not None else None
-                for __ in items
-            ]
-            if workers > 1 and len(items) > 1:
-                outcomes = self._run_items_parallel(
-                    items, views, workers, isolate
-                )
-            else:
-                outcomes = self._run_items_serial(items, views, isolate)
-        results: dict[str, SourceResult] = {}
-        failures: dict[str, SourceFailure] = {}
-        pooled = []
-        for (source, __), outcome in zip(items, outcomes):
-            if isinstance(outcome, SourceFailure):
-                failures[source] = outcome
-                continue
-            results[source] = outcome
-            pooled.extend(outcome.objects)
-        merged = 0
+        outcomes, __ = run_batch(
+            items,
+            self._run_item,
+            backend=self.params.backend,
+            workers=workers,
+            fail_fast=self.params.failure_policy != ISOLATE,
+            registry=self._active_registry(),
+            observers=self.observers,
+            worker=self._worker_spec,
+            dispatch=_dispatch_shards,
+            ship=tuple,
+        )
+        result = pool_outcomes(items, outcomes)
         if deduplicate_across:
             outcome = deduplicate(
-                pooled, DedupConfig(key_attributes=dedup_keys)
+                result.objects, DedupConfig(key_attributes=dedup_keys)
             )
-            pooled = outcome.objects
-            merged = outcome.merged
-        return MultiSourceResult(
-            results=results,
-            objects=pooled,
-            duplicates_merged=merged,
-            failures=failures,
-        )
+            result.objects = outcome.objects
+            result.duplicates_merged = outcome.merged
+        return result
 
     def _run_item(
         self,
@@ -587,88 +467,9 @@ class ObjectRunner:
             return self._run_registry(source, view, raw_pages=raw_pages)
         return self.run_source(source, raw_pages)
 
-    @staticmethod
-    def _apply_registry_views(
-        views: list["StagedRegistryView | None"], upto: int
+    def _check_process_backend_support(
+        self, extra_observers: Iterable[PipelineObserver] = ()
     ) -> None:
-        """Apply the first ``upto`` sources' buffered registry writes.
-
-        Input order, conflicts resolved canonically — the batch's
-        registry bytes are a pure function of the applied-source set.
-        On a fail-fast abort only
-        the sources drained before the failure apply, matching what a
-        serial run would have written.
-        """
-        for view in views[:upto]:
-            if view is not None:
-                view.apply_to(view.base)
-
-    def _run_items_serial(
-        self,
-        items: list[tuple[str, list[str]]],
-        views: list["StagedRegistryView | None"],
-        isolate: bool,
-    ) -> list["SourceResult | SourceFailure"]:
-        """One source after another, applying the failure policy."""
-        outcomes: list[SourceResult | SourceFailure] = []
-        for (source, raw_pages), view in zip(items, views):
-            try:
-                outcomes.append(self._run_item(source, raw_pages, view))
-            except Exception as exc:
-                failure = SourceFailure.from_exception(source, exc)
-                if not isolate:
-                    self._apply_registry_views(views, len(outcomes))
-                    raise self._abort_error(failure, outcomes, items) from exc
-                outcomes.append(failure)
-        self._apply_registry_views(views, len(outcomes))
-        return outcomes
-
-    def _run_items_parallel(
-        self,
-        items: list[tuple[str, list[str]]],
-        views: list["StagedRegistryView | None"],
-        workers: int,
-        isolate: bool,
-    ) -> list["SourceResult | SourceFailure"]:
-        """Sources on a thread pool, applying the failure policy.
-
-        Futures are drained in input order, so the policy's view of
-        "first failure" is deterministic regardless of thread scheduling.
-        On fail-fast abort, not-yet-started futures are cancelled and the
-        pool is joined (no orphaned work survives the raise); sources
-        after the failing one that happened to finish are discarded so
-        the partial result matches the serial run byte for byte.
-        """
-        outcomes: list[SourceResult | SourceFailure] = []
-        abort: tuple[SourceFailure, BaseException] | None = None
-        with ThreadPoolExecutor(
-            max_workers=min(workers, len(items))
-        ) as pool:
-            futures = [
-                pool.submit(self._run_item, source, raw_pages, view)
-                for (source, raw_pages), view in zip(items, views)
-            ]
-            for (source, __), future in zip(items, futures):
-                try:
-                    outcomes.append(future.result())
-                except Exception as exc:
-                    failure = SourceFailure.from_exception(source, exc)
-                    if isolate:
-                        outcomes.append(failure)
-                        continue
-                    for pending in futures:
-                        pending.cancel()
-                    abort = (failure, exc)
-                    break
-            # Leaving the ``with`` block joins the pool: running futures
-            # finish, cancelled ones never start.
-        self._apply_registry_views(views, len(outcomes))
-        if abort is not None:
-            failure, cause = abort
-            raise self._abort_error(failure, outcomes, items) from cause
-        return outcomes
-
-    def _check_process_backend_support(self) -> None:
         """Reject runner features that cannot cross a process boundary.
 
         Fault injectors and custom sleep callables hold process-local
@@ -678,7 +479,7 @@ class ObjectRunner:
 
         Runs at construction time (``__init__``/:meth:`add_observer`
         when ``params.backend == "process"``), so a misconfigured
-        ``repro extract --backend process`` fails with a typed
+        runner fails with a typed
         :class:`ProcessBackendConfigError` naming the offending field
         before any worker spawns.  The dispatch path re-checks as a
         backstop for callers that mutate runner attributes directly.
@@ -697,7 +498,7 @@ class ObjectRunner:
             )
         unsupported = [
             type(observer).__name__
-            for observer in self.observers
+            for observer in (*self.observers, *extra_observers)
             if not isinstance(observer, MetricsObserver)
         ]
         if unsupported:
@@ -707,129 +508,25 @@ class ObjectRunner:
                 f"observers; got {', '.join(sorted(unsupported))}",
             )
 
-    def _run_items_process(
-        self,
-        items: list[tuple[str, list[str]]],
-        workers: int,
-        isolate: bool,
-    ) -> list["SourceResult | SourceFailure"]:
-        """Sources fanned out to worker processes, one hash-mod shard each.
+    def _worker_spec(self) -> tuple[dict, str | None]:
+        """What a worker process rebuilds this runner from (picklable).
 
-        Every worker rebuilds the runner from a picklable spec and runs
-        its shard serially with its own ``PreprocessCache``,
-        ``MetricsRegistry`` per source and ``StagedRegistryView`` per
-        source; the parent merges in global input order — per-source
-        metrics through :meth:`MetricsObserver.adopt_source`, registry
-        writes with conflicts resolved canonically, cache and registry
-        counters summed — so the batch output is byte-identical to the
-        serial run.
-
-        Failure policy matches the serial semantics: under ``fail_fast``
-        every worker stops at its shard's first failure, and the parent
-        keeps exactly the sources preceding the *globally* first failure
-        in input order (those are guaranteed complete in every shard).
+        The runner's constructor arguments plus the wrapper-registry
+        root; a worker only runs items, so it never fans out again.
         """
         self._check_process_backend_support()
         registry = self._active_registry()
-        shard_items: list[list[tuple[str, tuple[str, ...]]]] = [
-            [] for __ in range(workers)
-        ]
-        for source, raw_pages in items:
-            shard_items[stable_shard(source, workers)].append(
-                (source, tuple(raw_pages))
-            )
-        child_params = self.params.with_overrides(
-            backend="thread", max_workers=1, shard=None
-        )
-        tasks = [
-            _ProcessShardTask(
-                sod=self.sod,
-                registry=self.registry,
-                ontology=self._ontology,
-                corpus=self._corpus,
-                gazetteer_classes=self._gazetteer_classes,
-                extra_gazetteer_entries=self._extra_gazetteer_entries,
-                params=child_params,
-                retry_policy=self.retry_policy,
-                registry_root=str(registry.root) if registry else None,
-                items=tuple(chunk),
-                isolate=isolate,
-            )
-            for chunk in shard_items
-            if chunk
-        ]
-        with ProcessPoolExecutor(max_workers=len(tasks)) as pool:
-            shard_results = list(pool.map(_run_process_shard, tasks))
-        outcome_by_source: dict[str, SourceResult | SourceFailure] = {}
-        writes_by_source: dict[str, StagedWrites] = {}
-        metrics_observers = [
-            observer
-            for observer in self.observers
-            if isinstance(observer, MetricsObserver)
-        ]
-        for task, result in zip(tasks, shard_results):
-            for (source, __), outcome in zip(task.items, result.outcomes):
-                outcome_by_source[source] = outcome
-            # Keyed per-source stores, not dict.update: each source lives
-            # in exactly one shard, so the merged mapping cannot depend
-            # on shard layout (reprolint P604).
-            for source, staged in result.writes.items():
-                writes_by_source[source] = staged
-            for observer in metrics_observers:
-                for source, shipped in result.registries.items():
-                    observer.adopt_source(source, shipped)
-                observer.adopt_cache_stats(result.cache_stats)
-            if registry is not None and result.registry_stats is not None:
-                registry.adopt_stats(result.registry_stats)
-        # The globally-first failure, in input order, decides the cut.
-        cut = len(items)
-        first_failure: SourceFailure | None = None
-        if not isolate:
-            for position, (source, __) in enumerate(items):
-                outcome = outcome_by_source.get(source)
-                if isinstance(outcome, SourceFailure):
-                    cut = position
-                    first_failure = outcome
-                    break
-        outcomes: list[SourceResult | SourceFailure] = []
-        for source, __ in items[:cut]:
-            outcomes.append(outcome_by_source[source])
-        if registry is not None:
-            kept = items if isolate else items[:cut]
-            for source, __ in kept:
-                staged = writes_by_source.get(source)
-                if staged is not None:
-                    staged.apply_to(registry)
-        if first_failure is not None:
-            raise self._abort_error(first_failure, outcomes, items)
-        return outcomes
-
-    def _abort_error(
-        self,
-        failure: SourceFailure,
-        outcomes: list["SourceResult | SourceFailure"],
-        items: list[tuple[str, list[str]]],
-    ) -> MultiSourceError:
-        """The fail-fast error, with completed sources attached as partial."""
-        results: dict[str, SourceResult] = {}
-        pooled = []
-        for (source, __), outcome in zip(items, outcomes):
-            if isinstance(outcome, SourceResult):
-                results[source] = outcome
-                pooled.extend(outcome.objects)
-        partial = MultiSourceResult(
-            results=results,
-            objects=pooled,
-            failures={failure.source: failure},
-        )
-        stage = failure.stage or "run"
-        return MultiSourceError(
-            f"source {failure.source!r} failed at {stage}: {failure.error} "
-            f"({len(results)} of {len(items)} sources completed before "
-            "the abort)",
-            partial=partial,
-            failure=failure,
-        )
+        kwargs = {
+            "sod": self.sod,
+            "registry": self.registry,
+            "ontology": self._ontology,
+            "corpus": self._corpus,
+            "gazetteer_classes": self._gazetteer_classes,
+            "extra_gazetteer_entries": self._extra_gazetteer_entries,
+            "params": self.params,
+            "retry_policy": self.retry_policy,
+        }
+        return kwargs, str(registry.root) if registry else None
 
 
 class ObjectRunnerSystem:

@@ -56,7 +56,7 @@ class RunParams:
     #: execution because gazetteer growth is order-dependent.
     max_workers: int = 1
     #: How ``run_sources`` treats an unexpected per-source failure:
-    #: ``"fail_fast"`` cancels pending sources and raises
+    #: ``"fail_fast"`` stops every shard at its first failure and raises
     #: :class:`~repro.errors.MultiSourceError` with partial results
     #: attached; ``"isolate"`` records a
     #: :class:`~repro.core.faults.SourceFailure` and lets the surviving
@@ -66,9 +66,9 @@ class RunParams:
     #: :class:`~repro.errors.TransientSourceError` (0 disables retrying);
     #: backoff follows :class:`~repro.core.faults.RetryPolicy`.
     max_retries: int = 0
-    #: Execution backend of ``run_sources``: ``"thread"`` fans sources out
-    #: on a thread pool sharing the runner's caches; ``"process"`` splits
-    #: them into ``max_workers`` hash-mod shards, runs each in a worker
+    #: Execution backend of ``run_sources``: both split the sources into
+    #: ``max_workers`` hash-mod shards; ``"thread"`` runs them on a thread
+    #: pool sharing the runner's caches; ``"process"`` runs each in a worker
     #: process with its own cache/metrics/registry view, and merges with
     #: the order-pinned semantics — byte-identical output either way.
     backend: str = "thread"

@@ -29,16 +29,22 @@ import os
 import platform
 import sys
 import threading
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from repro.baselines import ExAlgSystem, RoadRunnerSystem
 from repro.core.cache import PreprocessCache
+from repro.core.executor import (
+    ShardResult,
+    ShardTask,
+    run_batch,
+    run_worker_shard,
+)
 from repro.core.objectrunner import ObjectRunnerSystem
 from repro.core.params import RunParams
-from repro.core.sharding import ShardSpec, stable_shard
+from repro.core.sharding import ShardSpec
 from repro.datasets import (
     SCALE_TIER_THRESHOLD,
     CatalogEntry,
@@ -58,7 +64,6 @@ from repro.metrics.observer import (
 from repro.metrics.registry import MetricsRegistry
 from repro.registry.store import (
     StagedRegistryView,
-    StagedWrites,
     WrapperRegistry,
     write_json_atomic,
 )
@@ -317,125 +322,6 @@ class BenchSession:
         output = system.run(entry.spec.name, pages, domain.sod)
         return grade_source(domain, source.gold, output), output.wrap_seconds
 
-    def _sweep_serial(self, system_name, entries, metrics):
-        """One-loop sweep; the single timing row covers the whole slice."""
-        start = monotonic_seconds()
-        assembled = []
-        for entry in entries:
-            view = (
-                StagedRegistryView(self.registry) if self.registry else None
-            )
-            evaluation, wrap_seconds = self._run_entry(
-                system_name, entry, metrics, view
-            )
-            assembled.append((entry, evaluation, wrap_seconds, view))
-        row = {
-            "shard": self._shard_label(),
-            "index": 0,
-            "count": 1,
-            "sources": len(entries),
-            "wall_seconds": round(monotonic_seconds() - start, 6),
-        }
-        return assembled, [row]
-
-    def _sweep_thread(self, system_name, entries, metrics, workers):
-        """Hash-mod sub-shards on a thread pool, sharing session caches."""
-        chunks = _shard_chunks(entries, workers)
-
-        def run_chunk(index: int, chunk: list[CatalogEntry]):
-            start = monotonic_seconds()
-            results = []
-            for entry in chunk:
-                view = (
-                    StagedRegistryView(self.registry)
-                    if self.registry
-                    else None
-                )
-                evaluation, wrap_seconds = self._run_entry(
-                    system_name, entry, metrics, view
-                )
-                results.append((entry.spec.name, evaluation, wrap_seconds, view))
-            return index, results, monotonic_seconds() - start
-
-        with ThreadPoolExecutor(max_workers=len(chunks)) as pool:
-            futures = [
-                pool.submit(run_chunk, index, chunk) for index, chunk in chunks
-            ]
-            outcomes = [future.result() for future in futures]
-        rows = []
-        by_name: dict[str, tuple] = {}
-        for index, results, wall in outcomes:
-            rows.append({
-                "shard": self._shard_label(),
-                "index": index,
-                "count": workers,
-                "sources": len(results),
-                "wall_seconds": round(wall, 6),
-            })
-            for name, evaluation, wrap_seconds, view in results:
-                by_name[name] = (evaluation, wrap_seconds, view)
-        assembled = [
-            (entry, *by_name[entry.spec.name]) for entry in entries
-        ]
-        return assembled, rows
-
-    def _sweep_process(self, system_name, entries, metrics, workers):
-        """Hash-mod sub-shards fanned out to worker processes.
-
-        Each worker runs its slice serially with its own caches and a
-        read-only view of the registry root, shipping back evaluations,
-        per-source metrics registries, staged registry writes and cache
-        stats.  The parent adopts the metrics (merge order stays pinned
-        to catalog order) and applies the writes in catalog order, so
-        the result is byte-identical to the serial sweep.
-        """
-        chunks = _shard_chunks(entries, workers)
-        tasks = [
-            _BenchShardTask(
-                config=self.config,
-                system_name=system_name,
-                names=tuple(entry.spec.name for entry in chunk),
-                index=index,
-                count=workers,
-            )
-            for index, chunk in chunks
-        ]
-        with ProcessPoolExecutor(max_workers=len(tasks)) as pool:
-            results = list(pool.map(_bench_shard_worker, tasks))
-        rows = []
-        by_name: dict[str, tuple] = {}
-        writes_by_name: dict[str, StagedWrites | None] = {}
-        for result in results:
-            rows.append({
-                "shard": self._shard_label(),
-                "index": result.index,
-                "count": result.count,
-                "sources": result.sources,
-                "wall_seconds": result.wall_seconds,
-            })
-            for name, registry in result.registries.items():
-                metrics.adopt_source(name, registry)
-            metrics.adopt_cache_stats(result.cache_stats)
-            self._worker_cache_stats.append(dict(result.cache_stats))
-            if result.registry_stats is not None and self.registry is not None:
-                self.registry.adopt_stats(result.registry_stats)
-            for name, evaluation, wrap_seconds in result.evaluations:
-                by_name[name] = (evaluation, wrap_seconds)
-            # Keyed per-source stores, not dict.update: each source lives
-            # in exactly one chunk, so the merged mapping cannot depend
-            # on chunk layout (reprolint P604).
-            for name, staged in result.writes.items():
-                writes_by_name[name] = staged
-        assembled = [
-            (
-                entry,
-                *by_name[entry.spec.name],
-                writes_by_name.get(entry.spec.name),
-            )
-            for entry in entries
-        ]
-        return assembled, rows
-
     def run_system(
         self, system_name: str
     ) -> tuple[list["DomainMetrics"], MetricsRegistry, MetricsObserver]:
@@ -446,33 +332,47 @@ class BenchSession:
         (meaningful for ObjectRunner; empty for the baselines).  The
         backend only changes *how* the slice is swept; evaluations, the
         wrap timer and the staged registry writes are always assembled
-        in catalog order afterwards.
+        in catalog order afterwards (:mod:`repro.core.executor`), and a
+        failing entry aborts with :class:`~repro.errors.MultiSourceError`.
         """
         entries = self.entries()
         metrics = MetricsObserver()
         metrics.observe_cache(self.preprocess_cache)
-        metrics.note_source_order(entry.spec.name for entry in entries)
-        wrap = MetricsRegistry()
-        workers = max(1, int(self.config.workers))
-        pooled = workers > 1 and len(entries) > 1
         start = monotonic_seconds()
-        if self.config.backend == "process" and pooled:
-            assembled, rows = self._sweep_process(
-                system_name, entries, metrics, workers
-            )
-        elif self.config.backend == "thread" and pooled:
-            assembled, rows = self._sweep_thread(
-                system_name, entries, metrics, workers
-            )
-        else:
-            assembled, rows = self._sweep_serial(system_name, entries, metrics)
+        outcomes, shards = run_batch(
+            [(entry.spec.name, entry) for entry in entries],
+            lambda __, entry, view: self._run_entry(
+                system_name, entry, metrics, view
+            ),
+            backend=self.config.backend,
+            workers=max(1, int(self.config.workers)),
+            registry=self.registry,
+            observers=(metrics,),
+            worker=lambda: (self.config, system_name),
+            dispatch=_dispatch_bench_shards,
+            # Names cross the boundary; workers rebuild the entries.
+            ship=lambda entry: None,
+        )
+        wrap = MetricsRegistry()
         evaluations: dict[str, list] = {name: [] for name in DOMAIN_ORDER}
-        for entry, evaluation, wrap_seconds, staged in assembled:
+        for entry, (evaluation, wrap_seconds) in zip(entries, outcomes):
             evaluations[entry.spec.domain].append(evaluation)
             wrap.observe("wrap", wrap_seconds)
-            if staged is not None and self.registry is not None:
-                staged.apply_to(self.registry)
-        self._shard_rows[system_name] = rows
+        self._shard_rows[system_name] = [
+            {
+                "shard": self._shard_label(),
+                "index": shard.index,
+                "count": shard.count,
+                "sources": len(shard.outcomes),
+                "wall_seconds": shard.wall_seconds,
+            }
+            for shard in shards
+        ]
+        self._worker_cache_stats.extend(
+            shard.cache_stats
+            for shard in shards
+            if shard.cache_stats is not None
+        )
         # The sweep wall includes pool startup/teardown and the merge —
         # the number the thread-vs-process comparison is about.
         self._walls[system_name] = round(monotonic_seconds() - start, 6)
@@ -556,11 +456,9 @@ class BenchSession:
         (otherwise idle) cache numbers so the document still accounts
         for every hit and miss of the capture.
         """
-        totals = dict(self.preprocess_cache.stats())
-        for stats in self._worker_cache_stats:
-            for name, value in stats.items():
-                totals[name] = totals.get(name, 0) + value
-        return totals
+        return _sum_stats(
+            [self.preprocess_cache.stats(), *self._worker_cache_stats]
+        )
 
     def _reference_backend(self) -> dict | None:
         """Time the alternate pooled backend over the same catalog slice.
@@ -610,57 +508,10 @@ def _domain_doc(metrics: "DomainMetrics") -> dict:
     }
 
 
-# -- pooled sweeps --------------------------------------------------------
+# -- process sweeps -------------------------------------------------------
 
 
-def _shard_chunks(
-    entries: list[CatalogEntry], workers: int
-) -> list[tuple[int, list[CatalogEntry]]]:
-    """``(shard_index, chunk)`` hash-mod partition of a catalog slice.
-
-    Membership is :func:`~repro.core.sharding.stable_shard` of the source
-    name, so the same entry always lands on the same shard index
-    regardless of process, platform or ``PYTHONHASHSEED``; empty shards
-    are dropped.  Order within a chunk is catalog order.
-    """
-    chunks: list[list[CatalogEntry]] = [[] for _ in range(workers)]
-    for entry in entries:
-        chunks[stable_shard(entry.spec.name, workers)].append(entry)
-    return [
-        (index, chunk) for index, chunk in enumerate(chunks) if chunk
-    ]
-
-
-@dataclass(frozen=True)
-class _BenchShardTask:
-    """Everything a bench worker process needs (all picklable)."""
-
-    config: BenchConfig
-    system_name: str
-    names: tuple[str, ...]
-    index: int
-    count: int
-
-
-@dataclass(frozen=True)
-class _BenchShardResult:
-    """What one bench worker ships back to the parent."""
-
-    index: int
-    count: int
-    sources: int
-    wall_seconds: float
-    #: ``(source_name, evaluation, wrap_seconds)`` in the chunk's order.
-    evaluations: tuple
-    #: Per-source metrics registries, adopted into the parent observer.
-    registries: dict
-    #: Per-source staged registry writes (``None`` without a registry).
-    writes: dict
-    registry_stats: dict | None
-    cache_stats: dict
-
-
-def _bench_shard_worker(task: _BenchShardTask) -> _BenchShardResult:
+def _bench_shard_worker(task: ShardTask) -> ShardResult:
     """Run one shard of a bench sweep in a worker process.
 
     The worker builds its own serial session (own caches, own read view
@@ -668,48 +519,25 @@ def _bench_shard_worker(task: _BenchShardTask) -> _BenchShardResult:
     them as :class:`~repro.registry.store.StagedWrites` for the parent
     to apply in catalog order, exactly like the serial sweep would.
     """
-    config = dataclasses.replace(
-        task.config,
-        backend="serial",
-        workers=1,
-        shard=None,
-        compare_backends=False,
-    )
+    config, system_name = task.worker
     session = BenchSession(config)
-    start = monotonic_seconds()
-    wanted = set(task.names)
-    entries = [
-        entry
-        for entry in catalog_entries(scale=config.scale)
-        if entry.spec.name in wanted
-    ]
+    entries = {entry.spec.name: entry for entry in session.entries()}
     metrics = MetricsObserver()
     metrics.observe_cache(session.preprocess_cache)
-    metrics.note_source_order(entry.spec.name for entry in entries)
-    evaluations = []
-    writes: dict[str, StagedWrites | None] = {}
-    for entry in entries:
-        view = (
-            StagedRegistryView(session.registry) if session.registry else None
-        )
-        evaluation, wrap_seconds = session._run_entry(
-            task.system_name, entry, metrics, view
-        )
-        evaluations.append((entry.spec.name, evaluation, wrap_seconds))
-        writes[entry.spec.name] = view.export() if view is not None else None
-    return _BenchShardResult(
-        index=task.index,
-        count=task.count,
-        sources=len(entries),
-        wall_seconds=round(monotonic_seconds() - start, 6),
-        evaluations=tuple(evaluations),
-        registries={
-            name: metrics.source_registry(name) for name in metrics.sources()
-        },
-        writes=writes,
-        registry_stats=session.registry.stats() if session.registry else None,
-        cache_stats=session.preprocess_cache.stats(),
+    return run_worker_shard(
+        task,
+        lambda name, __, view: session._run_entry(
+            system_name, entries[name], metrics, view
+        ),
+        metrics,
+        session.registry,
     )
+
+
+def _dispatch_bench_shards(tasks: list[ShardTask]) -> list[ShardResult]:
+    """Run the sweep's shards on a process pool, one worker per shard."""
+    with ProcessPoolExecutor(max_workers=len(tasks)) as pool:
+        return list(pool.map(_bench_shard_worker, tasks))
 
 
 # -- artifact files -------------------------------------------------------

@@ -8,12 +8,18 @@ between cold, ``--cache`` and ``--changed-only`` runs.
 
 import subprocess
 import textwrap
+from pathlib import Path
+
+import pytest
 
 from repro.analysis import analyze_paths, build_rules
 from repro.analysis.cli import main
 from repro.analysis.engine import collect_files
 from repro.analysis.graph import ProjectGraph
-from repro.analysis.procbound import process_boundary
+from repro.analysis.procbound import ProcessBoundaryAnalysis, process_boundary
+from repro.analysis.rules.concurrency import SharedStateRule
+
+REPO_ROOT = Path(__file__).resolve().parents[1]
 
 P_RULES = "P601,P602,P603,P604"
 
@@ -611,3 +617,52 @@ class TestByteIdentity:
         assert outputs["warm"] == outputs["cold"]
         assert outputs["warm2"] == outputs["cold"]
         assert outputs["changed"] == outputs["cold"]
+
+
+class TestRepoCoverage:
+    """The boundary analyses still see the repository's real fan-out.
+
+    Both batch callers hand their item functions to the executor; the
+    analyses must keep finding the dispatch sites, the worker-side item
+    functions and the modules T301 guards, or lint coverage silently
+    shrinks while the tree stays "clean".
+    """
+
+    @pytest.fixture(scope="class")
+    def graph(self):
+        return ProjectGraph.build(
+            REPO_ROOT, collect_files([REPO_ROOT / "src"])
+        )
+
+    def test_dispatch_sites_resolve_to_both_worker_entries(self, graph):
+        analysis = ProcessBoundaryAnalysis.build(graph)
+        assert [d.entry for d in analysis.dispatches] == [
+            "repro.core.objectrunner:_run_process_shard",
+            "repro.metrics.bench:_bench_shard_worker",
+        ]
+
+    def test_item_functions_and_homeward_surface_are_worker_reachable(
+        self, graph
+    ):
+        reachable = ProcessBoundaryAnalysis.build(graph).worker_reachable
+        for qualname in (
+            "repro.core.objectrunner:ObjectRunner._run_item",
+            "repro.metrics.bench:BenchSession._run_entry",
+            "repro.metrics.observer:MetricsObserver.adopt_source",
+            "repro.registry.store:StagedRegistryView.export",
+        ):
+            assert qualname in reachable, qualname
+
+    def test_t301_treats_the_executor_callers_as_pool_roots(self, graph):
+        rule = SharedStateRule()
+        rule.prepare_graph(graph)
+        src = (REPO_ROOT / "src").resolve()
+        reached = {
+            Path(path).resolve().relative_to(src).as_posix()
+            for path in rule._reachable_files
+        }
+        assert {
+            "repro/core/pipeline.py",
+            "repro/core/objectrunner.py",
+            "repro/metrics/bench.py",
+        } <= reached

@@ -6,6 +6,7 @@ import pickle
 import pytest
 
 from repro.core import ObjectRunner, RunParams, ShardSpec
+from repro.core import objectrunner as objectrunner_module
 from repro.core.faults import FaultInjector, FaultSpec
 from repro.core.pipeline import TimingObserver
 from repro.datasets import build_knowledge, domain_spec, generate_source
@@ -285,19 +286,24 @@ class TestProcessBackendSupport:
     def test_small_batches_fall_back_to_thread_path(
         self, four_sources, monkeypatch
     ):
-        # One source (or one worker) never pays process fan-out cost.
+        # One source (or one worker) never pays process fan-out cost:
+        # no ProcessPoolExecutor is ever created for either batch.
         domain, knowledge, sources = four_sources
         first = next(iter(sources))
-        runner = make_runner(
-            domain, knowledge, max_workers=4, backend="process"
-        )
         monkeypatch.setattr(
-            runner,
-            "_run_items_process",
+            objectrunner_module,
+            "ProcessPoolExecutor",
             lambda *a, **k: pytest.fail("process fan-out on a small batch"),
         )
-        outcome = runner.run_sources({first: sources[first]})
-        assert list(outcome.results) == [first]
+        for workers, batch in (
+            (4, {first: sources[first]}),
+            (1, sources),
+        ):
+            runner = make_runner(
+                domain, knowledge, max_workers=workers, backend="process"
+            )
+            outcome = runner.run_sources(batch)
+            assert list(outcome.results) == list(batch)
 
     def test_params_validation(self):
         with pytest.raises(ValueError):

@@ -2,11 +2,13 @@
 
 import copy
 import json
+import multiprocessing
 from pathlib import Path
 
 import pytest
 
 from repro.__main__ import main
+from repro.errors import MultiSourceError
 from repro.metrics.bench import (
     BENCH_SCHEMA_VERSION,
     BenchConfig,
@@ -364,3 +366,62 @@ class TestProvenanceIsolation:
         comparison = compare_documents(old, new)
         assert comparison.ok
         assert comparison.notes == []
+
+
+class TestSweepFailures:
+    """A failing entry aborts every sweep backend the same way."""
+
+    @pytest.fixture
+    def failing_entry(self, monkeypatch):
+        """Make one mid-catalog entry raise; every other entry is a no-op.
+
+        The patch sits on the class, so process-backend workers inherit
+        it through ``fork``.
+        """
+        entries = BenchSession(BenchConfig(scale=0.02)).entries()
+        target = entries[5].spec.name
+
+        def fake_run_entry(self, system_name, entry, metrics, view):
+            if entry.spec.name == target:
+                raise RuntimeError(f"boom in {entry.spec.name}")
+            return None, 0.0
+
+        monkeypatch.setattr(BenchSession, "_run_entry", fake_run_entry)
+        return target
+
+    def _abort(self, backend: str, workers: int) -> MultiSourceError:
+        session = BenchSession(
+            BenchConfig(
+                scale=0.02,
+                systems=("roadrunner",),
+                backend=backend,
+                workers=workers,
+            )
+        )
+        with pytest.raises(MultiSourceError) as excinfo:
+            session.run_system("roadrunner")
+        return excinfo.value
+
+    @pytest.mark.skipif(
+        multiprocessing.get_start_method() != "fork",
+        reason="the fault reaches process workers only through fork",
+    )
+    def test_every_backend_raises_the_same_error(self, failing_entry):
+        errors = {
+            backend: self._abort(backend, workers)
+            for backend, workers in (
+                ("serial", 1),
+                ("thread", 2),
+                ("process", 2),
+            )
+        }
+        serial = errors["serial"]
+        assert failing_entry in str(serial)
+        assert serial.failure.source == failing_entry
+        for backend, error in errors.items():
+            assert str(error) == str(serial), backend
+            assert list(error.partial.results) == list(
+                serial.partial.results
+            ), backend
+            assert isinstance(error.__cause__, RuntimeError), backend
+            assert str(error.__cause__) == f"boom in {failing_entry}"
