@@ -20,11 +20,11 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 
-from repro.core import StageEventCollector
 from repro.datasets import CatalogEntry, catalog_entries, domain_spec
 from repro.eval import SourceEvaluation, aggregate_domain, grade_source
 from repro.eval.metrics import DomainMetrics
 from repro.htmlkit import clean_tree, tidy
+from repro.metrics import MetricsObserver
 from repro.metrics.bench import CatalogCache, build_system
 
 BENCH_SCALE = float(os.environ.get("REPRO_BENCH_SCALE", "0.1"))
@@ -68,17 +68,17 @@ _run_cache: dict[str, list[SourceRun]] = {}
 #: :func:`make_system` reports its stage timings and counters here, so
 #: the benches read stage-level figures off events instead of poking at
 #: result internals.
-STAGE_EVENTS = StageEventCollector()
+STAGE_EVENTS = MetricsObserver()
 
 
 def stage_totals() -> dict[str, float]:
     """Accumulated wall-clock seconds per pipeline stage across all runs."""
-    return dict(STAGE_EVENTS.elapsed)
-
-
-def stage_counters() -> dict[str, int]:
-    """Accumulated pipeline counters (pages annotated, objects, ...)."""
-    return dict(STAGE_EVENTS.counters)
+    merged = STAGE_EVENTS.merged_registry()
+    return {
+        name.removeprefix("stage."): sum(merged.observations(name))
+        for name in merged.timer_names()
+        if name.startswith("stage.")
+    }
 
 
 def knowledge_for(domain_name: str, coverage: float = DICTIONARY_COVERAGE):
@@ -108,7 +108,7 @@ def make_system(
 
     Delegates to the shared factory (:func:`repro.metrics.bench.
     build_system`), subscribing the benchmark-wide ``STAGE_EVENTS``
-    collector to every ObjectRunner pipeline.
+    observer to every ObjectRunner pipeline.
     """
     return build_system(
         name,

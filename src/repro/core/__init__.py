@@ -6,10 +6,12 @@ Figure 1 — page tidying and cleaning, VIPS-style central-block selection,
 annotation with Algorithm-1 sample selection, wrapper generation with the
 automatic parameter-variation loop, extraction, dictionary enrichment —
 is a named :class:`~repro.core.pipeline.Stage` running over a shared
-:class:`~repro.core.pipeline.PipelineContext`.  Observers subscribe to
-stage start/end events for timings, counters and JSON-lines tracing;
-preprocessing memoizes through :class:`~repro.core.cache.PreprocessCache`;
-multi-source runs parallelize with ``RunParams.max_workers``.
+:class:`~repro.core.pipeline.PipelineContext`.  The pipeline files each
+stage's wall-clock into ``SourceResult.timings``; observers subscribe to
+stage start/end events for metrics (``MetricsObserver``) and JSON-lines
+tracing (:class:`~repro.core.pipeline.TraceObserver`); preprocessing
+memoizes through :class:`~repro.core.cache.PreprocessCache`; multi-source
+runs fan out with ``RunParams.max_workers`` over ``RunParams.backend``.
 """
 
 from repro.core.cache import CachedPages, PreprocessCache
@@ -36,8 +38,6 @@ from repro.core.pipeline import (
     PipelineEvent,
     PipelineObserver,
     Stage,
-    StageEventCollector,
-    TimingObserver,
     TraceObserver,
     build_stages,
     register_stage,
@@ -64,8 +64,6 @@ __all__ = [
     "PipelineObserver",
     "EventBus",
     "Stage",
-    "StageEventCollector",
-    "TimingObserver",
     "TraceObserver",
     "build_stages",
     "register_stage",

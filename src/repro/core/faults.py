@@ -37,7 +37,7 @@ from repro.errors import InjectedFaultError, TransientSourceError
 from repro.utils.rng import DeterministicRng, derive_seed
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
-    from repro.core.pipeline import PipelineContext, PipelineEvent, Stage
+    from repro.core.pipeline import PipelineContext, Stage
 
 #: Abort the multi-source batch on the first unexpected failure.
 FAIL_FAST = "fail_fast"
@@ -249,10 +249,11 @@ class FaultInjector:
     ``(seed, source, stage, attempt)`` — re-running the same
     configuration reproduces the same faults exactly.
 
-    The injector is also a pipeline observer: subscribe it to a run and
-    it records every ``stage_retry`` event it sees on
-    :attr:`retries_observed` (``ObjectRunner`` subscribes it
-    automatically when given one).
+    The injector only fires faults and logs them on :attr:`fired`; the
+    retries they trigger surface as ``stage_retry`` events to the
+    pipeline's observers (``retries.<stage>`` counters in
+    :class:`~repro.metrics.observer.MetricsObserver`, one trace line each
+    in :class:`~repro.core.pipeline.TraceObserver`).
     """
 
     def __init__(
@@ -270,8 +271,6 @@ class FaultInjector:
         #: firing order (ordering across threads is scheduling-dependent;
         #: per-source order is not).
         self.fired: list[tuple[str, str, str, int]] = []
-        #: ``stage_retry`` events seen while subscribed as an observer.
-        self.retries_observed: list["PipelineEvent"] = []
 
     # - stage wrapping -
 
@@ -322,25 +321,6 @@ class FaultInjector:
         if spec.kind == TRANSIENT:
             raise TransientSourceError(detail)
         raise InjectedFaultError(detail)
-
-    # - observer hooks (duck-typed PipelineObserver surface) -
-
-    def on_pipeline_start(self, event: "PipelineEvent", ctx: "PipelineContext") -> None:
-        """Observer hook: nothing to do at run start."""
-
-    def on_stage_start(self, event: "PipelineEvent", ctx: "PipelineContext") -> None:
-        """Observer hook: nothing to do at stage start."""
-
-    def on_stage_end(self, event: "PipelineEvent", ctx: "PipelineContext") -> None:
-        """Observer hook: nothing to do at stage end."""
-
-    def on_stage_retry(self, event: "PipelineEvent", ctx: "PipelineContext") -> None:
-        """Record a retry event triggered by (possibly) injected faults."""
-        with self._lock:
-            self.retries_observed.append(event)
-
-    def on_pipeline_end(self, event: "PipelineEvent", ctx: "PipelineContext") -> None:
-        """Observer hook: nothing to do at run end."""
 
 
 class _FaultableStage:

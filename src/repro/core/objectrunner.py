@@ -48,11 +48,9 @@ from repro.core.pipeline import (
     Pipeline,
     PipelineContext,
     PipelineObserver,
-    StageEventCollector,
-    TimingObserver,
     build_stages,
 )
-from repro.core.results import MultiSourceResult, SourceResult
+from repro.core.results import MultiSourceResult, SourceResult, StageTimings
 from repro.corpus.store import Corpus
 from repro.errors import ProcessBackendConfigError, SodError
 from repro.htmlkit.dom import Element
@@ -127,7 +125,7 @@ class ObjectRunner:
         #: instead of inducing unconditionally.
         self.wrapper_registry = wrapper_registry
         #: Optional deterministic fault harness: wraps every stage of
-        #: every pipeline this runner builds, and observes retry events.
+        #: every pipeline this runner builds.
         self.fault_injector = fault_injector
         #: Optional override of the params-derived transient-retry policy.
         self.retry_policy = retry_policy
@@ -229,17 +227,14 @@ class ObjectRunner:
     def _build_pipeline(
         self,
         stage_names: Iterable[str] = DEFAULT_STAGE_ORDER,
-        extra_observers: Iterable[PipelineObserver] = (),
     ) -> Pipeline:
-        """A pipeline with the runner's observers (timings always first)."""
-        observers = [TimingObserver(), *self.observers, *extra_observers]
+        """A pipeline with the runner's observers and fault harness."""
         stages = build_stages(stage_names)
         if self.fault_injector is not None:
             stages = self.fault_injector.wrap_all(stages)
-            observers.append(self.fault_injector)
         return Pipeline(
             stages,
-            observers,
+            self.observers,
             retry_policy=self.retry_policy,
             sleep=self._sleep,
         )
@@ -252,8 +247,14 @@ class ObjectRunner:
         pass_index: int = 0,
         total_passes: int = 1,
         registry: "WrapperRegistry | StagedRegistryView | None" = None,
+        timings: StageTimings | None = None,
     ) -> PipelineContext:
-        """A fresh context carrying this runner's shared services."""
+        """A fresh context carrying this runner's shared services.
+
+        ``timings`` hands an earlier run's :class:`StageTimings` of the
+        same source to this one, so a source that runs the pipeline more
+        than once reports one set of timings covering every run.
+        """
         return PipelineContext(
             source=source,
             params=self.params,
@@ -266,6 +267,9 @@ class ObjectRunner:
             pass_index=pass_index,
             total_passes=total_passes,
             registry=registry,
+            result=SourceResult(
+                source=source, timings=timings or StageTimings()
+            ),
         )
 
     # -- entry points ------------------------------------------------------
@@ -296,7 +300,8 @@ class ObjectRunner:
 
         If the post-extraction check demoted a stale registry wrapper,
         the source re-runs once: the second attempt misses (the entry is
-        gone), induces a fresh wrapper and stores it.
+        gone), induces a fresh wrapper and stores it.  The returned
+        ``timings`` cover both attempts.
 
         A discard raised during induction never reaches the store stage
         (the pipeline stops at the discarding stage), so the write-back
@@ -313,7 +318,11 @@ class ObjectRunner:
         result = SourceResult(source=source)
         for __ in range(2):
             ctx = self._context(
-                source, raw_pages=raw_pages, pages=pages, registry=registry
+                source,
+                raw_pages=raw_pages,
+                pages=pages,
+                registry=registry,
+                timings=result.timings,
             )
             result = self._build_pipeline(REGISTRY_STAGE_ORDER).run(ctx)
             if (
@@ -346,7 +355,8 @@ class ObjectRunner:
         coverage — and with it the wrapper — improves (the paper's
         "use current annotations to discover new annotations" loop).
         Tidying/cleaning is only paid once: later passes draw deep copies
-        from the preprocessing cache.
+        from the preprocessing cache.  The returned ``timings`` cover
+        every pass.
         """
         registry = self._active_registry()
         if registry is not None:
@@ -361,6 +371,7 @@ class ObjectRunner:
                 raw_pages=raw_pages,
                 pass_index=pass_index,
                 total_passes=passes,
+                timings=result.timings,
             )
             result = self._build_pipeline().run(ctx)
             if result.discarded:
@@ -404,8 +415,9 @@ class ObjectRunner:
         """Run the pipeline over several sources of the same domain.
 
         With ``params.max_workers > 1`` independent sources wrap
-        concurrently on a thread pool; results keep the input order, so
-        the outcome is identical to a serial run.  Enrichment runs force
+        concurrently in hash-mod shards, on threads or worker processes
+        per ``params.backend``; results keep the input order, so the
+        outcome is identical to a serial run.  Enrichment runs force
         serial execution: gazetteer growth feeds later sources, which is
         inherently order-dependent.
 
@@ -532,10 +544,11 @@ class ObjectRunner:
 class ObjectRunnerSystem:
     """Adapter exposing ObjectRunner behind the comparison interface.
 
-    Consumes pipeline stage events (through a
-    :class:`~repro.core.pipeline.StageEventCollector`) for its timing
-    figures instead of reaching into result internals; extra observers —
-    say, a benchmark-wide collector — can be injected at construction.
+    Reads its discard verdict and wrapping time off the
+    :class:`SourceResult` (``timings.wrapping`` covers every pipeline
+    run the source made); extra observers — say, a benchmark-wide
+    :class:`~repro.metrics.observer.MetricsObserver` — can be injected
+    at construction.
     """
 
     def __init__(
@@ -564,7 +577,6 @@ class ObjectRunnerSystem:
         self, source: str, pages: list[Element], sod: SodType
     ) -> SystemOutput:
         """Run the full pipeline on prepared pages of one source."""
-        collector = StageEventCollector()
         runner = ObjectRunner(
             sod=sod,
             ontology=self._ontology,
@@ -572,21 +584,20 @@ class ObjectRunnerSystem:
             gazetteer_classes=self._gazetteer_classes,
             params=self._params,
             extra_gazetteer_entries=self._extra_gazetteer_entries,
-            observers=(collector, *self._observers),
+            observers=self._observers,
             wrapper_registry=self._wrapper_registry,
         )
         result = runner.run_source_prepared(source, pages)
-        final_event = collector.completed[-1] if collector.completed else None
-        if final_event is not None and final_event.discarded:
+        if result.discarded:
             return SystemOutput(
                 system=self.name,
                 source=source,
                 failed=True,
-                failure_reason=final_event.discard_reason,
+                failure_reason=result.discard_reason,
             )
         return SystemOutput(
             system=self.name,
             source=source,
             objects=result.objects,
-            wrap_seconds=collector.stage_seconds("wrapping"),
+            wrap_seconds=result.timings.wrapping,
         )

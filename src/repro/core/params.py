@@ -51,9 +51,10 @@ class RunParams:
     #: below ``total_records * chaos_ratio`` cells).  0 treats every
     #: level as chaotic, 1 effectively disables the check.
     chaos_ratio: float = 0.5
-    #: Worker threads for multi-source runs (``run_sources``): independent
-    #: sources wrap concurrently when > 1.  Enrichment runs force serial
-    #: execution because gazetteer growth is order-dependent.
+    #: Workers for multi-source runs (``run_sources``): when > 1,
+    #: independent sources wrap concurrently in that many hash-mod shards,
+    #: on threads or processes per ``backend``.  Enrichment runs force
+    #: serial execution because gazetteer growth is order-dependent.
     max_workers: int = 1
     #: How ``run_sources`` treats an unexpected per-source failure:
     #: ``"fail_fast"`` stops every shard at its first failure and raises

@@ -5,11 +5,12 @@ recognizer setup, annotation/sampling, wrapper generation, extraction,
 de-duplication.  This module makes that dataflow a first-class object:
 every box is a :class:`Stage` whose ``run`` method operates on one shared
 :class:`PipelineContext`, and a :class:`Pipeline` threads the context
-through its stages in order, timing each stage and broadcasting lifecycle
-events to any number of :class:`PipelineObserver` subscribers — progress
-reporting, JSON-lines tracing (:class:`TraceObserver`), benchmark
-collection (:class:`StageEventCollector`) — without the stages knowing
-about any of them.
+through its stages in order, timing each stage into
+``SourceResult.timings`` and broadcasting lifecycle events to any number
+of :class:`PipelineObserver` subscribers — JSON-lines tracing
+(:class:`TraceObserver`), metrics aggregation
+(:class:`~repro.metrics.observer.MetricsObserver`) — without the stages
+knowing about any of them.
 
 Stages register themselves by name via :func:`register_stage`, so a
 pipeline can be assembled from names (:func:`build_stages`) and custom
@@ -95,7 +96,6 @@ class PipelineEvent:
     kind: str
     source: str
     stage: str = ""
-    timing_field: str = ""
     pass_index: int = 0
     elapsed: float = 0.0
     counters: dict[str, int] = field(default_factory=dict)
@@ -147,7 +147,8 @@ class PipelineObserver:
     care about.  Hooks run synchronously on the pipeline's thread; under a
     parallel multi-source run they may be invoked from several worker
     threads at once, so observers shared across sources must synchronize
-    their own mutable state (the bundled observers all do).
+    their own mutable state (:class:`TraceObserver` and
+    :class:`~repro.metrics.observer.MetricsObserver` do).
     """
 
     def on_pipeline_start(self, event: PipelineEvent, ctx: "PipelineContext") -> None:
@@ -185,24 +186,6 @@ class EventBus:
         """Dispatch ``event`` to the matching hook of every observer."""
         for observer in self._observers:
             getattr(observer, f"on_{event.kind}")(event, ctx)
-
-
-class TimingObserver(PipelineObserver):
-    """Accumulates stage wall-clock into ``ctx.result.timings``.
-
-    This replaces the hand-written ``time.perf_counter()`` bookkeeping the
-    monolithic runner used to carry in every stage block: the pipeline
-    measures, this observer files the measurement under the stage's
-    declared ``timing_field``.
-    """
-
-    def on_stage_end(self, event: PipelineEvent, ctx: "PipelineContext") -> None:
-        """Add the stage's elapsed seconds to its timings field."""
-        if not event.timing_field:
-            return
-        timings = ctx.result.timings
-        current = getattr(timings, event.timing_field)
-        setattr(timings, event.timing_field, current + event.elapsed)
 
 
 class TraceObserver(PipelineObserver):
@@ -276,55 +259,6 @@ class TraceObserver(PipelineObserver):
         self.close()
 
 
-class StageEventCollector(PipelineObserver):
-    """Aggregates stage timings and counters across one or many runs.
-
-    The benchmark harness and :class:`~repro.core.objectrunner.
-    ObjectRunnerSystem` subscribe one of these instead of reaching into
-    ``SourceResult`` internals.  Thread-safe, so a single collector can
-    aggregate a parallel multi-source run.
-    """
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        #: Total wall-clock seconds per stage name.
-        self.elapsed: dict[str, float] = {}
-        #: Summed context counters across all observed runs.
-        self.counters: Counter[str] = Counter()
-        #: Retry count per stage name, across all observed runs.
-        self.retries: Counter[str] = Counter()
-        #: ``pipeline_end`` events, one per observed run.
-        self.completed: list[PipelineEvent] = []
-
-    def on_stage_end(self, event: PipelineEvent, ctx: "PipelineContext") -> None:
-        """Fold the stage's elapsed time and counter deltas into totals."""
-        with self._lock:
-            self.elapsed[event.stage] = (
-                self.elapsed.get(event.stage, 0.0) + event.elapsed
-            )
-            self.counters.update(event.counters)
-
-    def on_stage_retry(self, event: PipelineEvent, ctx: "PipelineContext") -> None:
-        """Count the retry against its stage."""
-        with self._lock:
-            self.retries[event.stage] += 1
-
-    def on_pipeline_end(self, event: PipelineEvent, ctx: "PipelineContext") -> None:
-        """Record the finished run."""
-        with self._lock:
-            self.completed.append(event)
-
-    def stage_seconds(self, stage: str) -> float:
-        """Total observed wall-clock of one stage (0.0 if it never ran)."""
-        with self._lock:
-            return self.elapsed.get(stage, 0.0)
-
-    def stage_retries(self, stage: str) -> int:
-        """Total observed retries of one stage (0 if it never retried)."""
-        with self._lock:
-            return self.retries[stage]
-
-
 # -- context --------------------------------------------------------------
 
 
@@ -391,7 +325,7 @@ class Stage:
 
     Subclasses set ``name`` (unique registry key), optionally
     ``timing_field`` (the :class:`~repro.core.results.StageTimings`
-    attribute their wall-clock accumulates into), and implement
+    attribute :class:`Pipeline` adds their wall-clock to), and implement
     :meth:`run`.  ``enabled`` lets a stage excuse itself from a run —
     skipped stages emit no events.
 
@@ -462,7 +396,8 @@ class Pipeline:
     """Runs stages in order over one context, timing and broadcasting.
 
     The pipeline owns the cross-cutting concerns the stages should not:
-    wall-clock measurement, counter-delta bookkeeping, discard handling
+    wall-clock measurement (filed under each stage's ``timing_field`` in
+    ``ctx.result.timings``), counter-delta bookkeeping, discard handling
     (a stage raising :class:`SourceDiscardedError` marks the result and
     stops the run), transient-failure retries with deterministic backoff,
     and event emission through the :class:`EventBus`.
@@ -544,7 +479,6 @@ class Pipeline:
                     kind="stage_start",
                     source=ctx.source,
                     stage=stage.name,
-                    timing_field=stage.timing_field,
                     pass_index=ctx.pass_index,
                 ),
                 ctx,
@@ -573,7 +507,6 @@ class Pipeline:
                             kind="stage_retry",
                             source=ctx.source,
                             stage=stage.name,
-                            timing_field=stage.timing_field,
                             pass_index=ctx.pass_index,
                             attempt=attempt,
                             retry_delay=delay,
@@ -587,6 +520,13 @@ class Pipeline:
                     self._fail(ctx, run_started, stage.name, attempt, exc)
                     raise
             elapsed = time.perf_counter() - stage_started
+            if stage.timing_field:
+                timings = result.timings
+                setattr(
+                    timings,
+                    stage.timing_field,
+                    getattr(timings, stage.timing_field) + elapsed,
+                )
             deltas = {
                 name: value - counters_before.get(name, 0)
                 for name, value in ctx.counters.items()
@@ -597,7 +537,6 @@ class Pipeline:
                     kind="stage_end",
                     source=ctx.source,
                     stage=stage.name,
-                    timing_field=stage.timing_field,
                     pass_index=ctx.pass_index,
                     elapsed=elapsed,
                     counters=deltas,

@@ -17,10 +17,12 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
 class StageTimings:
     """Wall-clock seconds per pipeline stage for one source.
 
-    Filled by the pipeline's built-in
-    :class:`~repro.core.pipeline.TimingObserver`; each field is the
-    ``timing_field`` one or more stages declare (tidy/clean and
-    segmentation both accumulate into ``preprocess``).
+    Filled by :class:`~repro.core.pipeline.Pipeline` as each stage ends;
+    each field is the ``timing_field`` one or more stages declare
+    (tidy/clean and segmentation both accumulate into ``preprocess``).
+    A source that runs the pipeline more than once — a demoted registry
+    wrapper re-induced, or several enrichment passes — keeps one set of
+    timings covering every run.
     """
 
     preprocess: float = 0.0

@@ -229,7 +229,7 @@ class TestTransientRetries:
         assert retry["attempt"] == 1
         assert retry["retry_delay_s"] > 0
         assert "TransientSourceError" in retry["error"]
-        assert [e.attempt for e in injector.retries_observed] == [1]
+        assert injector.fired == [("flt-2", "wrapping", "transient", 1)]
 
     def test_backoff_uses_injected_sleep_not_wall_clock(self, four_sources):
         domain, knowledge, sources = four_sources

@@ -26,10 +26,10 @@ from repro.core.pipeline import (
     Pipeline,
     PipelineContext,
     Stage,
-    StageEventCollector,
     TraceObserver,
 )
 from repro.errors import InjectedFaultError, TransientSourceError
+from repro.metrics import MetricsObserver
 
 
 class FakeSleep:
@@ -172,14 +172,15 @@ class TestPipelineRetries:
     def test_transient_failure_retried_to_success(self):
         stage = FlakyStage(failures=1)
         sleep = FakeSleep()
-        collector = StageEventCollector()
+        observer = MetricsObserver()
         pipeline = Pipeline(
-            stages=[stage], observers=(collector,), sleep=sleep
+            stages=[stage], observers=(observer,), sleep=sleep
         )
         result = pipeline.run(make_ctx(max_retries=1))
         assert stage.runs == 2
         assert not result.discarded
-        assert collector.stage_retries("flaky") == 1
+        registry = observer.source_registry("unit")
+        assert registry.counter_value("retries.flaky") == 1
         assert len(sleep.calls) == 1
 
     def test_retry_delays_follow_policy(self):
@@ -230,11 +231,11 @@ class TestPipelineRetries:
 
 
 class TestFaultInjector:
-    def run_pipeline(self, injector, stage=None, **params):
+    def run_pipeline(self, injector, stage=None, observers=(), **params):
         stage = stage or CountingStage()
         pipeline = Pipeline(
             stages=injector.wrap_all([stage]),
-            observers=(injector,),
+            observers=observers,
             sleep=FakeSleep(),
         )
         return stage, pipeline.run(make_ctx(**params))
@@ -257,10 +258,16 @@ class TestFaultInjector:
             [FaultSpec(stage="counting", kind=TRANSIENT, times=1)],
             sleep=FakeSleep(),
         )
-        stage, result = self.run_pipeline(injector, max_retries=1)
+        sink = io.StringIO()
+        stage, result = self.run_pipeline(
+            injector, observers=(TraceObserver(sink),), max_retries=1
+        )
         assert stage.runs == 1
         assert not result.discarded
-        assert [e.attempt for e in injector.retries_observed] == [1]
+        assert injector.fired == [("unit", "counting", "transient", 1)]
+        events = [json.loads(line) for line in sink.getvalue().splitlines()]
+        retries = [e for e in events if e["event"] == "stage_retry"]
+        assert [e["attempt"] for e in retries] == [1]
 
     def test_delay_fault_uses_injected_sleep(self):
         sleep = FakeSleep()

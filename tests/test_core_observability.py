@@ -1,18 +1,14 @@
-"""Observer protocol: event sequences, timings, traces, collectors."""
+"""Observer protocol: event sequences, timings, traces, metrics."""
 
 import io
 import json
 
 import pytest
 
-from repro.core import (
-    ObjectRunner,
-    ObjectRunnerSystem,
-    StageEventCollector,
-    TraceObserver,
-)
+from repro.core import ObjectRunner, ObjectRunnerSystem, TraceObserver
 from repro.datasets import build_knowledge, domain_spec, generate_source
 from repro.datasets.sites import SiteSpec
+from repro.metrics import MetricsObserver
 
 
 @pytest.fixture(scope="module")
@@ -40,7 +36,12 @@ def make_runner(domain, knowledge, observers=()):
     )
 
 
-class TestTimingObserver:
+def stage_seconds(registry, stage):
+    """Summed ``stage.<stage>`` timer observations of one registry."""
+    return sum(registry.observations(f"stage.{stage}"))
+
+
+class TestPipelineTimings:
     def test_timings_populated_via_events(self, albums_setup):
         domain, source, knowledge = albums_setup
         runner = make_runner(domain, knowledge)
@@ -53,15 +54,21 @@ class TestTimingObserver:
 
     def test_stage_timings_sum_to_pipeline_total(self, albums_setup):
         domain, source, knowledge = albums_setup
-        collector = StageEventCollector()
-        runner = make_runner(domain, knowledge, observers=(collector,))
+        observer = MetricsObserver()
+        runner = make_runner(domain, knowledge, observers=(observer,))
         result = runner.run_source("observe-albums", source.pages)
         assert result.ok
-        [end_event] = collector.completed
-        stage_sum = sum(collector.elapsed.values())
+        registry = observer.source_registry("observe-albums")
+        [run_elapsed] = registry.observations("pipeline")
+        stage_sum = sum(
+            sum(registry.observations(name))
+            for name in registry.timer_names()
+            if name.startswith("stage.")
+        )
         # The stages account for the run total within dispatch noise.
-        assert stage_sum <= end_event.elapsed
-        assert stage_sum > end_event.elapsed * 0.8
+        assert stage_sum <= run_elapsed
+        assert stage_sum > run_elapsed * 0.8
+        assert result.timings.total == pytest.approx(stage_sum)
 
 
 class TestTraceObserver:
@@ -113,31 +120,33 @@ class TestTraceObserver:
         assert summary["discard_stage"] == result.discard_stage
 
 
-class TestStageEventCollector:
+class TestMetricsObserverEvents:
     def test_collects_across_multiple_sources(self, albums_setup):
         domain, source, knowledge = albums_setup
-        collector = StageEventCollector()
-        runner = make_runner(domain, knowledge, observers=(collector,))
+        observer = MetricsObserver()
+        runner = make_runner(domain, knowledge, observers=(observer,))
         runner.run_sources(
             {"a": source.pages, "b": source.pages}
         )
-        assert len(collector.completed) == 2
-        assert collector.stage_seconds("wrapping") > 0
-        assert collector.counters["objects_extracted"] > 0
+        merged = observer.merged_registry()
+        assert merged.counter_value("runs") == 2
+        assert observer.sources() == ("a", "b")
+        assert stage_seconds(merged, "wrapping") > 0
+        assert merged.counter_value("objects_extracted") > 0
 
     def test_add_observer_after_construction(self, albums_setup):
         domain, source, knowledge = albums_setup
         runner = make_runner(domain, knowledge)
-        collector = StageEventCollector()
-        runner.add_observer(collector)
+        observer = MetricsObserver()
+        runner.add_observer(observer)
         runner.run_source("observe-albums", source.pages)
-        assert collector.completed
+        assert observer.merged_registry().counter_value("runs") == 1
 
 
 class TestSystemAdapterEvents:
     def test_wrap_seconds_comes_from_stage_events(self, albums_setup):
         domain, source, knowledge = albums_setup
-        extra = StageEventCollector()
+        extra = MetricsObserver()
         system = ObjectRunnerSystem(
             ontology=knowledge.ontology,
             corpus=knowledge.corpus,
@@ -149,7 +158,8 @@ class TestSystemAdapterEvents:
         assert not output.failed
         assert output.wrap_seconds > 0
         # The injected observer saw the same wrapping time the adapter used.
-        assert extra.stage_seconds("wrapping") == pytest.approx(
+        registry = extra.source_registry("observe-albums")
+        assert stage_seconds(registry, "wrapping") == pytest.approx(
             output.wrap_seconds
         )
 

@@ -1,5 +1,6 @@
 """The process backend reproduces the serial run byte for byte."""
 
+import io
 import json
 import pickle
 
@@ -8,7 +9,7 @@ import pytest
 from repro.core import ObjectRunner, RunParams, ShardSpec
 from repro.core import objectrunner as objectrunner_module
 from repro.core.faults import FaultInjector, FaultSpec
-from repro.core.pipeline import TimingObserver
+from repro.core.pipeline import TraceObserver
 from repro.datasets import build_knowledge, domain_spec, generate_source
 from repro.datasets.sites import SiteSpec
 from repro.errors import MultiSourceError, ProcessBackendConfigError
@@ -260,7 +261,7 @@ class TestProcessBackendSupport:
             ProcessBackendConfigError, match="MetricsObserver"
         ) as excinfo:
             make_runner(
-                domain, knowledge, observers=(TimingObserver(),),
+                domain, knowledge, observers=(TraceObserver(io.StringIO()),),
                 max_workers=4, backend="process",
             )
         assert excinfo.value.field == "observers"
@@ -273,7 +274,7 @@ class TestProcessBackendSupport:
         with pytest.raises(
             ProcessBackendConfigError, match="MetricsObserver"
         ) as excinfo:
-            runner.add_observer(TimingObserver())
+            runner.add_observer(TraceObserver(io.StringIO()))
         assert excinfo.value.field == "observers"
         # MetricsObserver subscriptions stay fine.
         runner.add_observer(MetricsObserver())

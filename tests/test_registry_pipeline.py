@@ -48,6 +48,26 @@ def values_of(result):
     return [instance.values for instance in result.objects]
 
 
+def poisoned_registry(root, figure3_recognizers):
+    """A registry holding a variant-template wrapper under fig3's key.
+
+    The first registry-first run of the figure3 pages hits the stale
+    wrapper, demotes it and re-induces.
+    """
+    variant_pages = [clean_tree(tidy(raw)) for raw in VARIANT_RAW]
+    for page in variant_pages:
+        annotate_page(page, figure3_recognizers)
+    stale = generate_wrapper(
+        "variant", variant_pages, SOD, WrapperConfig(support=2)
+    )
+    registry = WrapperRegistry(root)
+    fingerprint = pages_fingerprint(
+        [clean_tree(tidy(raw)) for raw in FIGURE3_RAW]
+    )
+    registry.put(SOD, fingerprint, stale)
+    return registry
+
+
 class TestRegistryFirstRun:
     def test_cold_run_matches_classic_and_stores(
         self, tmp_path, figure3_recognizers
@@ -93,19 +113,7 @@ class TestDemotion:
     def test_stale_wrapper_is_demoted_and_reinduced(
         self, tmp_path, figure3_recognizers
     ):
-        # Poison the registry: store a wrapper induced from the variant
-        # template under the figure3 pages' signature.
-        variant_pages = [clean_tree(tidy(raw)) for raw in VARIANT_RAW]
-        for page in variant_pages:
-            annotate_page(page, figure3_recognizers)
-        stale = generate_wrapper(
-            "variant", variant_pages, SOD, WrapperConfig(support=2)
-        )
-        registry = WrapperRegistry(tmp_path)
-        fingerprint = pages_fingerprint(
-            [clean_tree(tidy(raw)) for raw in FIGURE3_RAW]
-        )
-        registry.put(SOD, fingerprint, stale)
+        registry = poisoned_registry(tmp_path, figure3_recognizers)
 
         classic = make_runner(figure3_recognizers).run_source(
             "fig3", FIGURE3_RAW
