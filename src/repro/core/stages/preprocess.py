@@ -5,7 +5,9 @@ scripts, styles, hidden and empty elements (paper Section III-B).  Both
 are deterministic, so the stage memoizes through the context's
 :class:`~repro.core.cache.PreprocessCache` — enrichment passes beyond the
 first and repeated runs over the same pages rebuild a tree from a flat
-snapshot instead of re-parsing.
+snapshot instead of re-parsing.  The stage leaves each page's cache key in
+``ctx.artifacts[PAGE_KEYS_KEY]``, so the registry match can vote over the
+cached per-page fingerprints.
 
 Segmentation estimates a render box for every element and selects, by
 majority across pages, the largest and most central block — the region
@@ -23,6 +25,10 @@ from repro.vision.segmentation import (
     main_content_block,
     segment_page,
 )
+
+#: ``ctx.artifacts`` key holding the cache key of each page, in page
+#: order; set only when the pages went through the context's cache.
+PAGE_KEYS_KEY = "page_keys"
 
 
 @register_stage
@@ -45,6 +51,7 @@ class PreprocessStage(Stage):
         else:
             outcome = ctx.cache.clean_pages(ctx.raw_pages)
             ctx.pages = outcome.pages
+            ctx.artifacts[PAGE_KEYS_KEY] = outcome.keys
             ctx.count("preprocess_cache_hits", outcome.hits)
             ctx.count("preprocess_cache_misses", outcome.misses)
         ctx.count("pages_prepared", len(ctx.pages))

@@ -4,8 +4,10 @@ The registry-first path (``REGISTRY_STAGE_ORDER``) splits the monolithic
 induce-then-extract flow around the wrapper registry:
 
 - :class:`RegistryMatchStage` runs right after pre-processing.  It
-  fingerprints the tidied pages and looks the (SOD, template) signature
-  up in the registry; a hit installs the stored wrapper on the context,
+  fingerprints the tidied pages — by majority vote over the per-page
+  fingerprints the preprocessing cache keeps, when the pages came
+  through it — and looks the (SOD, template) signature up in the
+  registry; a hit installs the stored wrapper on the context,
   which disables segmentation, annotation and wrapper generation for the
   rest of the run — induction is skipped entirely.
 - :class:`RegistryCheckStage` runs after extraction, only for registry
@@ -25,6 +27,7 @@ pre-registry code path.
 from __future__ import annotations
 
 from repro.core.pipeline import PipelineContext, Stage, register_stage
+from repro.core.stages.preprocess import PAGE_KEYS_KEY
 from repro.errors import SourceDiscardedError
 from repro.htmlkit.fingerprint import pages_fingerprint
 from repro.registry.store import StoredDiscard, signature_for
@@ -47,7 +50,7 @@ class RegistryMatchStage(Stage):
 
     name = "registry_match"
     timing_field = "registry"
-    reads = ("registry", "pages", "sod", "source", "wrapper")
+    reads = ("registry", "pages", "cache", "sod", "source", "wrapper")
     writes = ("wrapper", "result")
 
     def enabled(self, ctx: PipelineContext) -> bool:
@@ -62,7 +65,14 @@ class RegistryMatchStage(Stage):
         reason as the cold run that first discarded the source — without
         re-paying the doomed induction.
         """
-        fingerprint = pages_fingerprint(ctx.pages)
+        keys = ctx.artifacts.get(PAGE_KEYS_KEY)
+        if keys is None:
+            fingerprint = pages_fingerprint(ctx.pages)
+        else:
+            fingerprint = pages_fingerprint(
+                list(zip(keys, ctx.pages)),
+                lambda keyed: ctx.cache.page_fingerprint(*keyed),
+            )
         ctx.artifacts[FINGERPRINT_KEY] = fingerprint
         stored = ctx.registry.lookup(ctx.sod, fingerprint)
         if stored is None:

@@ -85,9 +85,6 @@ BENCH_BACKENDS: tuple[str, ...] = ("serial", "thread", "process")
 #: once per sweep, so only a small working set needs to stay resident.
 SCALE_TIER_CATALOG_SOURCES = 64
 
-#: Preprocess-cache bound at the scale tier (trees are the big objects).
-SCALE_TIER_CACHE_ENTRIES = 256
-
 #: Filename prefix of persisted benchmark artifacts.
 BENCH_PREFIX = "BENCH_"
 
@@ -211,10 +208,6 @@ class BenchConfig:
     scale: float = 0.1
     coverage: float = DICTIONARY_COVERAGE
     systems: tuple[str, ...] = DEFAULT_SYSTEMS
-    #: LRU capacity of the session preprocessing cache; sized so a full
-    #: catalog sweep at default scale never evicts.  Clamped to
-    #: :data:`SCALE_TIER_CACHE_ENTRIES` at the scale tier.
-    cache_entries: int = 4096
     #: Wrapper registry directory for the registry-first (warm) path;
     #: ``None`` captures the classic cold pipeline.
     registry_root: str | None = None
@@ -247,7 +240,8 @@ class BenchSession:
     """One benchmark capture: run the catalog, build the BENCH document.
 
     Pages are tidied/cleaned through a session-wide
-    :class:`~repro.core.cache.PreprocessCache`, so the second and third
+    :class:`~repro.core.cache.PreprocessCache` under its default byte
+    budget, so the second and third
     systems draw cache hits instead of re-paying preprocessing — and every
     system receives fresh copies instead of sharing mutated trees.
 
@@ -264,10 +258,7 @@ class BenchSession:
         self.catalog = CatalogCache(
             max_sources=SCALE_TIER_CATALOG_SOURCES if at_tier else None
         )
-        cache_entries = self.config.cache_entries
-        if at_tier:
-            cache_entries = min(cache_entries, SCALE_TIER_CACHE_ENTRIES)
-        self.preprocess_cache = PreprocessCache(max_entries=cache_entries)
+        self.preprocess_cache = PreprocessCache()
         self.registry = (
             WrapperRegistry(self.config.registry_root)
             if self.config.registry_root

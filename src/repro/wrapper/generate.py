@@ -63,12 +63,14 @@ class Wrapper:
 
     def segment_page(self, page: Element) -> list[list[Node]]:
         """Split one page into record node lists using the learned identity."""
+        # Tag and class are dict/attribute reads; dom_path() walks up to the
+        # root, so only elements passing both pay for it.
         occurrences: list[Element] = [
             element
             for element in page.iter_elements()
             if element.tag == self.record_tag
-            and element.dom_path() == self.record_path
             and element.attributes.get("class", "") == self.record_class_attr
+            and element.dom_path() == self.record_path
         ]
         if not occurrences:
             return []

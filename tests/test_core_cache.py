@@ -4,15 +4,30 @@ import pytest
 
 import repro.core.cache as cache_module
 from repro.core import ObjectRunner, PreprocessCache, RunParams
+from repro.core.cache import snapshot_bytes
 from repro.datasets import domain_spec, generate_source
 from repro.datasets.knowledge import completion_entries
 from repro.datasets.sites import SiteSpec
+from repro.htmlkit.clean import clean_tree
+from repro.htmlkit.dom import freeze
+from repro.htmlkit.fingerprint import structural_fingerprint
 from repro.htmlkit.serialize import to_html
+from repro.htmlkit.tidy import tidy
 from repro.recognizers.gazetteer import GazetteerRecognizer
 from repro.recognizers.registry import RecognizerRegistry
 
 PAGE = "<html><body><div><p>hello <b>world</b></p></div></body></html>"
 OTHER = "<html><body><ul><li>item</li></ul></body></html>"
+
+
+def entry_bytes(raw):
+    """What one cache entry for ``raw`` counts against the budget."""
+    return snapshot_bytes(freeze(clean_tree(tidy(raw))))
+
+
+def numbered(index):
+    """Distinct pages whose snapshots all have the same size."""
+    return f"<html><body><p>page-{index:03d}</p></body></html>"
 
 
 class TestPreprocessCache:
@@ -47,7 +62,10 @@ class TestPreprocessCache:
         assert all(not node.annotations for node in three.iter_text_nodes())
 
     def test_lru_eviction(self):
-        cache = PreprocessCache(max_entries=1)
+        # A budget that holds either page alone but not both.
+        budget = max(entry_bytes(PAGE), entry_bytes(OTHER))
+        assert budget < entry_bytes(PAGE) + entry_bytes(OTHER)
+        cache = PreprocessCache(budget_bytes=budget)
         cache.clean_page(PAGE)
         cache.clean_page(OTHER)  # evicts PAGE
         assert len(cache) == 1
@@ -94,6 +112,103 @@ class TestPreprocessCache:
             "hits": 0, "misses": 1, "races": 1, "entries": 1,
         }
         assert to_html(trees[0]) == to_html(trees[1])
+
+
+class TestByteBudget:
+    def test_resident_bytes_never_exceed_the_budget(self):
+        pages = [numbered(i) for i in range(12)] + [PAGE, OTHER]
+        budget = 3 * entry_bytes(numbered(0)) + entry_bytes(PAGE) // 2
+        cache = PreprocessCache(budget_bytes=budget)
+        for raw in pages + pages[::-1]:
+            cache.clean_page(raw)
+            assert 0 < cache.resident_bytes <= budget
+            assert cache.resident_bytes == sum(
+                entry[1] for entry in cache._entries.values()
+            )
+        assert 0 < len(cache) < len(pages)
+
+    def test_least_recently_used_entry_is_evicted_first(self):
+        first, second, third = (numbered(i) for i in range(3))
+        cache = PreprocessCache(budget_bytes=2 * entry_bytes(first))
+        cache.clean_page(first)
+        cache.clean_page(second)
+        cache.clean_page(first)  # hit: ``second`` is now the oldest
+        cache.clean_page(third)  # evicts ``second``
+        assert len(cache) == 2
+        assert cache.stats()["hits"] == 1
+        cache.clean_page(first)
+        assert cache.stats()["hits"] == 2
+        cache.clean_page(second)
+        assert cache.stats()["misses"] == 4
+
+    def test_page_larger_than_the_budget_is_served_but_not_kept(self):
+        cache = PreprocessCache(budget_bytes=entry_bytes(PAGE) - 1)
+        for __ in range(2):
+            tree = cache.clean_page(PAGE)
+            assert to_html(tree) == to_html(clean_tree(tidy(PAGE)))
+        assert len(cache) == 0
+        assert cache.resident_bytes == 0
+        assert cache.stats() == {
+            "hits": 0, "misses": 2, "races": 0, "entries": 0,
+        }
+
+    def test_oversized_page_evicts_nothing(self):
+        cache = PreprocessCache(budget_bytes=entry_bytes(OTHER))
+        cache.clean_page(OTHER)
+        cache.clean_page(PAGE)  # larger than the whole budget
+        assert len(cache) == 1
+        cache.clean_page(OTHER)
+        assert cache.stats()["hits"] == 1
+
+    def test_concurrent_requests_keep_the_byte_account(self):
+        import sys
+        import threading
+
+        pages = [numbered(i) for i in range(16)]
+        expected = {
+            raw: structural_fingerprint(clean_tree(tidy(raw))) for raw in pages
+        }
+        budget = 5 * entry_bytes(pages[0])
+        cache = PreprocessCache(budget_bytes=budget)
+        wrong = []
+
+        def request(offset):
+            for round_index in range(20):
+                raws = pages[offset + round_index % 4::3]
+                outcome = cache.clean_pages(raws)
+                for raw, key, tree in zip(raws, outcome.keys, outcome.pages):
+                    if cache.page_fingerprint(key, tree) != expected[raw]:
+                        wrong.append(raw)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=request, args=(i % 3,))
+                for i in range(6)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert wrong == []
+        assert cache.resident_bytes == sum(
+            entry[1] for entry in cache._entries.values()
+        )
+        assert cache.resident_bytes <= budget
+
+    def test_hit_thaws_a_fresh_tree(self):
+        cache = PreprocessCache(budget_bytes=entry_bytes(PAGE))
+        miss = cache.clean_page(PAGE)
+        hits = [cache.clean_page(PAGE) for __ in range(2)]
+        assert cache.stats()["hits"] == 2
+        assert len({id(miss), *map(id, hits)}) == 3
+        for tree in hits:
+            assert tree.parent is None
+            assert to_html(tree) == to_html(miss)
 
 
 class TestRunnerCacheReuse:

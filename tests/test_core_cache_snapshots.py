@@ -1,7 +1,8 @@
 """The preprocessing cache keeps flat snapshots, not live trees.
 
-Entries are one tuple of ``str``/``int`` per page: the garbage collector
-untracks them, no DOM node stays reachable from the cache, a miss serves
+Entries are one plain tuple per page — a flat ``str``/``int`` snapshot,
+its size and its fingerprint once asked for: the garbage collector
+untracks them within two collections, no DOM node stays reachable from the cache, a miss serves
 the tree it just built (no deep copy), and a hit thaws a fresh tree.
 Every path that prepares a page — uncached, miss, hit — yields the same
 element paths, so a wrapper learned on one applies on the others.
@@ -55,12 +56,33 @@ class TestRetention:
     def test_entries_are_flat_untracked_tuples(self):
         cache = PreprocessCache()
         cache.clean_pages(_source_pages())
+        # A collection may examine a new entry before its snapshot, so
+        # the entry is untracked by the second collection at the latest.
+        gc.collect()
         gc.collect()
         entries = list(cache._entries.values())
         assert len(entries) == len(cache) > 0
         for entry in entries:
-            assert isinstance(entry, tuple)
-            assert all(isinstance(item, (str, int)) for item in entry)
+            assert type(entry) is tuple
+            assert not gc.is_tracked(entry)
+            snapshot = entry[0]
+            assert isinstance(snapshot, tuple)
+            assert all(isinstance(item, (str, int)) for item in snapshot)
+            assert not gc.is_tracked(snapshot)
+
+    def test_entries_stay_untracked_once_fingerprinted(self):
+        cache = PreprocessCache()
+        pages = _source_pages()
+        outcome = cache.clean_pages(pages)
+        for key, tree in zip(outcome.keys, outcome.pages):
+            cache.page_fingerprint(key, tree)
+        gc.collect()
+        gc.collect()
+        entries = list(cache._entries.values())
+        assert len(entries) == len(cache) > 0
+        for entry in entries:
+            assert type(entry) is tuple
+            assert isinstance(entry[2], str)
             assert not gc.is_tracked(entry)
 
     def test_no_dom_node_reachable_from_the_cache(self):
