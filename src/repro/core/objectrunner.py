@@ -275,8 +275,8 @@ class ObjectRunner:
     # -- entry points ------------------------------------------------------
 
     def prepare_pages(self, raw_pages: list[str]) -> list[Element]:
-        """Tidy and clean raw HTML pages (through the runner's cache)."""
-        return self.cache.clean_pages(raw_pages).pages
+        """Fresh tidied and cleaned trees of raw HTML pages (via the cache)."""
+        return list(self.cache.clean_pages(raw_pages).pages)
 
     def _active_registry(self) -> WrapperRegistry | None:
         """The wrapper registry, unless enrichment disables the fast path.
@@ -354,9 +354,9 @@ class ObjectRunner:
         annotates with the dictionaries the previous pass grew, so
         coverage — and with it the wrapper — improves (the paper's
         "use current annotations to discover new annotations" loop).
-        Tidying/cleaning is only paid once: later passes draw deep copies
-        from the preprocessing cache.  The returned ``timings`` cover
-        every pass.
+        Tidying/cleaning is only paid once: later passes thaw fresh trees
+        from the preprocessing cache's snapshots.  The returned
+        ``timings`` cover every pass.
         """
         registry = self._active_registry()
         if registry is not None:

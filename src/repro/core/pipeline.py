@@ -280,7 +280,9 @@ class PipelineContext:
     recognizers: Sequence["Recognizer"] = ()
     ontology: "Ontology | None" = None
     raw_pages: list[str] = field(default_factory=list)
-    pages: list[Element] = field(default_factory=list)
+    #: Cleaned page trees.  Through the cache they are a ``LazyPages``,
+    #: which thaws a cache hit when a stage first indexes it.
+    pages: Sequence[Element] = field(default_factory=list)
     block_trees: "list[BlockTree] | None" = None
     regions: list[Element] = field(default_factory=list)
     sample_regions: list[Element] = field(default_factory=list)

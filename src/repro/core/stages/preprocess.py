@@ -5,9 +5,10 @@ scripts, styles, hidden and empty elements (paper Section III-B).  Both
 are deterministic, so the stage memoizes through the context's
 :class:`~repro.core.cache.PreprocessCache` — enrichment passes beyond the
 first and repeated runs over the same pages rebuild a tree from a flat
-snapshot instead of re-parsing.  The stage leaves each page's cache key in
+snapshot instead of re-parsing, and only when a later stage first indexes
+the page.  The stage leaves each page's cache key in
 ``ctx.artifacts[PAGE_KEYS_KEY]``, so the registry match can vote over the
-cached per-page fingerprints.
+cached per-page fingerprints and extraction can reuse cached rows.
 
 Segmentation estimates a render box for every element and selects, by
 majority across pages, the largest and most central block — the region

@@ -6,7 +6,8 @@ induce-then-extract flow around the wrapper registry:
 - :class:`RegistryMatchStage` runs right after pre-processing.  It
   fingerprints the tidied pages — by majority vote over the per-page
   fingerprints the preprocessing cache keeps, when the pages came
-  through it — and looks the (SOD, template) signature up in the
+  through it, without building a tree for a page whose fingerprint is
+  cached — and looks the (SOD, template) signature up in the
   registry; a hit installs the stored wrapper on the context,
   which disables segmentation, annotation and wrapper generation for the
   rest of the run — induction is skipped entirely.
@@ -66,12 +67,17 @@ class RegistryMatchStage(Stage):
         re-paying the doomed induction.
         """
         keys = ctx.artifacts.get(PAGE_KEYS_KEY)
+        pages = ctx.pages
         if keys is None:
-            fingerprint = pages_fingerprint(ctx.pages)
+            fingerprint = pages_fingerprint(pages)
         else:
+            # A page is indexed (and a cache hit thawed) only when its
+            # fingerprint is not cached.
             fingerprint = pages_fingerprint(
-                list(zip(keys, ctx.pages)),
-                lambda keyed: ctx.cache.page_fingerprint(*keyed),
+                range(len(keys)),
+                lambda index: ctx.cache.page_fingerprint(
+                    keys[index], lambda: pages[index]
+                ),
             )
         ctx.artifacts[FINGERPRINT_KEY] = fingerprint
         stored = ctx.registry.lookup(ctx.sod, fingerprint)

@@ -284,9 +284,9 @@ class BenchSession:
         return entries
 
     def pages(self, entry: CatalogEntry):
-        """Freshly cloned, cleaned page trees of one entry (via the cache)."""
+        """Fresh cleaned page trees of one entry, thawed from the cache."""
         source = self.catalog.source(entry)
-        return self.preprocess_cache.clean_pages(source.pages).pages
+        return list(self.preprocess_cache.clean_pages(source.pages).pages)
 
     def _shard_label(self) -> str | None:
         return str(self.config.shard) if self.config.shard else None

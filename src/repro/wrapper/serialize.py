@@ -5,10 +5,14 @@ deployment therefore wraps once and re-extracts as the source refreshes.
 :func:`wrapper_to_dict` / :func:`wrapper_from_dict` serialize everything a
 wrapper needs to run again — the template tree, the SOD, the SOD-to-slot
 mapping and the record identity — as plain JSON-compatible data.
+:func:`wrapper_digest` hashes that data, so two wrappers that extract
+alike share a digest whatever objects hold them.
 """
 
 from __future__ import annotations
 
+import hashlib
+import json
 from collections import Counter
 from typing import Any
 
@@ -200,6 +204,20 @@ def wrapper_to_dict(wrapper: Wrapper) -> dict[str, Any]:
         "conflicts": wrapper.conflicts,
         "annotation_types_seen": sorted(wrapper.annotation_types_seen),
     }
+
+
+def wrapper_digest(wrapper: Wrapper) -> str:
+    """SHA-256 of the wrapper's canonical :func:`wrapper_to_dict` JSON.
+
+    The serialized form holds every input of extraction — SOD, template,
+    SOD-to-slot match and record identity — so equal digests extract
+    equal rows from equal pages.  A wrapper re-induced for the same
+    registry signature gets a new digest when any of them changed.
+    """
+    text = json.dumps(
+        wrapper_to_dict(wrapper), sort_keys=True, separators=(",", ":")
+    )
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 def _require(data: dict[str, Any], key: str, where: str) -> Any:

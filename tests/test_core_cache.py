@@ -1,10 +1,14 @@
 """The preprocessing cache: correctness, isolation, reuse across passes."""
 
+import io
+import json
+
 import pytest
 
 import repro.core.cache as cache_module
 from repro.core import ObjectRunner, PreprocessCache, RunParams
 from repro.core.cache import snapshot_bytes
+from repro.core.pipeline import TraceObserver
 from repro.datasets import domain_spec, generate_source
 from repro.datasets.knowledge import completion_entries
 from repro.datasets.sites import SiteSpec
@@ -13,8 +17,10 @@ from repro.htmlkit.dom import freeze
 from repro.htmlkit.fingerprint import structural_fingerprint
 from repro.htmlkit.serialize import to_html
 from repro.htmlkit.tidy import tidy
+from repro.metrics.observer import MetricsObserver
 from repro.recognizers.gazetteer import GazetteerRecognizer
 from repro.recognizers.registry import RecognizerRegistry
+from repro.registry import WrapperRegistry
 
 PAGE = "<html><body><div><p>hello <b>world</b></p></div></body></html>"
 OTHER = "<html><body><ul><li>item</li></ul></body></html>"
@@ -172,19 +178,27 @@ class TestByteBudget:
         cache = PreprocessCache(budget_bytes=budget)
         wrong = []
 
-        def request(offset):
+        def rows_of(raw, wrapper_key):
+            return json.dumps([{"page": raw[-30:], "wrapper": wrapper_key}])
+
+        def request(offset, wrapper_key):
             for round_index in range(20):
                 raws = pages[offset + round_index % 4::3]
                 outcome = cache.clean_pages(raws)
                 for raw, key, tree in zip(raws, outcome.keys, outcome.pages):
-                    if cache.page_fingerprint(key, tree) != expected[raw]:
+                    fingerprint = cache.page_fingerprint(key, lambda: tree)
+                    if fingerprint != expected[raw]:
                         wrong.append(raw)
+                    rows = cache.page_rows(key, wrapper_key)
+                    if rows not in (None, rows_of(raw, wrapper_key)):
+                        wrong.append(raw)
+                    cache.store_rows(key, wrapper_key, rows_of(raw, wrapper_key))
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             threads = [
-                threading.Thread(target=request, args=(i % 3,))
+                threading.Thread(target=request, args=(i % 3, f"w{i % 2}"))
                 for i in range(6)
             ]
             for thread in threads:
@@ -199,6 +213,53 @@ class TestByteBudget:
             entry[1] for entry in cache._entries.values()
         )
         assert cache.resident_bytes <= budget
+
+    def test_filling_rows_keeps_resident_bytes_within_the_budget(self):
+        pages = [numbered(i) for i in range(8)]
+        budget = 4 * entry_bytes(pages[0])
+        cache = PreprocessCache(budget_bytes=budget)
+        for index, raw in enumerate(pages):
+            cache.clean_page(raw)
+            rows = json.dumps([{"title": "x" * 40 * index}])
+            cache.store_rows(cache.key_for(raw), "w" * 64, rows)
+            assert cache.resident_bytes <= budget
+            assert cache.resident_bytes == sum(
+                entry[1] for entry in cache._entries.values()
+            )
+        # The rows take room the snapshots alone would have left.
+        assert len(cache) < 4
+
+    def test_filling_rows_evicts_the_least_recently_used_entry(self):
+        first, second = numbered(0), numbered(1)
+        cache = PreprocessCache(budget_bytes=2 * entry_bytes(first) + 200)
+        cache.clean_page(first)
+        cache.clean_page(second)
+        key = cache.key_for(second)
+        cache.store_rows(key, "w", "[]")
+        assert len(cache) == 2
+        cache.store_rows(key, "w", json.dumps([{"title": "x" * 300}]))
+        assert list(cache._entries) == [key]
+        assert cache.page_rows(key, "w") is not None
+        # An entry whose rows alone overrun the budget is dropped.
+        cache.store_rows(key, "w", "x" * cache.budget_bytes)
+        assert len(cache) == 0 and cache.resident_bytes == 0
+
+    def test_rows_are_kept_for_one_wrapper_key(self):
+        cache = PreprocessCache()
+        cache.clean_page(PAGE)
+        key = cache.key_for(PAGE)
+        assert cache.page_rows(key, "a") is None
+        cache.store_rows(key, "a", '[{"t":"1"}]')
+        assert cache.page_rows(key, "a") == '[{"t":"1"}]'
+        cache.store_rows(key, "b", "[]")
+        assert cache.page_rows(key, "a") is None
+        assert cache.page_rows(key, "b") == "[]"
+        assert cache.resident_bytes == sum(
+            entry[1] for entry in cache._entries.values()
+        )
+        # Rows are only kept for a resident page.
+        cache.store_rows(cache.key_for(OTHER), "a", "[]")
+        assert len(cache) == 1
 
     def test_hit_thaws_a_fresh_tree(self):
         cache = PreprocessCache(budget_bytes=entry_bytes(PAGE))
@@ -284,6 +345,101 @@ class TestRunnerCacheReuse:
         pages = second.prepare_pages(source.pages)
         assert len(pages) == len(source.pages)
         assert shared.misses == len(source.pages)
+
+    def _registry_runner(self, domain, source, root, cache=None, observers=()):
+        completion = completion_entries(domain, source.gold, coverage=0.15)
+        registry = RecognizerRegistry()
+        for type_name in ("artist", "title"):
+            registry.register(
+                GazetteerRecognizer(type_name, completion.get(type_name, {}))
+            )
+        return ObjectRunner(
+            domain.sod,
+            registry=registry,
+            cache=cache,
+            wrapper_registry=WrapperRegistry(root),
+            observers=observers,
+        )
+
+    @pytest.fixture
+    def thawed(self, monkeypatch):
+        """Every tree thawed from a cache snapshot."""
+        trees = []
+        real = cache_module.thaw
+
+        def counting(snapshot):
+            trees.append(real(snapshot))
+            return trees[-1]
+
+        monkeypatch.setattr(cache_module, "thaw", counting)
+        return trees
+
+    def test_fully_reused_registry_hit_thaws_no_page(
+        self, albums_source, tmp_path, thawed
+    ):
+        domain, source = albums_source
+        runner = self._registry_runner(domain, source, tmp_path)
+        cold = runner.run_source("cache-albums", source.pages)
+        assert cold.ok and cold.objects and thawed == []
+        warm = runner.run_source("cache-albums", source.pages)
+        assert runner.wrapper_registry.stats()["hits"] == 1
+        assert runner.cache.stats()["hits"] == len(source.pages)
+        assert thawed == []
+        assert [(o.page_index, o.values) for o in warm.objects] == [
+            (o.page_index, o.values) for o in cold.objects
+        ]
+
+    def test_registry_miss_gets_every_page(
+        self, albums_source, tmp_path, thawed
+    ):
+        domain, source = albums_source
+        warm_cache = PreprocessCache()
+        warm_cache.clean_pages(source.pages)
+        first = self._registry_runner(domain, source, tmp_path / "a")
+        cold = first.run_source("cache-albums", source.pages)
+        runner = self._registry_runner(
+            domain, source, tmp_path / "b", cache=warm_cache
+        )
+        result = runner.run_source("cache-albums", source.pages)
+        assert runner.wrapper_registry.stats()["misses"] == 1
+        # Induction reads every page, so every cache hit is thawed once.
+        assert len(thawed) == len(source.pages)
+        assert len({id(tree) for tree in thawed}) == len(source.pages)
+        assert [(o.page_index, o.values) for o in result.objects] == [
+            (o.page_index, o.values) for o in cold.objects
+        ]
+
+    def test_reuse_counts_reach_traces_and_metrics(
+        self, albums_source, tmp_path
+    ):
+        domain, source = albums_source
+        sink = io.StringIO()
+        metrics = MetricsObserver()
+        runner = self._registry_runner(
+            domain,
+            source,
+            tmp_path,
+            observers=(TraceObserver(sink), metrics),
+        )
+        for __ in range(2):  # cold, then fully reused
+            runner.run_source("cache-albums", source.pages)
+        pages = len(source.pages)
+        extraction = [
+            event["counters"]
+            for event in map(json.loads, sink.getvalue().splitlines())
+            if event["event"] == "stage_end"
+            and event.get("stage") == "extraction"
+        ]
+        assert extraction[0]["pages_extracted"] == pages
+        assert "pages_reused" not in extraction[0]
+        assert extraction[1]["pages_reused"] == pages
+        assert "pages_extracted" not in extraction[1]
+        counters = metrics.merged_registry().snapshot()["counters"]
+        assert counters["pages_reused"] == pages
+        assert counters["pages_extracted"] == pages
+        assert set(metrics.cache_stats()) == {
+            "hits", "misses", "races", "entries",
+        }
 
     def test_enrichment_results_unchanged_by_caching(self, albums_source):
         # The cached trees must be byte-equivalent to freshly tidied ones:

@@ -62,7 +62,7 @@ def expected(catalog):
 def cached_fingerprints(cache, raw_pages):
     outcome = cache.clean_pages(raw_pages)
     return [
-        cache.page_fingerprint(key, page)
+        cache.page_fingerprint(key, lambda page=page: page)
         for key, page in zip(outcome.keys, outcome.pages)
     ]
 
@@ -71,7 +71,7 @@ def cached_vote(cache, raw_pages):
     outcome = cache.clean_pages(raw_pages)
     return pages_fingerprint(
         list(zip(outcome.keys, outcome.pages)),
-        lambda keyed: cache.page_fingerprint(*keyed),
+        lambda keyed: cache.page_fingerprint(keyed[0], lambda: keyed[1]),
     )
 
 

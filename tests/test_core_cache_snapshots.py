@@ -1,9 +1,11 @@
 """The preprocessing cache keeps flat snapshots, not live trees.
 
 Entries are one plain tuple per page — a flat ``str``/``int`` snapshot,
-its size and its fingerprint once asked for: the garbage collector
-untracks them within two collections, no DOM node stays reachable from the cache, a miss serves
-the tree it just built (no deep copy), and a hit thaws a fresh tree.
+its size, its fingerprint once asked for and its extracted rows once
+filled: the garbage collector untracks them within two collections, no
+DOM node stays reachable from the cache, a miss serves the tree it just
+built (no deep copy), and a hit thaws a fresh tree the first time it is
+indexed, never one another context holds.
 Every path that prepares a page — uncached, miss, hit — yields the same
 element paths, so a wrapper learned on one applies on the others.
 """
@@ -12,13 +14,15 @@ import gc
 
 import repro.core.cache as cache_module
 import repro.htmlkit.dom as dom_module
-from repro.core import PreprocessCache
+from repro.core import PreprocessCache, RunParams
+from repro.core.pipeline import PipelineContext, build_stages
 from repro.datasets import domain_spec, generate_source
 from repro.datasets.sites import SiteSpec
 from repro.htmlkit.clean import clean_tree
 from repro.htmlkit.dom import Element, Node, Text, freeze, thaw
 from repro.htmlkit.serialize import to_html
 from repro.htmlkit.tidy import tidy
+from repro.sod.dsl import parse_sod
 
 
 def _source_pages(count=6):
@@ -75,7 +79,7 @@ class TestRetention:
         pages = _source_pages()
         outcome = cache.clean_pages(pages)
         for key, tree in zip(outcome.keys, outcome.pages):
-            cache.page_fingerprint(key, tree)
+            cache.page_fingerprint(key, lambda tree=tree: tree)
         gc.collect()
         gc.collect()
         entries = list(cache._entries.values())
@@ -83,6 +87,20 @@ class TestRetention:
         for entry in entries:
             assert type(entry) is tuple
             assert isinstance(entry[2], str)
+            assert not gc.is_tracked(entry)
+
+    def test_entries_stay_untracked_once_rows_fill(self):
+        cache = PreprocessCache()
+        outcome = cache.clean_pages(_source_pages())
+        for key in outcome.keys:
+            cache.store_rows(key, "w" * 64, '[{"title":"t"}]')
+        gc.collect()
+        gc.collect()
+        entries = list(cache._entries.values())
+        assert len(entries) == len(cache) > 0
+        for entry in entries:
+            assert type(entry) is tuple
+            assert isinstance(entry[4], str)
             assert not gc.is_tracked(entry)
 
     def test_no_dom_node_reachable_from_the_cache(self):
@@ -108,6 +126,52 @@ class TestRetention:
         outcome = cache.clean_pages(_source_pages())
         assert outcome.misses > 0 and outcome.hits == 0
         assert clones == []
+
+
+class TestLazyPages:
+    def test_hits_thaw_on_first_index_only(self, monkeypatch):
+        thawed = []
+        real = cache_module.thaw
+
+        def counting(snapshot):
+            thawed.append(1)
+            return real(snapshot)
+
+        monkeypatch.setattr(cache_module, "thaw", counting)
+        cache = PreprocessCache()
+        pages = _source_pages()
+        cache.clean_pages(pages)
+        outcome = cache.clean_pages(pages)
+        assert outcome.hits == len(outcome.pages) == len(pages)
+        assert thawed == []
+        assert outcome.pages[1] is outcome.pages[1]
+        assert len(thawed) == 1
+        assert list(outcome.pages)[1] is outcome.pages[1]
+        assert len(thawed) == len(pages)
+
+    def test_two_contexts_never_share_a_tree(self):
+        cache = PreprocessCache()
+        pages = _source_pages()
+        (stage,) = build_stages(("preprocess",))
+        contexts = []
+        for __ in range(3):  # a miss, then two hits
+            ctx = PipelineContext(
+                source="s",
+                params=RunParams(),
+                sod=parse_sod("album(title)"),
+                raw_pages=list(pages),
+                cache=cache,
+            )
+            stage.run(ctx)
+            contexts.append(ctx)  # alive, so no id is recycled
+        assert cache.stats()["hits"] == 2 * len(pages)
+        nodes = [
+            {id(node) for page in ctx.pages for node in page.iter()}
+            for ctx in contexts
+        ]
+        assert nodes[0].isdisjoint(nodes[1])
+        assert nodes[1].isdisjoint(nodes[2])
+        assert nodes[0].isdisjoint(nodes[2])
 
 
 class TestPathsAgree:
