@@ -1,12 +1,12 @@
 """Parallel multi-source execution: correctness and wall-clock.
 
-``RunParams.max_workers`` runs independent sources concurrently on a
-thread pool.  Correctness bar: the parallel run must be byte-identical to
-the serial run (same objects, same order).  Wall-clock is reported for
-both; on a GIL-bound CPython the pure-Python stages serialize on the
-interpreter lock, so the assertion only requires that parallelism never
-costs meaningfully more than serial — on free-threaded builds the same
-code scales with cores.
+``RunParams.max_workers`` above 1 runs independent sources concurrently
+in worker processes, one hash-mod shard each.  Correctness bar: the
+parallel run must be byte-identical to the serial run (same objects,
+same order).  Wall-clock is reported for both; the speedup is bounded by
+the host's cores and by process start-up, pickling and the merge, which
+weigh heavily on a batch this small, so the assertion only requires
+that parallelism never costs meaningfully more than serial.
 """
 
 import json
@@ -69,6 +69,6 @@ def test_parallel_matches_serial_and_reports_wallclock():
     print(f"serial   (max_workers=1) {serial_seconds * 1000:9.1f} ms")
     print(f"parallel (max_workers=4) {parallel_seconds * 1000:9.1f} ms")
     speedup = serial_seconds / parallel_seconds if parallel_seconds else 0.0
-    print(f"speedup  {speedup:.2f}x (GIL-bound builds hover near 1x)")
+    print(f"speedup  {speedup:.2f}x (bounded by cores and pool start-up)")
     # Parallel execution must never cost meaningfully more than serial.
     assert parallel_seconds < serial_seconds * 1.5

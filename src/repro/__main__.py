@@ -302,9 +302,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             systems=systems,
             registry_root=args.registry,
             shard=_parse_shard(args.shard),
-            backend=args.backend,
             workers=args.workers,
-            compare_backends=args.compare_backends,
         )
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -329,7 +327,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     shard_note = f" shard={config.shard}" if config.shard else ""
     print(
         f"repro bench: scale={config.scale} coverage={config.coverage} "
-        f"systems={','.join(systems)} backend={config.backend} "
+        f"systems={','.join(systems)} "
         f"workers={config.workers}{shard_note}",
         file=sys.stderr,
     )
@@ -623,24 +621,12 @@ def build_parser() -> argparse.ArgumentParser:
         "merge the per-shard documents with --merge-shards afterwards",
     )
     bench.add_argument(
-        "--backend",
-        choices=("serial", "thread", "process"),
-        default="serial",
-        help="sweep backend: serial loop, or hash-mod sub-shards on a "
-        "thread/process pool (default: serial)",
-    )
-    bench.add_argument(
         "--workers",
         type=int,
         default=1,
         metavar="N",
-        help="pool width of the thread/process backends (default: 1)",
-    )
-    bench.add_argument(
-        "--compare-backends",
-        action="store_true",
-        help="also time the alternate pooled backend over the same "
-        "catalog and record it under sharding.reference in the document",
+        help="worker processes of the sweep: above 1 runs hash-mod "
+        "sub-shards on a process pool (default: 1, one serial loop)",
     )
     bench.add_argument(
         "--merge-shards",

@@ -1,15 +1,17 @@
 """T301: shared mutable state reachable from thread-pooled code.
 
-``ObjectRunner.run_sources`` fans independent sources out on a
-``ThreadPoolExecutor`` and promises byte-identical output to a serial
-run.  Any write to module-level mutable state from code the workers can
-reach breaks that promise silently (last-writer-wins counters, orderless
-registries).  This rule builds the import graph of the scanned tree,
-marks every module transitively reachable from a module that uses
+The analysis engine (:func:`repro.analysis.engine.analyze_paths`) checks
+files on a ``ThreadPoolExecutor`` and promises a report byte-identical
+to a serial run.  Any write to module-level mutable state from code its
+workers can reach (the rule modules and everything they import) breaks
+that promise silently: last-writer-wins counters, orderless registries.
+This rule builds the import graph of the scanned tree, marks every
+module transitively reachable from a module that uses
 ``ThreadPoolExecutor`` or imports one that does, and flags
 function-level writes to module-level names inside those modules:
 ``global`` rebinding, subscript/attribute stores, augmented assignment,
-and mutating method calls.
+and mutating method calls.  ``run_sources`` and the bench sweep fan out
+to worker processes, not threads; the P-rules guard that boundary.
 
 Import-time registration patterns (decorators filling a module registry
 before any pool exists) are expected findings — they belong in the
@@ -83,18 +85,19 @@ class SharedStateRule(Rule):
     rule_id = "T301"
     title = "write to module-level state reachable from ThreadPoolExecutor"
     rationale = (
-        "run_sources promises parallel == serial byte-for-byte; a write "
-        "to module-level mutable state from pool-reachable code races and "
-        "breaks that promise silently.  Move the state onto the context "
-        "or behind a lock-owning object, or baseline import-time-only "
-        "registration with a justification."
+        "the analysis engine checks files on a thread pool and promises a "
+        "report byte-identical to a serial run; a write to module-level "
+        "mutable state from pool-reachable code (rule modules and what "
+        "they import) races and breaks that promise silently.  Keep the "
+        "state in locals or behind a lock-owning object, or baseline "
+        "import-time-only registration with a justification."
     )
     example = (
-        "_CACHE: dict[str, str] = {}\n"
-        "def _process(source):          # submitted to ThreadPoolExecutor\n"
-        "    _CACHE[source.id] = fetch(source)   # T301: racy module "
-        "state\n"
-        "# fix: keep the cache on the context or a lock-owning object"
+        "_SEEN: dict[str, int] = {}\n"
+        "def check_file(self, ctx):     # runs on the engine's pool\n"
+        "    _SEEN[ctx.path.name] = len(ctx.tree.body)   # T301: racy "
+        "module state\n"
+        "# fix: keep the state in locals or behind a lock-owning object"
     )
 
     requires_graph = True
@@ -111,8 +114,8 @@ class SharedStateRule(Rule):
             for name, info in graph.modules.items()
             if _uses_thread_pool(info.tree)
         }
-        # Importers of a pool module hand it their callables (run_sources
-        # passes _run_item to the batch executor): pool roots too.
+        # Importers of a pool module hand it their callables (the rule
+        # modules' checks run on the engine's pool): pool roots too.
         pool_roots = sorted(
             pool_modules
             | {

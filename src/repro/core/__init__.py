@@ -11,7 +11,7 @@ stage's wall-clock into ``SourceResult.timings``; observers subscribe to
 stage start/end events for metrics (``MetricsObserver``) and JSON-lines
 tracing (:class:`~repro.core.pipeline.TraceObserver`); preprocessing
 memoizes through :class:`~repro.core.cache.PreprocessCache`; multi-source
-runs fan out with ``RunParams.max_workers`` over ``RunParams.backend``.
+runs fan out to worker processes when ``RunParams.max_workers`` is above 1.
 """
 
 from repro.core.cache import CachedPages, PreprocessCache

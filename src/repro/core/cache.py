@@ -125,8 +125,8 @@ class PreprocessCache:
     total fits again; a page whose snapshot alone exceeds the budget is
     served but not kept.
 
-    Thread-safe: a single cache may serve a parallel multi-source run.
-    The expensive tidy/clean computation happens outside the lock, so
+    Safe to share across threads, for callers that run sources on
+    their own threads over one cache.  The expensive tidy/clean computation happens outside the lock, so
     concurrent misses on *different* pages do not serialize.  Two threads
     racing on the *same* page may both compute it; the loser detects the
     winner's entry under the second lock, keeps the winner's entry and

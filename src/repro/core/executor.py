@@ -4,19 +4,17 @@
 ``run_item(key, item, view)``, where ``view`` is the item's own
 :class:`~repro.registry.store.StagedRegistryView` (``None`` without a
 registry).  It plans hash-mod shards, runs each shard's items in input
-order, and merges the shards in global input order, so every backend
-gives byte-identical output.  ``serial`` is one in-process shard;
-``thread`` runs the shards over the live worker on a thread pool, one
-task per shard; ``process`` ships each shard as a :class:`ShardTask`
-through the caller's ``dispatch`` function to the caller's module-level
-worker entry, which rebuilds its worker from ``ShardTask.worker`` and
-answers with :func:`run_worker_shard`.
+order, and merges the shards in global input order, so serial and
+pooled runs give byte-identical output.  The worker count alone picks
+the pool: one worker is one in-process shard; more ship each shard as
+a :class:`ShardTask` through the caller's ``dispatch`` function to the
+caller's module-level worker-process entry, which rebuilds its worker
+from ``ShardTask.worker`` and answers with :func:`run_worker_shard`.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Sequence
 
@@ -146,7 +144,6 @@ def run_batch(
     items: Items,
     run_item: RunItem,
     *,
-    backend: str = "serial",
     workers: int = 1,
     fail_fast: bool = True,
     registry: WrapperRegistry | None = None,
@@ -155,50 +152,39 @@ def run_batch(
     dispatch: Callable[[list[ShardTask]], list[ShardResult]] | None = None,
     ship: Callable[[Any], Any] | None = None,
 ) -> tuple[list[Any], list[ShardResult]]:
-    """Run a batch on ``backend``; return its outcomes and its shards.
+    """Run a batch over ``workers``; return its outcomes and its shards.
 
     Outcomes come one per item in input order (failures as
-    :class:`SourceFailure`, under isolate); shards in index order.
-    ``thread`` and ``process`` fan out only with ``workers > 1`` and
-    more than one item.  The :class:`MetricsObserver` ones among
-    ``observers`` adopt what workers ship home.  The process backend
-    needs ``worker``, called once for the picklable worker spec, and
-    ``dispatch``; ``ship`` maps an item to what crosses the boundary
-    (default: the item itself).
+    :class:`SourceFailure`, under isolate); shards in index order.  The
+    batch fans out to worker processes only with ``workers > 1`` and
+    more than one item; otherwise it runs as one in-process shard.  The
+    :class:`MetricsObserver` ones among ``observers`` adopt what workers
+    ship home.  A fan-out needs ``worker``, called once for the
+    picklable worker spec, and ``dispatch``; ``ship`` maps an item to
+    what crosses the boundary (default: the item itself).
     """
     observers = [o for o in observers if isinstance(o, MetricsObserver)]
     for observer in observers:
         observer.note_source_order(key for key, __ in items)
-    if workers > 1 and len(items) > 1 and backend in ("thread", "process"):
+    if workers > 1 and len(items) > 1:
         buckets: list[list[tuple[str, Any]]] = [[] for __ in range(workers)]
         for key, item in items:
             buckets[stable_shard(key, workers)].append((key, item))
-        plan = [(index, bucket) for index, bucket in enumerate(buckets) if bucket]
-        if backend == "process":
-            spec = worker()
-            shards = dispatch([
-                ShardTask(
-                    worker=spec,
-                    items=tuple(
-                        (key, ship(item) if ship is not None else item)
-                        for key, item in bucket
-                    ),
-                    index=index,
-                    count=workers,
-                    fail_fast=fail_fast,
-                )
-                for index, bucket in plan
-            ])
-        else:
-            with ThreadPoolExecutor(max_workers=len(plan)) as pool:
-                futures = [
-                    pool.submit(
-                        _run_shard, index, workers, bucket, run_item,
-                        registry, fail_fast,
-                    )
-                    for index, bucket in plan
-                ]
-                shards = [future.result() for future in futures]
+        spec = worker()
+        shards = dispatch([
+            ShardTask(
+                worker=spec,
+                items=tuple(
+                    (key, ship(item) if ship is not None else item)
+                    for key, item in bucket
+                ),
+                index=index,
+                count=workers,
+                fail_fast=fail_fast,
+            )
+            for index, bucket in enumerate(buckets)
+            if bucket
+        ])
     else:
         shards = [_run_shard(0, 1, items, run_item, registry, fail_fast)]
     return _merge(items, shards, fail_fast, registry, observers), shards

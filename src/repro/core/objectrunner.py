@@ -144,7 +144,7 @@ class ObjectRunner:
         for observer in self.observers:
             if isinstance(observer, MetricsObserver):
                 observer.observe_cache(self.cache)
-        if self.params.backend == "process":
+        if self._workers() > 1:
             self._check_process_backend_support()
         self._setup_recognizers()
 
@@ -213,12 +213,12 @@ class ObjectRunner:
     def add_observer(self, observer: PipelineObserver) -> None:
         """Subscribe an observer to every subsequent pipeline run.
 
-        Under the process backend the same construction-time rule
-        applies: only :class:`MetricsObserver` observers can follow
-        their measurements across the boundary, so anything else is
-        rejected here, at subscription time.
+        A runner that can fan out applies the construction-time rule
+        here too: only :class:`MetricsObserver` observers can follow
+        their measurements across the process boundary, so anything
+        else is rejected at subscription time.
         """
-        if self.params.backend == "process":
+        if self._workers() > 1:
             self._check_process_backend_support(extra_observers=(observer,))
         self.observers.append(observer)
         if isinstance(observer, MetricsObserver):
@@ -414,12 +414,10 @@ class ObjectRunner:
     ) -> "MultiSourceResult":
         """Run the pipeline over several sources of the same domain.
 
-        With ``params.max_workers > 1`` independent sources wrap
-        concurrently in hash-mod shards, on threads or worker processes
-        per ``params.backend``; results keep the input order, so the
-        outcome is identical to a serial run.  Enrichment runs force
-        serial execution: gazetteer growth feeds later sources, which is
-        inherently order-dependent.
+        With more than one worker (:meth:`_workers`) independent sources
+        wrap concurrently in hash-mod shards, one worker process each;
+        results keep the input order, so the outcome is identical to a
+        serial run.
 
         Unexpected per-source failures (anything except a quality-gate
         discard) follow ``params.failure_policy``: under ``isolate`` the
@@ -444,14 +442,10 @@ class ObjectRunner:
             # the same shard in every process, under every PYTHONHASHSEED.
             kept = self.params.shard.partition(sources)
             items = [(source, sources[source]) for source in kept]
-        workers = max(1, int(self.params.max_workers))
-        if self.params.enrich_dictionaries:
-            workers = 1
         outcomes, __ = run_batch(
             items,
             self._run_item,
-            backend=self.params.backend,
-            workers=workers,
+            workers=self._workers(),
             fail_fast=self.params.failure_policy != ISOLATE,
             registry=self._active_registry(),
             observers=self.observers,
@@ -479,6 +473,16 @@ class ObjectRunner:
             return self._run_registry(source, view, raw_pages=raw_pages)
         return self.run_source(source, raw_pages)
 
+    def _workers(self) -> int:
+        """The pool width ``run_sources`` fans out to; 1 runs in-process.
+
+        Enrichment runs force serial execution: gazetteer growth feeds
+        later sources, which is inherently order-dependent.
+        """
+        if self.params.enrich_dictionaries:
+            return 1
+        return max(1, int(self.params.max_workers))
+
     def _check_process_backend_support(
         self, extra_observers: Iterable[PipelineObserver] = ()
     ) -> None:
@@ -490,8 +494,8 @@ class ObjectRunner:
         beats a run that quietly measures less than it claims.
 
         Runs at construction time (``__init__``/:meth:`add_observer`
-        when ``params.backend == "process"``), so a misconfigured
-        runner fails with a typed
+        when the runner can fan out, :meth:`_workers` above 1), so a
+        misconfigured runner fails with a typed
         :class:`ProcessBackendConfigError` naming the offending field
         before any worker spawns.  The dispatch path re-checks as a
         backstop for callers that mutate runner attributes directly.
@@ -500,13 +504,13 @@ class ObjectRunner:
             raise ProcessBackendConfigError(
                 "fault_injector",
                 "the process backend does not support a fault injector; "
-                "use backend='thread' for fault-injection runs",
+                "use max_workers=1 for fault-injection runs",
             )
         if self._sleep is not None:
             raise ProcessBackendConfigError(
                 "sleep",
                 "the process backend does not support a custom sleep "
-                "callable; use backend='thread'",
+                "callable; use max_workers=1",
             )
         unsupported = [
             type(observer).__name__
@@ -517,7 +521,8 @@ class ObjectRunner:
             raise ProcessBackendConfigError(
                 "observers",
                 "the process backend supports only MetricsObserver "
-                f"observers; got {', '.join(sorted(unsupported))}",
+                f"observers; got {', '.join(sorted(unsupported))} "
+                "(use max_workers=1 for other observers)",
             )
 
     def _worker_spec(self) -> tuple[dict, str | None]:

@@ -8,10 +8,8 @@ from dataclasses import dataclass
 from repro.core.faults import FAILURE_POLICIES
 from repro.core.sharding import ShardSpec
 
-#: Execution backends of ``run_sources``: worker threads (cheap, shares
-#: every in-process cache, but GIL-bound on the CPU-heavy induction path)
-#: or worker processes (per-shard fan-out with true parallelism).
-BACKENDS = ("thread", "process")
+#: Pool of a ``run_sources`` fan-out: worker processes, the only one.
+BACKENDS = ("process",)
 
 
 @dataclass(frozen=True)
@@ -53,8 +51,9 @@ class RunParams:
     chaos_ratio: float = 0.5
     #: Workers for multi-source runs (``run_sources``): when > 1,
     #: independent sources wrap concurrently in that many hash-mod shards,
-    #: on threads or processes per ``backend``.  Enrichment runs force
-    #: serial execution because gazetteer growth is order-dependent.
+    #: one worker process each; 1 runs every source in-process.
+    #: Enrichment runs force serial execution because gazetteer growth is
+    #: order-dependent.
     max_workers: int = 1
     #: How ``run_sources`` treats an unexpected per-source failure:
     #: ``"fail_fast"`` stops every shard at its first failure and raises
@@ -67,12 +66,11 @@ class RunParams:
     #: :class:`~repro.errors.TransientSourceError` (0 disables retrying);
     #: backoff follows :class:`~repro.core.faults.RetryPolicy`.
     max_retries: int = 0
-    #: Execution backend of ``run_sources``: both split the sources into
-    #: ``max_workers`` hash-mod shards; ``"thread"`` runs them on a thread
-    #: pool sharing the runner's caches; ``"process"`` runs each in a worker
-    #: process with its own cache/metrics/registry view, and merges with
-    #: the order-pinned semantics — byte-identical output either way.
-    backend: str = "thread"
+    #: Pool of a ``run_sources`` fan-out (:data:`BACKENDS`): each of the
+    #: ``max_workers`` hash-mod shards runs in a worker process with its
+    #: own cache/metrics/registry view, merged with the order-pinned
+    #: semantics, so output is byte-identical to a serial run.
+    backend: str = "process"
     #: Restrict ``run_sources`` to the sources of one deterministic
     #: hash-mod shard (:class:`~repro.core.sharding.ShardSpec`); ``None``
     #: runs everything.  Membership is ``PYTHONHASHSEED``-independent, so

@@ -193,8 +193,8 @@ class TraceObserver(PipelineObserver):
 
     The sink may be a path (opened and owned by the observer — call
     :meth:`close` or use the observer as a context manager) or any
-    writable text stream.  Writes are locked, so one trace observer can
-    serve a parallel multi-source run and produce an interleaved but
+    writable text stream.  Writes are locked, so callers may share one
+    trace observer across their own threads and get an interleaved but
     line-atomic trace.
 
     Every event line is flushed as it is written, so the trace stays

@@ -22,7 +22,6 @@ comparable).
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
 import os
@@ -76,11 +75,6 @@ if TYPE_CHECKING:  # pragma: no cover - types only
 #: and the top-level ``sharding`` block with per-shard wall timings.
 BENCH_SCHEMA_VERSION = 2
 
-#: Sweep backends of :class:`BenchSession`: ``serial`` runs the catalog
-#: in one loop; ``thread``/``process`` partition it into ``workers``
-#: hash-mod shards run on a pool, reassembled in catalog order.
-BENCH_BACKENDS: tuple[str, ...] = ("serial", "thread", "process")
-
 #: CatalogCache bound at the scale tier: replicated sources are visited
 #: once per sweep, so only a small working set needs to stay resident.
 SCALE_TIER_CATALOG_SOURCES = 64
@@ -107,9 +101,9 @@ class CatalogCache:
     sources per entry — shared by the benchmark suite's harness and the
     ``repro bench`` session so repeated sweeps never regenerate them.
 
-    Thread-safe (the thread backend's shards share one cache), and
-    optionally bounded: ``max_sources`` caps the generated-source map
-    with least-recently-used eviction, so a 1000-source scale-tier sweep
+    Safe to share across threads, and optionally bounded:
+    ``max_sources`` caps the generated-source map with
+    least-recently-used eviction, so a 1000-source scale-tier sweep
     — where every source is visited once and never again — holds a small
     working set instead of a gigabyte of page trees.  Generation is
     deterministic, so an evicted-and-regenerated source is identical.
@@ -214,22 +208,12 @@ class BenchConfig:
     #: Which slice of the catalog this capture covers; ``None`` is the
     #: whole catalog.  Shard documents merge via :func:`merge_documents`.
     shard: ShardSpec | None = None
-    #: Sweep backend (:data:`BENCH_BACKENDS`); thread/process partition
-    #: the (shard-filtered) catalog into ``workers`` hash-mod sub-shards.
-    backend: str = "serial"
-    #: Pool width of the thread/process backends; 1 means serial.
+    #: Worker processes of the sweep: above 1 partitions the
+    #: (shard-filtered) catalog into that many hash-mod sub-shards, one
+    #: worker process each; 1 sweeps it in one in-process loop.
     workers: int = 1
-    #: Also time the alternate pooled backend (process vs thread) over
-    #: the same catalog and record it under ``sharding.reference`` —
-    #: quality results of the reference sweep are discarded.
-    compare_backends: bool = False
 
     def __post_init__(self) -> None:
-        if self.backend not in BENCH_BACKENDS:
-            known = ", ".join(BENCH_BACKENDS)
-            raise ValueError(
-                f"unknown bench backend {self.backend!r} (known: {known})"
-            )
         if self.shard is not None and not isinstance(self.shard, ShardSpec):
             raise ValueError(
                 f"shard must be a ShardSpec or None, got {self.shard!r}"
@@ -247,7 +231,7 @@ class BenchSession:
 
     Registry writes are staged per source and applied in catalog order
     at the end of each sweep — the same batch-start semantics
-    ``ObjectRunner.run_sources`` uses — so a serial sweep, a thread- or
+    ``ObjectRunner.run_sources`` uses — so a serial sweep, a
     process-pooled sweep, and a merge of per-shard runs all leave the
     registry byte-identical.
     """
@@ -321,8 +305,8 @@ class BenchSession:
         Returns the per-domain metrics (paper order), a registry holding
         the per-source ``wrap`` timer, and the pipeline metrics observer
         (meaningful for ObjectRunner; empty for the baselines).  The
-        backend only changes *how* the slice is swept; evaluations, the
-        wrap timer and the staged registry writes are always assembled
+        worker count only changes *how* the slice is swept; evaluations,
+        the wrap timer and the staged registry writes are always assembled
         in catalog order afterwards (:mod:`repro.core.executor`), and a
         failing entry aborts with :class:`~repro.errors.MultiSourceError`.
         """
@@ -335,7 +319,6 @@ class BenchSession:
             lambda __, entry, view: self._run_entry(
                 system_name, entry, metrics, view
             ),
-            backend=self.config.backend,
             workers=max(1, int(self.config.workers)),
             registry=self.registry,
             observers=(metrics,),
@@ -365,7 +348,7 @@ class BenchSession:
             if shard.cache_stats is not None
         )
         # The sweep wall includes pool startup/teardown and the merge —
-        # the number the thread-vs-process comparison is about.
+        # the number a serial-vs-process comparison is about.
         self._walls[system_name] = round(monotonic_seconds() - start, 6)
         domains = [
             aggregate_domain(domain_name, system_name, evaluations[domain_name])
@@ -399,6 +382,7 @@ class BenchSession:
                 "metrics": merged if has_events else None,
                 "cache": metrics.cache_stats() if has_events else None,
             }
+        backend, workers = self._execution()
         return {
             "schema_version": BENCH_SCHEMA_VERSION,
             "generated_at": wall_timestamp(),
@@ -411,8 +395,8 @@ class BenchSession:
                 "sources": len(self.entries()),
                 "registry": bool(self.registry),
                 "shard": self._shard_label(),
-                "backend": self.config.backend,
-                "workers": max(1, int(self.config.workers)),
+                "backend": backend,
+                "workers": workers,
                 "seed": {
                     "sampling_seed": RunParams().sampling_seed,
                     "pythonhashseed": os.environ.get("PYTHONHASHSEED", ""),
@@ -424,20 +408,29 @@ class BenchSession:
             "systems": systems_doc,
             "sharding": {
                 "shard": self._shard_label(),
-                "backend": self.config.backend,
-                "workers": max(1, int(self.config.workers)),
+                "backend": backend,
+                "workers": workers,
                 "merged_from": None,
                 "per_shard": {
                     name: rows for name, rows in self._shard_rows.items()
                 } or None,
                 "wall_seconds": dict(self._walls) or None,
-                "reference": (
-                    self._reference_backend()
-                    if self.config.compare_backends
-                    else None
-                ),
+                "reference": None,
             },
         }
+
+    def _execution(self) -> tuple[str, int]:
+        """``(backend, workers)`` of what the captured sweeps ran.
+
+        Read off the shard rows: a sweep fans out only with more than
+        one worker and more than one entry, and otherwise runs as one
+        in-process shard, recorded as ``("serial", 1)``.
+        """
+        workers = max(
+            (row["count"] for rows in self._shard_rows.values() for row in rows),
+            default=1,
+        )
+        return ("process" if workers > 1 else "serial"), workers
 
     def _session_cache_stats(self) -> dict[str, int]:
         """Session preprocess-cache stats plus adopted worker stats.
@@ -450,37 +443,6 @@ class BenchSession:
         return _sum_stats(
             [self.preprocess_cache.stats(), *self._worker_cache_stats]
         )
-
-    def _reference_backend(self) -> dict | None:
-        """Time the alternate pooled backend over the same catalog slice.
-
-        Runs every configured system once more under the other pooled
-        backend (process ⇄ thread) in a fresh session — fresh caches, no
-        registry — and reports only the walls and per-shard rows.  This
-        is the honest thread-vs-process comparison the BENCH_4 capture
-        demonstrates; quality output is discarded (it is byte-identical
-        by construction).
-        """
-        if self.config.backend == "serial":
-            return None
-        alternate = "thread" if self.config.backend == "process" else "process"
-        config = dataclasses.replace(
-            self.config,
-            backend=alternate,
-            registry_root=None,
-            compare_backends=False,
-        )
-        session = BenchSession(config)
-        for system_name in self.config.systems:
-            session.run_system(system_name)
-        return {
-            "backend": alternate,
-            "workers": max(1, int(config.workers)),
-            "wall_seconds": dict(session._walls),
-            "per_shard": {
-                name: rows for name, rows in session._shard_rows.items()
-            } or None,
-        }
 
 
 def _domain_doc(metrics: "DomainMetrics") -> dict:

@@ -90,9 +90,9 @@ def peak_rss_bytes() -> int:
 class MetricsObserver(PipelineObserver):
     """Aggregates pipeline events into per-source metrics registries.
 
-    Thread-safe: one observer may serve a parallel multi-source run.
-    Within one source, events arrive from a single worker thread in
-    pipeline order, so each per-source registry's observation lists are
+    Safe to share across threads, for callers that run sources on
+    their own threads under one observer.  Within one source, events
+    arrive from a single thread in pipeline order, so each per-source registry's observation lists are
     deterministic; the cross-source merge order is pinned by
     :meth:`note_source_order`.
 

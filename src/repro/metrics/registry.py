@@ -12,7 +12,7 @@ another registry in, and :meth:`MetricsRegistry.merged` folds a sequence
 in input order.  Counters add, gauges last-write-wins (later registries
 override earlier ones), timer observation lists concatenate — so merging
 per-source registries in input order yields the same snapshot whether the
-sources ran serially or on a thread pool.
+sources ran serially or in worker processes.
 """
 
 from __future__ import annotations

@@ -537,7 +537,7 @@ class StagedRegistryView:
     source's *own* staged writes; puts and demotions are buffered and
     applied to the base registry in input order once the batch finishes
     (:meth:`apply_to`).  Hit/miss per source therefore never depends on
-    thread scheduling, which is what makes a parallel batch snapshot
+    shard scheduling, which is what makes a parallel batch snapshot
     byte-identical to a serial one.
     """
 

@@ -653,7 +653,10 @@ class TestRepoCoverage:
         ):
             assert qualname in reachable, qualname
 
-    def test_t301_treats_the_executor_callers_as_pool_roots(self, graph):
+    def test_t301_reaches_the_analysis_pool_and_the_pipeline(self, graph):
+        # The analysis engine holds the only thread pool under src; T301
+        # must still cover it, the rule modules it runs, and the pipeline
+        # those rules import.
         rule = SharedStateRule()
         rule.prepare_graph(graph)
         src = (REPO_ROOT / "src").resolve()
@@ -662,7 +665,7 @@ class TestRepoCoverage:
             for path in rule._reachable_files
         }
         assert {
+            "repro/analysis/engine.py",
+            "repro/analysis/rules/determinism.py",
             "repro/core/pipeline.py",
-            "repro/core/objectrunner.py",
-            "repro/metrics/bench.py",
         } <= reached

@@ -38,15 +38,11 @@ def capture(tmp_root=None, **config):
 
 @pytest.fixture(scope="module")
 def backend_docs(tmp_path_factory):
-    """Serial, thread and process captures over fresh registry roots."""
+    """Serial and process captures over fresh registry roots."""
     root = tmp_path_factory.mktemp("backends")
     docs = {}
-    for backend, workers in (
-        ("serial", 1), ("thread", 4), ("process", 4)
-    ):
-        docs[backend] = capture(
-            tmp_root=root / backend, backend=backend, workers=workers
-        )
+    for backend, workers in (("serial", 1), ("process", 4)):
+        docs[backend] = capture(tmp_root=root / backend, workers=workers)
     return root, docs
 
 
@@ -67,26 +63,23 @@ class TestBackendIdentity:
     def test_digests_identical_across_backends(self, backend_docs):
         __, docs = backend_docs
         digests = {name: bench_digest(doc) for name, doc in docs.items()}
-        assert digests["thread"] == digests["serial"]
         assert digests["process"] == digests["serial"]
 
     def test_registry_bytes_identical_across_backends(self, backend_docs):
         root, __ = backend_docs
         serial = (root / "serial" / "index.json").read_bytes()
-        assert (root / "thread" / "index.json").read_bytes() == serial
         assert (root / "process" / "index.json").read_bytes() == serial
 
     def test_pooled_docs_carry_per_shard_rows(self, backend_docs):
         __, docs = backend_docs
         total = docs["serial"]["config"]["sources"]
-        for backend in ("thread", "process"):
-            rows = docs[backend]["sharding"]["per_shard"]["objectrunner"]
-            assert sum(row["sources"] for row in rows) == total
-            for row in rows:
-                assert row["count"] == 4
-                assert 0 <= row["index"] < 4
-                assert row["shard"] is None
-                assert row["wall_seconds"] >= 0
+        rows = docs["process"]["sharding"]["per_shard"]["objectrunner"]
+        assert sum(row["sources"] for row in rows) == total
+        for row in rows:
+            assert row["count"] == 4
+            assert 0 <= row["index"] < 4
+            assert row["shard"] is None
+            assert row["wall_seconds"] >= 0
 
     def test_sweep_walls_recorded(self, backend_docs):
         __, docs = backend_docs
@@ -99,6 +92,16 @@ class TestBackendIdentity:
         assert docs["process"]["config"]["backend"] == "process"
         assert docs["process"]["config"]["workers"] == 4
         assert docs["serial"]["config"]["shard"] is None
+
+    def test_execution_is_what_ran_not_what_was_asked(self):
+        # The worker count alone picks the sweep: one worker is the
+        # serial loop, more are worker processes.  Both the config and
+        # the sharding block record what ran.
+        for workers, expected in ((1, ("serial", 1)), (2, ("process", 2))):
+            doc = capture(workers=workers)
+            for block in (doc["config"], doc["sharding"]):
+                assert (block["backend"], block["workers"]) == expected
+            assert doc["sharding"]["reference"] is None
 
 
 class TestShardMerge:
@@ -335,13 +338,11 @@ class TestCatalogCacheBounds:
 
 class TestBenchConfigValidation:
     def test_rejects_unknown_backend(self):
-        with pytest.raises(ValueError, match="backend"):
-            BenchConfig(backend="fiber")
+        # The worker count picks the sweep; there is no backend to name.
+        for backend in ("thread", "process"):
+            with pytest.raises(TypeError, match="backend"):
+                BenchConfig(backend=backend)
 
     def test_rejects_non_shardspec(self):
         with pytest.raises(ValueError, match="shard"):
             BenchConfig(shard="0/2")
-
-    def test_accepts_known_backends(self):
-        for backend in ("serial", "thread", "process"):
-            assert BenchConfig(backend=backend).backend == backend

@@ -3,12 +3,14 @@
 Four real album sources run through the full pipeline with a seeded
 :class:`~repro.core.faults.FaultInjector` crashing or destabilizing one
 of them.  Every test injects a recording fake sleep, so the suite pays
-zero wall-clock time for backoff.
+zero wall-clock time for backoff.  Fault injectors and custom sleep
+cannot cross the process boundary, so every case runs at
+``max_workers=1``; failure merges across process shards are covered by
+``tests/test_core_process_backend.py``.
 """
 
 import io
 import json
-import threading
 
 import pytest
 
@@ -49,11 +51,9 @@ class FakeSleep:
 
     def __init__(self):
         self.calls = []
-        self._lock = threading.Lock()
 
     def __call__(self, seconds):
-        with self._lock:
-            self.calls.append(seconds)
+        self.calls.append(seconds)
 
 
 def make_runner(domain, knowledge, injector=None, sleep=None, **params):
@@ -87,7 +87,7 @@ class TestIsolatePolicy:
         injector = FaultInjector([crash_spec("flt-1")], sleep=FakeSleep())
         faulty = make_runner(
             domain, knowledge, injector=injector,
-            max_workers=4, failure_policy="isolate",
+            max_workers=1, failure_policy="isolate",
         ).run_sources(sources)
 
         survivors = {k: v for k, v in sources.items() if k != "flt-1"}
@@ -105,7 +105,7 @@ class TestIsolatePolicy:
         injector = FaultInjector([crash_spec("flt-1")], sleep=FakeSleep())
         outcome = make_runner(
             domain, knowledge, injector=injector,
-            max_workers=4, failure_policy="isolate",
+            max_workers=1, failure_policy="isolate",
         ).run_sources(sources)
         failure = outcome.failures["flt-1"]
         assert failure.source == "flt-1"
@@ -114,21 +114,6 @@ class TestIsolatePolicy:
         assert failure.attempts == 1
         assert injector.fired == [("flt-1", "wrapping", "crash", 1)]
 
-    def test_serial_isolate_equals_parallel_isolate(self, four_sources):
-        domain, knowledge, sources = four_sources
-        outcomes = []
-        for workers in (1, 4):
-            injector = FaultInjector([crash_spec("flt-2")], sleep=FakeSleep())
-            outcomes.append(
-                make_runner(
-                    domain, knowledge, injector=injector,
-                    max_workers=workers, failure_policy="isolate",
-                ).run_sources(sources)
-            )
-        serial, parallel = outcomes
-        assert as_bytes(serial) == as_bytes(parallel)
-        assert list(serial.failures) == list(parallel.failures) == ["flt-2"]
-
 
 class TestFailFastPolicy:
     def test_parallel_fail_fast_raises_with_partial(self, four_sources):
@@ -136,7 +121,7 @@ class TestFailFastPolicy:
         injector = FaultInjector([crash_spec("flt-1")], sleep=FakeSleep())
         runner = make_runner(
             domain, knowledge, injector=injector,
-            max_workers=4, failure_policy="fail_fast",
+            max_workers=1, failure_policy="fail_fast",
         )
         with pytest.raises(MultiSourceError) as excinfo:
             runner.run_sources(sources)
@@ -154,7 +139,7 @@ class TestFailFastPolicy:
         injector = FaultInjector([crash_spec("flt-1")], sleep=FakeSleep())
         runner = make_runner(
             domain, knowledge, injector=injector,
-            max_workers=4, failure_policy="fail_fast",
+            max_workers=1, failure_policy="fail_fast",
         )
         with pytest.raises(MultiSourceError) as excinfo:
             runner.run_sources(sources)
@@ -162,24 +147,6 @@ class TestFailFastPolicy:
             {"flt-0": sources["flt-0"]}
         )
         assert as_bytes(excinfo.value.partial) == as_bytes(prefix)
-
-    def test_fail_fast_leaves_no_orphaned_threads(self, four_sources):
-        domain, knowledge, sources = four_sources
-        injector = FaultInjector([crash_spec("flt-0")], sleep=FakeSleep())
-        runner = make_runner(
-            domain, knowledge, injector=injector,
-            max_workers=4, failure_policy="fail_fast",
-        )
-        before = threading.active_count()
-        with pytest.raises(MultiSourceError):
-            runner.run_sources(sources)
-        # The with-block around the executor joins the pool before the
-        # error propagates, so no worker thread survives the raise.
-        assert threading.active_count() == before
-        assert not [
-            t for t in threading.enumerate()
-            if t.name.startswith("ThreadPoolExecutor")
-        ]
 
     def test_serial_fail_fast_skips_later_sources(self, four_sources):
         domain, knowledge, sources = four_sources
@@ -210,7 +177,7 @@ class TestTransientRetries:
         )
         runner = make_runner(
             domain, knowledge, injector=injector, sleep=sleep,
-            max_workers=4, max_retries=1,
+            max_workers=1, max_retries=1,
         )
         runner.add_observer(TraceObserver(sink))
         outcome = runner.run_sources(sources)
@@ -240,7 +207,7 @@ class TestTransientRetries:
         )
         runner = make_runner(
             domain, knowledge, injector=injector, sleep=sleep,
-            max_workers=4, max_retries=1,
+            max_workers=1, max_retries=1,
         )
         runner.run_sources(sources)
         policy = RetryPolicy.from_params(RunParams(max_retries=1))

@@ -71,21 +71,20 @@ class TestProcessEqualsSerial:
     def test_metrics_counters_match_serial(self, four_sources):
         domain, knowledge, sources = four_sources
         counters = {}
-        for backend, workers in (("thread", 1), ("process", 4)):
+        for label, workers in (("serial", 1), ("process", 4)):
             observer = MetricsObserver()
             make_runner(
-                domain, knowledge, observers=(observer,),
-                max_workers=workers, backend=backend,
+                domain, knowledge, observers=(observer,), max_workers=workers
             ).run_sources(sources)
             snapshot = observer.snapshot()
-            counters[backend] = json.dumps(
+            counters[label] = json.dumps(
                 {
                     "sources": snapshot["sources"],
                     "counters": observer.merged_registry().counters_snapshot(),
                 },
                 sort_keys=True,
             )
-        assert counters["process"] == counters["thread"]
+        assert counters["process"] == counters["serial"]
 
     def test_registry_index_bytes_match_serial(self, four_sources, tmp_path):
         domain, knowledge, sources = four_sources
@@ -182,20 +181,20 @@ class TestProcessFailurePolicies:
         domain, knowledge, sources = four_sources
         mixed = self.failing_sources(sources)
         partials = {}
-        for backend, workers in (("thread", 1), ("process", 4)):
+        for label, workers in (("serial", 1), ("process", 4)):
             runner = make_runner(
-                domain, knowledge, max_workers=workers, backend=backend,
+                domain, knowledge, max_workers=workers,
                 failure_policy="fail_fast",
             )
             with pytest.raises(MultiSourceError) as excinfo:
                 runner.run_sources(mixed)
             error = excinfo.value
             assert error.failure.source == "bad"
-            partials[backend] = error.partial
+            partials[label] = error.partial
         assert list(partials["process"].results) == list(
-            partials["thread"].results
+            partials["serial"].results
         )
-        assert as_bytes(partials["process"]) == as_bytes(partials["thread"])
+        assert as_bytes(partials["process"]) == as_bytes(partials["serial"])
 
     def test_fail_fast_registry_matches_serial_prefix(
         self, four_sources, tmp_path
@@ -203,25 +202,24 @@ class TestProcessFailurePolicies:
         domain, knowledge, sources = four_sources
         mixed = self.failing_sources(sources)
         roots = {}
-        for backend, workers in (("thread", 1), ("process", 4)):
-            root = tmp_path / backend
-            roots[backend] = root
+        for label, workers in (("serial", 1), ("process", 4)):
+            root = tmp_path / label
+            roots[label] = root
             runner = make_runner(
                 domain, knowledge, registry_root=root,
-                max_workers=workers, backend=backend,
-                failure_policy="fail_fast",
+                max_workers=workers, failure_policy="fail_fast",
             )
             with pytest.raises(MultiSourceError):
                 runner.run_sources(mixed)
         assert (roots["process"] / "index.json").read_bytes() == (
-            roots["thread"] / "index.json"
+            roots["serial"] / "index.json"
         ).read_bytes()
 
 
 class TestProcessBackendSupport:
     # Rejection happens at *construction* time — before any worker
     # spawns — with a typed ProcessBackendConfigError naming the
-    # offending constructor field.
+    # offending constructor field, whenever the runner can fan out.
 
     def test_rejects_fault_injector(self, four_sources):
         domain, knowledge, __ = four_sources
@@ -233,12 +231,13 @@ class TestProcessBackendSupport:
                 ontology=knowledge.ontology,
                 corpus=knowledge.corpus,
                 gazetteer_classes=domain.gazetteer_classes,
-                params=RunParams(max_workers=4, backend="process"),
+                params=RunParams(max_workers=4),
                 fault_injector=FaultInjector(
                     [FaultSpec(stage="wrapping", source="proc-0")]
                 ),
             )
         assert excinfo.value.field == "fault_injector"
+        assert "max_workers=1" in str(excinfo.value)
 
     def test_rejects_custom_sleep(self, four_sources):
         domain, knowledge, __ = four_sources
@@ -250,10 +249,11 @@ class TestProcessBackendSupport:
                 ontology=knowledge.ontology,
                 corpus=knowledge.corpus,
                 gazetteer_classes=domain.gazetteer_classes,
-                params=RunParams(max_workers=4, backend="process"),
+                params=RunParams(max_workers=4),
                 sleep=lambda seconds: None,
             )
         assert excinfo.value.field == "sleep"
+        assert "max_workers=1" in str(excinfo.value)
 
     def test_rejects_non_metrics_observers(self, four_sources):
         domain, knowledge, __ = four_sources
@@ -262,9 +262,10 @@ class TestProcessBackendSupport:
         ) as excinfo:
             make_runner(
                 domain, knowledge, observers=(TraceObserver(io.StringIO()),),
-                max_workers=4, backend="process",
+                max_workers=4,
             )
         assert excinfo.value.field == "observers"
+        assert "max_workers=1" in str(excinfo.value)
 
     def test_rejects_late_observer_subscription(self, four_sources):
         domain, knowledge, __ = four_sources
@@ -284,9 +285,7 @@ class TestProcessBackendSupport:
         # configuration error keep working.
         assert issubclass(ProcessBackendConfigError, ValueError)
 
-    def test_small_batches_fall_back_to_thread_path(
-        self, four_sources, monkeypatch
-    ):
+    def test_small_batches_run_in_process(self, four_sources, monkeypatch):
         # One source (or one worker) never pays process fan-out cost:
         # no ProcessPoolExecutor is ever created for either batch.
         domain, knowledge, sources = four_sources
@@ -306,9 +305,41 @@ class TestProcessBackendSupport:
             outcome = runner.run_sources(batch)
             assert list(outcome.results) == list(batch)
 
+    def test_serial_runs_accept_process_local_features(self, four_sources):
+        # The boundary check keys on fan-out, not on the backend name:
+        # one worker, or enrichment (which forces serial execution),
+        # never leaves the process, so nothing needs to cross it.
+        domain, knowledge, sources = four_sources
+        injected = ObjectRunner(
+            domain.sod,
+            ontology=knowledge.ontology,
+            corpus=knowledge.corpus,
+            gazetteer_classes=domain.gazetteer_classes,
+            params=RunParams(
+                backend="process", max_workers=1, failure_policy="isolate"
+            ),
+            fault_injector=FaultInjector(
+                [FaultSpec(stage="wrapping", source="proc-0")]
+            ),
+        )
+        outcome = injected.run_sources(sources)
+        assert list(outcome.failures) == ["proc-0"]
+        assert list(outcome.results) == list(sources)[1:]
+        stream = io.StringIO()
+        traced = make_runner(
+            domain, knowledge, observers=(TraceObserver(stream),),
+            backend="process", max_workers=4, enrich_dictionaries=True,
+        )
+        traced.add_observer(TraceObserver(io.StringIO()))
+        outcome = traced.run_sources(sources)
+        assert list(outcome.results) == list(sources)
+        assert stream.getvalue().count('"pipeline_end"') == len(sources)
+
     def test_params_validation(self):
-        with pytest.raises(ValueError):
-            RunParams(backend="fiber")
+        assert RunParams().backend == "process"
+        for backend in ("thread", "fiber"):
+            with pytest.raises(ValueError, match="unknown backend"):
+                RunParams(backend=backend)
         with pytest.raises(ValueError):
             RunParams(shard="0/2")  # must be a ShardSpec, not a string
 

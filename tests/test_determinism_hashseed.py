@@ -145,14 +145,14 @@ for index in range(4):
     sources[spec.name] = generate_source(spec, domain).pages
 
 
-def run(backend, workers, shard=None, root=None):
+def run(workers, shard=None, root=None):
     observer = MetricsObserver()
     runner = ObjectRunner(
         domain.sod,
         ontology=knowledge.ontology,
         corpus=knowledge.corpus,
         gazetteer_classes=domain.gazetteer_classes,
-        params=RunParams(max_workers=workers, backend=backend, shard=shard),
+        params=RunParams(max_workers=workers, shard=shard),
         observers=(observer,),
         wrapper_registry=WrapperRegistry(root) if root else None,
     )
@@ -167,14 +167,11 @@ def values(outcome):
 
 
 with tempfile.TemporaryDirectory() as tmp:
-    # Every backend leaves identical objects, counters and registry bytes.
-    for label, backend, workers in (
-        ("serial", "thread", 1),
-        ("thread", "thread", 4),
-        ("process", "process", 4),
-    ):
+    # Serial and process runs leave identical objects, counters and
+    # registry bytes.
+    for label, workers in (("serial", 1), ("process", 4)):
         root = Path(tmp) / label
-        outcome, observer = run(backend, workers, root=root)
+        outcome, observer = run(workers, root=root)
         digest.update(json.dumps(values(outcome), sort_keys=True).encode())
         digest.update(
             json.dumps(
@@ -185,10 +182,10 @@ with tempfile.TemporaryDirectory() as tmp:
         digest.update((root / "index.json").read_bytes())
 
 # A 2-way shard split covers the batch exactly once and reproduces it.
-full, __ = run("thread", 1)
+full, __ = run(1)
 union = {}
 for index in range(2):
-    part, __ = run("thread", 1, shard=ShardSpec(index=index, count=2))
+    part, __ = run(1, shard=ShardSpec(index=index, count=2))
     for name in union:
         assert name not in values(part), "shard overlap"
     union.update(values(part))
@@ -295,8 +292,8 @@ def test_wrapper_roundtrip_bytes_stable_across_hash_seeds():
 def test_sharded_runs_byte_identical_across_hash_seeds():
     """The full sharding contract holds under every hash seed.
 
-    Each subprocess asserts in-process that serial, thread and process
-    backends produce identical objects, metrics counters and registry
+    Each subprocess asserts in-process that serial and process runs
+    produce identical objects, metrics counters and registry
     index bytes; that a 2-way shard split reproduces the full run; and
     that merged per-shard bench captures digest-equal the unsharded
     capture.  The subprocess digests must then agree across seeds, so

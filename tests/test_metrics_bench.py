@@ -369,7 +369,7 @@ class TestProvenanceIsolation:
 
 
 class TestSweepFailures:
-    """A failing entry aborts every sweep backend the same way."""
+    """A failing entry aborts the serial and the process sweep the same way."""
 
     @pytest.fixture
     def failing_entry(self, monkeypatch):
@@ -389,14 +389,9 @@ class TestSweepFailures:
         monkeypatch.setattr(BenchSession, "_run_entry", fake_run_entry)
         return target
 
-    def _abort(self, backend: str, workers: int) -> MultiSourceError:
+    def _abort(self, workers: int) -> MultiSourceError:
         session = BenchSession(
-            BenchConfig(
-                scale=0.02,
-                systems=("roadrunner",),
-                backend=backend,
-                workers=workers,
-            )
+            BenchConfig(scale=0.02, systems=("roadrunner",), workers=workers)
         )
         with pytest.raises(MultiSourceError) as excinfo:
             session.run_system("roadrunner")
@@ -408,12 +403,8 @@ class TestSweepFailures:
     )
     def test_every_backend_raises_the_same_error(self, failing_entry):
         errors = {
-            backend: self._abort(backend, workers)
-            for backend, workers in (
-                ("serial", 1),
-                ("thread", 2),
-                ("process", 2),
-            )
+            backend: self._abort(workers)
+            for backend, workers in (("serial", 1), ("process", 2))
         }
         serial = errors["serial"]
         assert failing_entry in str(serial)
