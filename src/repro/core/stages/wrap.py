@@ -6,6 +6,17 @@ self-validation loop).  Ties on the full preference tuple break toward
 the *smaller* support — more records agreed on the template — rather than
 silently keeping whichever was attempted first, and every attempted
 support is recorded on the result for diagnostics.
+
+One :class:`~repro.wrapper.generate.WrapperSample` per run carries the
+support-independent work across the loop.  Once per source: tokenizing the
+sample, scanning its annotation types, finding the equivalence classes (at
+the smallest support; larger supports filter them), measuring each
+candidate record class, and aligning and matching each distinct chosen
+record class.  Per support: filtering the classes, selecting the record
+class, and one ``generate_wrapper`` call, which returns the wrapper of an
+already-seen record class relabelled with the current support.  Every
+support that yields a wrapper, built or reused, counts toward
+``wrappers_generated``.
 """
 
 from __future__ import annotations
@@ -15,6 +26,7 @@ from repro.errors import SourceDiscardedError
 from repro.wrapper.generate import (
     Wrapper,
     WrapperConfig,
+    WrapperSample,
     annotation_types_on,
     generate_wrapper,
 )
@@ -65,15 +77,19 @@ class WrapperGenerationStage(Stage):
         """Set ``ctx.wrapper`` to the preferred wrapper across supports."""
         params = ctx.params
         # The sample is fixed across the support loop: tokenize it once
-        # into one shared role table and scan its annotation types once,
-        # instead of redoing both per support value.
+        # into one shared role table, and let one WrapperSample carry the
+        # support-independent work from one support to the next.
         table = TokenTable()
         token_pages = [
             tokenize_element(region, page_index=index, table=table)
             for index, region in enumerate(ctx.sample_regions)
         ]
         ctx.token_table = table
-        annotation_types = annotation_types_on(ctx.sample_regions)
+        sample = WrapperSample(
+            token_pages,
+            annotation_types_on(ctx.sample_regions),
+            min_support=min(params.support_values, default=WrapperConfig.support),
+        )
         best: Wrapper | None = None
         last_error: SourceDiscardedError | None = None
         attempted: list[int] = []
@@ -91,8 +107,7 @@ class WrapperGenerationStage(Stage):
                     ctx.sample_regions,
                     ctx.sod,
                     config,
-                    token_pages=token_pages,
-                    annotation_types=annotation_types,
+                    sample=sample,
                 )
             except SourceDiscardedError as exc:
                 last_error = exc

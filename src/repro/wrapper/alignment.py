@@ -200,9 +200,13 @@ def _lcs_align(
     """Longest-common-subsequence alignment of two shape sequences.
 
     Returns pairs of (consensus index, item index); ``None`` marks a gap on
-    that side.
+    that side.  Equal sequences (most records of a regular source) take
+    the diagonal directly: the DP traceback would pair every index with
+    itself.
     """
     n, m = len(consensus_shapes), len(item_shapes)
+    if consensus_shapes == item_shapes:
+        return [(index, index) for index in range(n)]
     # DP table of LCS lengths.
     dp = [[0] * (m + 1) for _ in range(n + 1)]
     for i in range(n - 1, -1, -1):

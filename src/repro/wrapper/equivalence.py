@@ -17,6 +17,7 @@ scan order exactly), two orders of magnitude less work.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 
 from repro.wrapper.occurrence import (
@@ -51,7 +52,8 @@ class EquivalenceClass:
 
         Each repetition runs from one occurrence of the first ordered role
         to just before the next one (the last span extends to the last
-        occurrence of the final role, inclusive).
+        occurrence of the final role, inclusive).  Both position lists are
+        ascending, so the closing occurrence is one bisection away.
         """
         if not self.ordered_roles:
             return []
@@ -62,12 +64,16 @@ class EquivalenceClass:
             return []
         ends = _role_token_positions(page, last_role)
         spans: list[tuple[int, int]] = []
+        count = len(starts)
         for i, start in enumerate(starts):
-            next_start = starts[i + 1] if i + 1 < len(starts) else len(page.tokens)
+            next_start = starts[i + 1] if i + 1 < count else len(page.tokens)
             # Close at the last occurrence of the final role before the
-            # next repetition begins.
-            closing = [end for end in ends if start <= end < next_start]
-            stop = (closing[-1] + 1) if closing else next_start
+            # next repetition begins, if it is not before this one.
+            last = bisect_left(ends, next_start) - 1
+            if last >= 0 and ends[last] >= start:
+                stop = ends[last] + 1
+            else:
+                stop = next_start
             spans.append((start, stop))
         return spans
 

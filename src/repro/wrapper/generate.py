@@ -5,11 +5,18 @@ sample, find the record equivalence class, align records into the
 annotated template, match the SOD, and package everything into a
 :class:`Wrapper` that can segment and extract any page of the source.
 The early-stop gates raise :class:`~repro.errors.SourceDiscardedError`.
+
+The support-variation loop calls ``generate_wrapper`` once per support
+over one sample.  A :class:`WrapperSample` carries what does not depend on
+the support across those calls: the token pages, the annotation types,
+the equivalence classes and candidate measurements
+(:class:`~repro.wrapper.records.SupportSweep`), and the outcome of each
+record class already turned into a wrapper.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from repro.errors import SourceDiscardedError
 from repro.htmlkit.dom import Element, Node
@@ -21,7 +28,11 @@ from repro.wrapper.matching import (
     never_partially_matchable,
     partially_matchable,
 )
-from repro.wrapper.records import RecordSegmentation, segment_records
+from repro.wrapper.records import (
+    RecordSegmentation,
+    SupportSweep,
+    segment_records,
+)
 from repro.wrapper.template import Template
 from repro.wrapper.tokens import KIND_OPEN, PageToken, TokenizedPage, tokenize_element
 
@@ -194,13 +205,49 @@ def annotation_types_on(pages: list[Element]) -> set[str]:
     return types
 
 
+class WrapperSample:
+    """The support-independent induction state of one source's sample.
+
+    Built once per wrap-stage run and passed to every
+    :func:`generate_wrapper` call of its support loop.  It holds the token
+    pages and annotation types of the sample, the
+    :class:`~repro.wrapper.records.SupportSweep` that computes the
+    equivalence classes once (at ``min_support``) and measures each
+    candidate record class once, and the outcome of every record class
+    already turned into a wrapper.
+
+    The wrapper is a function of the chosen record class alone (its spans
+    come from the class; :class:`~repro.wrapper.alignment.TemplateBuilder`
+    never reads the support), so a later support that picks the same class
+    reuses that outcome: the cached wrapper relabelled with the support,
+    or the same discard.  A sample serves one source and one SOD; it is
+    not a cross-source cache.
+    """
+
+    def __init__(
+        self,
+        token_pages: list[TokenizedPage],
+        annotation_types: set[str],
+        min_support: int,
+    ) -> None:
+        self.token_pages = token_pages
+        self.annotation_types = annotation_types
+        self.sweep = SupportSweep(token_pages, min_support)
+        #: (record class id, config without its support) -> the wrapper
+        #: built for it, or the (stage, reason) of the discard it raised.
+        #: The sweep keeps every measured class alive, so an id is never
+        #: reused.
+        self.outcomes: dict[
+            tuple[int, WrapperConfig], Wrapper | tuple[str, str]
+        ] = {}
+
+
 def generate_wrapper(
     source: str,
     sample_regions: list[Element],
     sod: SodType,
     config: WrapperConfig | None = None,
-    token_pages: list[TokenizedPage] | None = None,
-    annotation_types: set[str] | None = None,
+    sample: WrapperSample | None = None,
 ) -> Wrapper:
     """Generate a wrapper for one source from its annotated sample regions.
 
@@ -209,14 +256,24 @@ def generate_wrapper(
     source shows no usable template structure, or when the SOD is not even
     partially matchable against the inferred template.
 
-    ``token_pages`` and ``annotation_types`` let the caller reuse one
-    tokenization/annotation scan across the support-variation loop (the
-    sample never changes between supports); both are recomputed here when
-    not given.
+    ``sample`` carries the support-independent work across the
+    support-variation loop (see :class:`WrapperSample`): each call then
+    only filters the classes for its support and reruns the record-class
+    selection.  Template alignment and SOD matching run once per distinct
+    record class; a support that lands on a class seen before gets that
+    wrapper with its own ``support``, or the same discard.  Without a
+    sample, this call tokenizes ``sample_regions`` and does all the work.
     """
     config = config or WrapperConfig()
-    if annotation_types is None:
-        annotation_types = annotation_types_on(sample_regions)
+    if sample is None:
+        sample = WrapperSample(
+            [
+                tokenize_element(region, page_index=index)
+                for index, region in enumerate(sample_regions)
+            ],
+            annotation_types_on(sample_regions),
+            min_support=config.support,
+        )
 
     # Hoisted early-stop (Section III-E): when no template over these pages
     # can ever partially match the SOD, skip the whole EQ/template
@@ -225,28 +282,48 @@ def generate_wrapper(
     # and discard with the same reason.
     if config.use_annotations:
         required = {entity.name for entity in required_entity_types(sod)}
-        if required and never_partially_matchable(sod, annotation_types):
+        if required and never_partially_matchable(sod, sample.annotation_types):
             raise SourceDiscardedError(
                 source,
                 stage="wrapper",
                 reason="no partial SOD matching can be completed on this template",
             )
 
-    if token_pages is None:
-        token_pages = [
-            tokenize_element(region, page_index=index)
-            for index, region in enumerate(sample_regions)
-        ]
     segmentation = segment_records(
-        token_pages,
+        sample.token_pages,
         min_support=config.support,
         min_similarity=config.min_record_similarity,
+        sweep=sample.sweep,
     )
     if segmentation is None:
         raise SourceDiscardedError(
             source, stage="wrapper", reason="no repeating template structure found"
         )
-    records, single = _spans_to_records(token_pages, segmentation)
+    key = (id(segmentation.record_class), replace(config, support=0))
+    outcome = sample.outcomes.get(key)
+    if outcome is None:
+        try:
+            outcome = _wrapper_for(source, sod, config, sample, segmentation)
+        except SourceDiscardedError as exc:
+            sample.outcomes[key] = (exc.stage, exc.reason)
+            raise
+        sample.outcomes[key] = outcome
+        return outcome
+    if isinstance(outcome, Wrapper):
+        return replace(outcome, support=config.support)
+    stage, reason = outcome
+    raise SourceDiscardedError(source, stage=stage, reason=reason)
+
+
+def _wrapper_for(
+    source: str,
+    sod: SodType,
+    config: WrapperConfig,
+    sample: WrapperSample,
+    segmentation: RecordSegmentation,
+) -> Wrapper:
+    """Align the segmented records into a template and match the SOD."""
+    records, single = _spans_to_records(sample.token_pages, segmentation)
     if not records:
         raise SourceDiscardedError(
             source, stage="wrapper", reason="record segmentation produced no records"
@@ -262,7 +339,7 @@ def generate_wrapper(
     if config.use_annotations:
         required = {entity.name for entity in required_entity_types(sod)}
         if required and not partially_matchable(
-            sod, template, annotation_types, config.generalization_threshold
+            sod, template, sample.annotation_types, config.generalization_threshold
         ):
             raise SourceDiscardedError(
                 source,
@@ -292,5 +369,5 @@ def generate_wrapper(
         is_list_source=segmentation.is_list_source,
         support=config.support,
         conflicts=template.conflicts,
-        annotation_types_seen=annotation_types,
+        annotation_types_seen=sample.annotation_types,
     )

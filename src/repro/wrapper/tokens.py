@@ -66,9 +66,9 @@ class TokenTable:
         return list(self._ids)
 
 
-@dataclass
+@dataclass(slots=True)
 class PageToken:
-    """One token occurrence on a page."""
+    """One token occurrence on a page (slotted: a sample holds many)."""
 
     kind: str
     value: str
@@ -194,51 +194,44 @@ def tokenize_element(
     one table across the pages of a source so role ids are comparable).
     """
     tokens: list[PageToken] = []
+    append = tokens.append
     if table is None:
         table = TokenTable()
     intern = table.intern
 
+    # PageToken fields are passed positionally (kind, value, path,
+    # annotations, text_node, element, attr_class, role_id): keyword
+    # arguments cost about twice as much per token on this hot path.
     def visit(node: Element, path: str) -> None:
+        tag = node.tag
         attr_class = node.attributes.get("class", "")
         node_annotations = frozenset(node.annotations)
-        tokens.append(
+        append(
             PageToken(
-                kind=KIND_OPEN,
-                value=node.tag,
-                path=path,
-                annotations=node_annotations,
-                element=node,
-                attr_class=attr_class,
-                role_id=intern((KIND_OPEN, node.tag, path, attr_class)),
+                KIND_OPEN, tag, path, node_annotations, None, node,
+                attr_class, intern((KIND_OPEN, tag, path, attr_class)),
             )
         )
         for child in node.children:
             if isinstance(child, Text):
                 if not include_words:
                     continue
+                # One frozen annotation set per text node, shared by its words.
+                text_annotations = frozenset(child.annotations)
                 for word in tokenize_words(child.text):
-                    tokens.append(
+                    append(
                         PageToken(
-                            kind=KIND_WORD,
-                            value=word,
-                            path=path,
-                            annotations=frozenset(child.annotations),
-                            text_node=child,
-                            role_id=intern((KIND_WORD, word, path, "")),
+                            KIND_WORD, word, path, text_annotations, child,
+                            None, "", intern((KIND_WORD, word, path, "")),
                         )
                     )
                 continue
             assert isinstance(child, Element)
             visit(child, f"{path}/{child.tag}")
-        tokens.append(
+        append(
             PageToken(
-                kind=KIND_CLOSE,
-                value=node.tag,
-                path=path,
-                annotations=node_annotations,
-                element=node,
-                attr_class=attr_class,
-                role_id=intern((KIND_CLOSE, node.tag, path, attr_class)),
+                KIND_CLOSE, tag, path, node_annotations, None, node,
+                attr_class, intern((KIND_CLOSE, tag, path, attr_class)),
             )
         )
 
