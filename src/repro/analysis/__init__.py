@@ -4,7 +4,7 @@ The staged pipeline promises byte-identical parallel/serial multi-source
 runs and reproducible extraction given a seed; nothing in Python enforces
 that.  This package is the enforcement: an AST-based rule engine
 (:mod:`repro.analysis.engine`) with determinism, stage-contract and
-concurrency rules (:mod:`repro.analysis.rules`), inline ``# repro:
+process-boundary rules (:mod:`repro.analysis.rules`), inline ``# repro:
 ignore[RULE-ID]`` suppressions, a committed baseline of justified
 findings (:mod:`repro.analysis.baseline`), schema-contract inference
 over every serialized-artifact boundary (:mod:`repro.analysis.schemas`,
@@ -22,7 +22,6 @@ from repro.analysis.baseline import (
     save_baseline,
     updated_baseline,
 )
-from repro.analysis.cache import ResultCache, content_hash
 from repro.analysis.cli import main
 from repro.analysis.dataflow import FunctionSummary, TaintAnalyzer, TaintFlow
 from repro.analysis.engine import (
@@ -59,7 +58,6 @@ __all__ = [
     "FunctionSummary",
     "ProjectGraph",
     "ProjectSchemas",
-    "ResultCache",
     "Rule",
     "TaintAnalyzer",
     "TaintFlow",
@@ -67,7 +65,6 @@ __all__ = [
     "analyze_paths",
     "apply_baseline",
     "build_rules",
-    "content_hash",
     "load_baseline",
     "load_snapshot",
     "main",

@@ -30,10 +30,12 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from repro.analysis.engine import (
+    PARSE_RULE_ID,
     STATUS_BASELINED,
     STATUS_OPEN,
     AnalysisReport,
     Finding,
+    rule_registry,
 )
 
 BASELINE_VERSION = 1
@@ -75,7 +77,12 @@ class BaselineError(ValueError):
 
 
 def load_baseline(path: Path) -> list[BaselineEntry]:
-    """Parse a baseline file (missing file means an empty baseline)."""
+    """Parse a baseline file (missing file means an empty baseline).
+
+    An entry naming a rule id that is neither registered nor the parse
+    finding ``E001`` is an error: no run could ever match or expire it,
+    so it would otherwise sit in the file unnoticed.
+    """
     if not path.exists():
         return []
     try:
@@ -100,6 +107,13 @@ def load_baseline(path: Path) -> list[BaselineEntry]:
             raise BaselineError(
                 f"{path}: malformed entry {raw!r} (need rule/path/snippet)"
             ) from exc
+    known = set(rule_registry()) | {PARSE_RULE_ID}
+    unknown = sorted({e.rule for e in entries} - known)
+    if unknown:
+        raise BaselineError(
+            f"{path}: entries name unknown rule(s) {', '.join(unknown)} "
+            f"(known: {', '.join(sorted(known))})"
+        )
     return entries
 
 
@@ -116,17 +130,14 @@ def save_baseline(path: Path, entries: list[BaselineEntry]) -> None:
 def entries_in_scope(
     entries: list[BaselineEntry],
     prefixes: list[str] | None,
-    only: set[str] | None = None,
     rules: set[str] | None = None,
 ) -> tuple[list[BaselineEntry], list[BaselineEntry]]:
     """Split entries into (in scope, out of scope) for a partial scan.
 
     ``prefixes`` are root-relative posix paths of the scanned files or
-    directories; ``only`` further restricts to an explicit file set
-    (``--changed-only``); ``rules`` restricts to the rule ids actually
-    running (``--rules``).  Entries outside the scope must neither match
-    nor expire — a scan of ``tests/`` knows nothing about ``src/``
-    entries, a changed-only scan knows nothing about unchanged files,
+    directories; ``rules`` restricts to the rule ids actually running
+    (``--rules``).  Entries outside the scope must neither match nor
+    expire — a scan of ``tests/`` knows nothing about ``src/`` entries,
     and a rule-scoped run knows nothing about other rules' findings —
     and ``--update-baseline`` carries them over verbatim.
     """
@@ -136,9 +147,7 @@ def entries_in_scope(
             for p in prefixes
         ):
             return False
-        if rules is not None and entry.rule not in rules:
-            return False
-        return only is None or entry.path in only
+        return rules is None or entry.rule in rules
 
     selected = [e for e in entries if in_scope(e)]
     rest = [e for e in entries if not in_scope(e)]

@@ -3,14 +3,11 @@
 Exit codes: 0 — clean (every finding suppressed or justified in the
 baseline); 1 — open findings, expired baseline entries, or baseline
 entries without a real reason; 2 — usage errors (bad path, bad baseline
-file, unknown rule, git failure under ``--changed-only``).
+file, unknown rule in ``--rules`` or in the baseline, bad ``--today``).
 
-Incremental modes: ``--cache FILE`` reuses per-file findings of the
-cacheable rules by content hash, and ``--changed-only`` restricts the
-checked set to files the git diff (vs ``--diff-base``, default HEAD)
-touches plus untracked files — whole-program rules still see the whole
-tree, and either mode's output stays byte-identical to a cold full run
-over the same checked set.
+Every run is one serial walk over the scanned paths; ``--rules`` and
+path arguments narrow what is checked, and baseline entries outside that
+scope neither match nor expire.
 
 Schema snapshots: ``--schemas-out FILE`` additionally writes the
 machine-readable schema-contract snapshot of
@@ -25,7 +22,6 @@ from __future__ import annotations
 import argparse
 import inspect
 import re
-import subprocess
 import sys
 from pathlib import Path
 
@@ -38,8 +34,8 @@ from repro.analysis.baseline import (
     save_baseline,
     updated_baseline,
 )
-from repro.analysis.cache import ResultCache
 from repro.analysis.engine import (
+    PARSE_RULE_ID,
     analyze_paths,
     build_rules,
     iter_rule_docs,
@@ -56,7 +52,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="reprolint",
         description=(
             "AST-based static analysis enforcing determinism, stage "
-            "contracts and concurrency safety across the repro codebase"
+            "contracts and process-boundary safety across the repro codebase"
         ),
     )
     parser.add_argument(
@@ -98,13 +94,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="run only the named rules (default: all registered rules)",
     )
     parser.add_argument(
-        "--jobs",
-        type=int,
-        default=0,
-        metavar="N",
-        help="worker threads for the file walk (0 = auto)",
-    )
-    parser.add_argument(
         "--verbose",
         action="store_true",
         help="also list suppressed and baselined findings (text format)",
@@ -119,24 +108,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="RULE_ID",
         help="print one rule's documentation (docstring, rationale, "
         "firing example) and exit",
-    )
-    parser.add_argument(
-        "--changed-only",
-        action="store_true",
-        help="check only files changed vs --diff-base (plus untracked); "
-        "cross-file analyses still see the full scanned tree",
-    )
-    parser.add_argument(
-        "--diff-base",
-        default="HEAD",
-        metavar="REF",
-        help="git ref --changed-only diffs against (default: HEAD)",
-    )
-    parser.add_argument(
-        "--cache",
-        metavar="FILE",
-        help="incremental result cache: reuse per-file findings of "
-        "content-only rules when the file's hash is unchanged",
     )
     parser.add_argument(
         "--schemas-out",
@@ -177,52 +148,6 @@ def _explain(rule_id: str) -> int:
         for line in cls.example.strip("\n").splitlines():
             print(f"    {line}")
     return 0
-
-
-def _git_lines(root: Path, *argv: str) -> list[str] | None:
-    """stdout lines of a git command run at ``root``, or None on failure."""
-    try:
-        proc = subprocess.run(
-            ["git", "-C", str(root), *argv],
-            capture_output=True,
-            text=True,
-            check=False,
-        )
-    except OSError:
-        return None
-    if proc.returncode != 0:
-        return None
-    return [line for line in proc.stdout.splitlines() if line.strip()]
-
-
-def _changed_relpaths(root: Path, diff_base: str) -> set[str] | None:
-    """Root-relative posix paths of changed + untracked Python files.
-
-    Git reports paths relative to the repository top level, which may
-    sit above ``--root``; both are normalized to root-relative form (a
-    changed file outside the root is simply out of scanning scope).
-    """
-    toplevel = _git_lines(root, "rev-parse", "--show-toplevel")
-    if not toplevel:
-        return None
-    changed = _git_lines(root, "diff", "--name-only", diff_base, "--")
-    if changed is None:
-        return None
-    untracked = _git_lines(
-        root, "ls-files", "--others", "--exclude-standard"
-    )
-    if untracked is None:
-        return None
-    top = Path(toplevel[0]).resolve()
-    out: set[str] = set()
-    for name in changed + untracked:
-        if not name.endswith(".py"):
-            continue
-        try:
-            out.add((top / name).resolve().relative_to(root).as_posix())
-        except ValueError:
-            continue
-    return out
 
 
 def _scope_prefixes(paths: list[Path], root: Path) -> list[str] | None:
@@ -300,26 +225,7 @@ def main(argv: list[str] | None = None) -> int:
         )
         return 2
 
-    only = None
-    if args.changed_only:
-        only = _changed_relpaths(root, args.diff_base)
-        if only is None:
-            print(
-                "reprolint: error: --changed-only needs a git checkout "
-                f"and a resolvable --diff-base ({args.diff_base!r})",
-                file=sys.stderr,
-            )
-            return 2
-
-    cache = None
-    if args.cache:
-        cache = ResultCache.load(Path(args.cache))
-
-    report = analyze_paths(
-        paths, root=root, rules=rules, jobs=args.jobs, cache=cache, only=only
-    )
-    if cache is not None:
-        cache.save()
+    report = analyze_paths(paths, root=root, rules=rules)
 
     if args.schemas_out:
         _write_schemas(args.schemas_out, report, paths, root)
@@ -332,13 +238,13 @@ def main(argv: list[str] | None = None) -> int:
         except BaselineError as exc:
             print(f"reprolint: error: {exc}", file=sys.stderr)
             return 2
-    # A partial scan (subset paths, --changed-only, --rules) must leave
-    # baseline entries it cannot see alone: they neither match nor expire.
+    # A partial scan (subset paths, --rules) must leave baseline entries
+    # it cannot see alone: they neither match nor expire.  Parse findings
+    # (E001) come from every run, whatever rules it selects.
     in_scope, out_of_scope = entries_in_scope(
         entries,
         _scope_prefixes(paths, root),
-        only,
-        {rule.rule_id for rule in rules},
+        {rule.rule_id for rule in rules} | {PARSE_RULE_ID},
     )
 
     if args.update_baseline:

@@ -3,10 +3,10 @@
 A :class:`Rule` inspects one parsed file (:class:`FileContext`) and yields
 :class:`Finding` objects.  The engine owns everything around that:
 collecting the Python files of a scan root, parsing each once, dispatching
-every registered rule over the tree (in parallel across files, with a
-deterministic result order), honouring ``# repro: ignore[RULE-ID]``
-suppression comments, and folding in the committed baseline of
-grandfathered findings (:mod:`repro.analysis.baseline`).
+every registered rule over the tree (one serial walk in sorted file
+order), honouring ``# repro: ignore[RULE-ID]`` suppression comments, and
+folding in the committed baseline of grandfathered findings
+(:mod:`repro.analysis.baseline`).
 
 Rules register themselves with :func:`register_rule`, mirroring the stage
 registry of :mod:`repro.core.pipeline`; importing
@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import ast
 import re
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator
@@ -118,16 +117,12 @@ class Rule:
     #: ``reprolint --explain RULE-ID``.  Every registered rule must set
     #: one (enforced by test_explain_catalog_complete).
     example: str = ""
-    #: True when findings depend on nothing but one file's content, which
-    #: lets the incremental :mod:`repro.analysis.cache` reuse them.
-    #: Whole-program rules must leave this False.
-    cacheable: bool = False
     #: True when the rule wants the shared :class:`ProjectGraph`; the
     #: engine builds it once per run and calls :meth:`prepare_graph`.
     requires_graph: bool = False
 
     def prepare(self, root: Path, files: list[Path]) -> None:
-        """One-time hook before the (parallel) walk; cross-file setup."""
+        """One-time hook before the file walk; cross-file setup."""
 
     def prepare_graph(self, graph) -> None:
         """Receive the shared project graph (requires_graph rules only)."""
@@ -240,21 +235,28 @@ def _relpath(path: Path, root: Path) -> str:
         return path.as_posix()
 
 
-def _parse_context(path: Path, root: Path) -> FileContext | Finding:
-    """Parse one file into a FileContext, or the E001 finding if it fails."""
+def analyze_file(
+    path: Path, root: Path, rules: Iterable[Rule]
+) -> list[Finding]:
+    """All findings of all rules for one file (suppressions applied).
+
+    A file that does not parse yields its single E001 finding instead.
+    """
     relpath = _relpath(path, root)
     source = path.read_text(encoding="utf-8")
     try:
         tree = ast.parse(source, filename=str(path))
     except SyntaxError as exc:
-        return Finding(
-            rule=PARSE_RULE_ID,
-            path=relpath,
-            line=exc.lineno or 1,
-            col=(exc.offset or 1) - 1,
-            message=f"file does not parse: {exc.msg}",
-        )
-    return FileContext(
+        return [
+            Finding(
+                rule=PARSE_RULE_ID,
+                path=relpath,
+                line=exc.lineno or 1,
+                col=(exc.offset or 1) - 1,
+                message=f"file does not parse: {exc.msg}",
+            )
+        ]
+    ctx = FileContext(
         path=path,
         relpath=relpath,
         source=source,
@@ -262,66 +264,11 @@ def _parse_context(path: Path, root: Path) -> FileContext | Finding:
         tree=tree,
         root=root,
     )
-
-
-def _run_rules(ctx: FileContext, rules: Iterable[Rule]) -> list[Finding]:
     findings: list[Finding] = []
     for rule in rules:
         findings.extend(rule.check_file(ctx))
     findings.sort(key=lambda f: (f.line, f.col, f.rule))
     _apply_suppressions(ctx, findings)
-    return findings
-
-
-def analyze_file(
-    path: Path, root: Path, rules: Iterable[Rule]
-) -> list[Finding]:
-    """All findings of all rules for one file (suppressions applied)."""
-    ctx = _parse_context(path, root)
-    if isinstance(ctx, Finding):
-        return [ctx]
-    return _run_rules(ctx, rules)
-
-
-def _analyze_file_cached(
-    path: Path, root: Path, rules: list[Rule], cache
-) -> list[Finding]:
-    """analyze_file with the cacheable-rule split through a ResultCache.
-
-    Cacheable rules (content-only) are served from the cache on a
-    content-hash hit; whole-program rules always run fresh.  The merged
-    list is re-sorted by ``(line, col, rule)``, so a warm run produces
-    byte-identical output to a cold one.
-    """
-    from repro.analysis.cache import content_hash
-
-    ctx = _parse_context(path, root)
-    if isinstance(ctx, Finding):
-        parse_finding = ctx
-        cache.store(
-            parse_finding.path,
-            content_hash(path.read_text(encoding="utf-8")),
-            [r.rule_id for r in rules if r.cacheable],
-            [parse_finding],
-            parse_failed=True,
-        )
-        return [parse_finding]
-    cacheable = [r for r in rules if r.cacheable]
-    fresh_rules = [r for r in rules if not r.cacheable]
-    digest = content_hash(ctx.source)
-    rule_ids = [r.rule_id for r in cacheable]
-    hit = cache.lookup(ctx.relpath, digest, rule_ids)
-    if hit is not None:
-        cached_findings, parse_failed = hit
-        if parse_failed:  # content re-parsed fine; treat as stale
-            hit = None
-        else:
-            findings = cached_findings
-    if hit is None:
-        findings = _run_rules(ctx, cacheable)
-        cache.store(ctx.relpath, digest, rule_ids, findings)
-    findings = findings + _run_rules(ctx, fresh_rules)
-    findings.sort(key=lambda f: (f.line, f.col, f.rule))
     return findings
 
 
@@ -366,23 +313,13 @@ def analyze_paths(
     paths: Iterable[Path],
     root: Path | None = None,
     rules: Iterable[Rule] | None = None,
-    jobs: int = 0,
-    cache=None,
-    only: set[str] | None = None,
 ) -> AnalysisReport:
     """Run the rules over every Python file under ``paths``.
 
-    Files are analyzed on a thread pool (``jobs`` workers; 0 picks a
-    sensible default) but results keep the sorted file order, so the
-    report is byte-identical to a serial run — the engine holds itself to
-    the determinism bar it enforces.
-
-    ``cache`` is an optional :class:`repro.analysis.cache.ResultCache`
-    serving cacheable-rule findings by content hash.  ``only`` restricts
-    which files are *checked* to the given root-relative posix paths
-    (``--changed-only``); cross-file preparation — ``prepare`` and the
-    shared project graph — still sees every collected file, so
-    whole-program rules keep their whole-program view.
+    Files are analyzed one after another in sorted order, so the report
+    is deterministic — the engine holds itself to the determinism bar it
+    enforces.  Cross-file preparation (``prepare`` and the shared project
+    graph) runs once, before the walk, over every collected file.
     """
     root = (root or Path.cwd()).resolve()
     rule_list = list(rules) if rules is not None else build_rules()
@@ -397,34 +334,11 @@ def analyze_paths(
         for rule in rule_list:
             if rule.requires_graph:
                 rule.prepare_graph(shared_graph)
-    if cache is not None:
-        # Prune against the full collection, not the checked subset, so a
-        # --changed-only run never evicts entries for unchanged files.
-        cache.prune({_relpath(f, root) for f in files})
-    if only is not None:
-        files = [f for f in files if _relpath(f, root) in only]
     report = AnalysisReport(
         root=root, files_scanned=len(files), graph=shared_graph
     )
-    if not files:
-        return report
-
-    if cache is not None:
-        def run_one(path: Path) -> list[Finding]:
-            return _analyze_file_cached(path, root, rule_list, cache)
-    else:
-        def run_one(path: Path) -> list[Finding]:
-            return analyze_file(path, root, rule_list)
-
-    workers = jobs if jobs > 0 else min(8, len(files))
-    if workers > 1 and len(files) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(run_one, path) for path in files]
-            per_file = [future.result() for future in futures]
-    else:
-        per_file = [run_one(path) for path in files]
-    for findings in per_file:
-        report.findings.extend(findings)
+    for path in files:
+        report.findings.extend(analyze_file(path, root, rule_list))
     return report
 
 

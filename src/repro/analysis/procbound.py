@@ -39,7 +39,7 @@ reconstructs those facts statically from the shared
 Everything here is conservative in the graph's spirit: only statically
 obvious facts are asserted, and analysis unknowns stay quiet rather than
 flagging.  All iteration orders are sorted, so the derived findings are
-byte-identical across cold, cached and changed-only runs.  The rules
+byte-identical from run to run over the same tree.  The rules
 consuming this pass live in :mod:`repro.analysis.rules.procbound`.
 """
 
@@ -91,7 +91,7 @@ _MUTATION_EXEMPT = frozenset(
     {"__init__", "__new__", "__post_init__", "__setstate__"}
 )
 
-#: Mutating container methods (mirrors the T301 concurrency rule).
+#: Container methods that mutate their receiver in place.
 MUTATING_METHODS = frozenset(
     {
         "append",

@@ -11,7 +11,6 @@ Rule id    Check
 ``D106``   tainted (clock/RNG/env/set-order) value reaching an artifact
 ``C201``   stage context access outside the declared reads/writes
 ``C202``   undeclared context access through helpers the stage calls
-``T301``   module-level state written by pool-reachable code
 ``E401``   exception-contract violation in stage-reachable code
 ``A501``   public-API drift (broken export / unreachable symbol)
 ``S501``   writer/reader key drift in a serialized-artifact family
@@ -24,9 +23,9 @@ Rule id    Check
 ``P604``   order-sensitive merge fold over process-shard results
 =========  ==============================================================
 
-D101–D105 are per-file (and cacheable by content hash); D106, C202,
-T301, E401, A501, the S-rules and the P-rules are whole-program rules
-built on the shared :class:`repro.analysis.graph.ProjectGraph` (D106
+D101–D105 are per-file; D106, C202, E401, A501, the S-rules and the
+P-rules are whole-program rules built on the shared
+:class:`repro.analysis.graph.ProjectGraph` (D106
 adds the taint pass of :mod:`repro.analysis.dataflow`; S501–S504 add
 the schema-contract pass of :mod:`repro.analysis.schemas`; P601–P604
 add the process-boundary pass of :mod:`repro.analysis.procbound`).
@@ -35,7 +34,6 @@ The full catalog with rationale and examples lives in
 """
 
 from repro.analysis.rules.api import ApiDriftRule
-from repro.analysis.rules.concurrency import SharedStateRule
 from repro.analysis.rules.contracts import (
     ALWAYS_ALLOWED,
     StageContract,
@@ -78,7 +76,6 @@ __all__ = [
     "SchemaDriftRule",
     "SchemaVersionRule",
     "SetOrderRule",
-    "SharedStateRule",
     "SplitBrainGlobalRule",
     "StageContract",
     "StageContractRule",

@@ -60,7 +60,6 @@ class UnseededRandomRule(Rule):
     """D101: the stdlib ``random`` module outside ``utils/rng.py``."""
 
     rule_id = "D101"
-    cacheable = True
     title = "unseeded randomness outside utils/rng.py"
     rationale = (
         "Module-level random.* draws from process-global, unseeded state; "
@@ -112,7 +111,6 @@ class WallClockRule(Rule):
     """D102: wall-clock reads outside the observer modules."""
 
     rule_id = "D102"
-    cacheable = True
     title = "wall-clock read outside observer modules"
     rationale = (
         "time.time()/datetime.now() values differ run to run; only the "
@@ -162,7 +160,6 @@ class WallSleepRule(Rule):
     """D105: ``time.sleep`` outside ``core/faults.py``."""
 
     rule_id = "D105"
-    cacheable = True
     title = "time.sleep outside core/faults.py"
     rationale = (
         "A direct time.sleep makes tests wall-sleep and hides latency "
@@ -249,7 +246,6 @@ class SetOrderRule(Rule):
     """D103: bare set iteration feeding an ordering-sensitive sink."""
 
     rule_id = "D103"
-    cacheable = True
     title = "set iteration order leaking into ordered output"
     rationale = (
         "Set iteration order depends on PYTHONHASHSEED for strings; "
@@ -329,7 +325,6 @@ class UnsortedListingRule(Rule):
     """D104: filesystem enumeration without sorting."""
 
     rule_id = "D104"
-    cacheable = True
     title = "unsorted filesystem listing"
     rationale = (
         "os.listdir/Path.glob/iterdir order is filesystem-dependent; wrap "

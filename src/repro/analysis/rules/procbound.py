@@ -24,10 +24,9 @@ the invariants the process backend's byte-identity claim rests on:
   order-pinned ``adopt_*``/``apply_to`` path, making the merge depend on
   shard order rather than input order.
 
-All four are whole-program rules (``requires_graph``), non-cacheable and
-deterministic: the boundary pass iterates the shared project graph in
-sorted order, so cold, ``--cache`` and ``--changed-only`` runs produce
-byte-identical findings.
+All four are whole-program rules (``requires_graph``) and deterministic:
+the boundary pass iterates the shared project graph in sorted order, so
+repeated runs over the same tree produce byte-identical findings.
 """
 
 from __future__ import annotations
@@ -74,7 +73,6 @@ class _ProcBoundRule(Rule):
     """
 
     requires_graph = True
-    cacheable = False
 
     def __init__(self) -> None:
         self._prepared = False

@@ -26,10 +26,10 @@ and lint the *boundary* between them:
   subscripts a key absent from an older *committed* document of that
   family; running it against history would crash.
 
-All four are whole-program rules (``requires_graph``), non-cacheable,
-and deterministic: the contract pass iterates the shared project graph
-in sorted order, so cold, ``--cache`` and ``--changed-only`` runs
-produce byte-identical findings and snapshots.
+All four are whole-program rules (``requires_graph``) and
+deterministic: the contract pass iterates the shared project graph in
+sorted order, so repeated runs over the same tree produce byte-identical
+findings and snapshots.
 """
 
 from __future__ import annotations
@@ -113,7 +113,6 @@ class _SchemaRule(Rule):
     """
 
     requires_graph = True
-    cacheable = False
 
     def __init__(self) -> None:
         self._prepared = False

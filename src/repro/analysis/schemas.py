@@ -41,8 +41,8 @@ The S-rules (:mod:`repro.analysis.rules.schema`) consume the inferred
 as the committed, machine-readable ``schemas.json`` snapshot that S502
 diffs shapes against.  Inference only reads the shared
 :class:`~repro.analysis.graph.ProjectGraph` and iterates it in sorted
-order, so its output is byte-identical between cold, ``--cache`` and
-``--changed-only`` runs.
+order, so its output is byte-identical from run to run over the same
+tree.
 """
 
 from __future__ import annotations

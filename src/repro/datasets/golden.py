@@ -80,8 +80,9 @@ class _DomainPools:
 
 #: Built eagerly at import time so no function ever rebinds a
 #: module-level name — gold generation is reachable from the bench
-#: sweep's worker pools, and reprolint T301 bans pool-reachable global
-#: rebinding (the same pattern as ``metrics.registry._DEFAULT_REGISTRY``).
+#: sweep's worker processes, and reprolint's P603 allowlists it as an
+#: eager, never-written singleton whose per-worker copy is by design
+#: (the same pattern as ``metrics.registry._DEFAULT_REGISTRY``).
 _SHARED_POOLS = _DomainPools()
 
 

@@ -106,12 +106,6 @@ _CAR_BRANDS = [
     "Chrysler", "Dodge", "Buick", "Pontiac", "Mitsubishi",
 ]
 
-_CAR_MODELS = [
-    "Sierra", "Vista", "Pulse", "Summit", "Ranger", "Atlas", "Orbit",
-    "Mirage", "Solstice", "Cascade", "Tracer", "Meridian", "Falcon",
-    "Monarch", "Pioneer",
-]
-
 
 def _unique(values: list[str], limit: int) -> list[str]:
     seen: set[str] = set()
@@ -187,12 +181,6 @@ def car_brand_pool(size: int = 20, seed: str = "brands") -> list[str]:
     """Car makes."""
     __ = seed
     return list(_CAR_BRANDS[:size])
-
-
-def car_model_pool(size: int = 15, seed: str = "models") -> list[str]:
-    """Car model names (noise fields on car sites)."""
-    __ = seed
-    return list(_CAR_MODELS[:size])
 
 
 def street_address(rng: DeterministicRng) -> str:

@@ -230,8 +230,9 @@ class MetricsRegistry:
 
 #: Process-wide registry for library-internal health counters (for
 #: example the grading layer's negative-missed clamp).  Created eagerly
-#: at import time so no function ever rebinds a module-level name
-#: (keeping reprolint's T301 shared-state rule quiet by construction).
+#: at import time so no function ever rebinds a module-level name: each
+#: worker process gets its own copy, which reprolint's P603 allowlists
+#: as an eager singleton (worker counts travel home as snapshots).
 _DEFAULT_REGISTRY = MetricsRegistry()
 
 

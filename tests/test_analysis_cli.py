@@ -60,7 +60,7 @@ class TestExitCodes:
         out = capsys.readouterr().out
         for rule_id in (
             "D101", "D102", "D103", "D104", "D105", "D106",
-            "C201", "C202", "T301", "E401", "A501",
+            "C201", "C202", "E401", "A501",
         ):
             assert rule_id in out
 
@@ -131,6 +131,42 @@ class TestBaselineWorkflow:
         assert run(tmp_path, src, "--update-baseline") == 0
         data = json.loads(baseline.read_text(encoding="utf-8"))
         assert {e["reason"] for e in data["entries"]} == {"kept on purpose"}
+
+    def test_entry_for_unknown_rule_exits_two(self, tmp_path, capsys):
+        # An entry no registered rule can produce would never match and
+        # never expire; it must fail loudly instead of hiding.
+        src = project(tmp_path, CLEAN)
+        (tmp_path / "bl.json").write_text(
+            json.dumps(
+                {
+                    "version": 1,
+                    "entries": [
+                        {
+                            "rule": "X999",
+                            "path": "src/mod.py",
+                            "snippet": "VALUE = 1",
+                            "reason": "no such rule",
+                        }
+                    ],
+                }
+            ),
+            encoding="utf-8",
+        )
+        assert run(tmp_path, src) == 2
+        assert "unknown rule(s) X999" in capsys.readouterr().err
+        assert run(tmp_path, src, "--update-baseline") == 2
+        assert "X999" in (tmp_path / "bl.json").read_text(encoding="utf-8")
+
+    def test_parse_error_entry_matches_and_expires(self, tmp_path, capsys):
+        # E001 comes from the engine, not a registered rule; its entries
+        # are known and in scope like any other rule's.
+        src = project(tmp_path, "def broken(:\n")
+        assert run(tmp_path, src, "--update-baseline") == 0
+        assert '"E001"' in (tmp_path / "bl.json").read_text(encoding="utf-8")
+        (src / "mod.py").write_text(CLEAN, encoding="utf-8")
+        capsys.readouterr()
+        assert run(tmp_path, src) == 1
+        assert "expired" in capsys.readouterr().out
 
     def test_no_baseline_flag_ignores_file(self, tmp_path):
         src = project(tmp_path)
@@ -290,107 +326,40 @@ class TestSarifOutput:
         assert doc["runs"][0]["results"] == []
 
 
-class TestIncrementalCli:
-    def test_cold_and_warm_cache_output_byte_identical(
-        self, tmp_path, capsys
-    ):
-        src = project(tmp_path)
-        cache = tmp_path / "cache.json"
-        argv = ["--format", "json", "--cache", str(cache)]
-        assert run(tmp_path, src, *argv) == 1
-        cold = capsys.readouterr().out
-        assert cache.exists()
-        assert run(tmp_path, src, *argv) == 1
-        assert capsys.readouterr().out == cold
-        assert run(tmp_path, src, "--format", "json") == 1
-        assert capsys.readouterr().out == cold  # and identical to no-cache
+class TestPartialScan:
+    """Baseline entries outside a path or --rules scope are left alone."""
 
-
-def _git(cwd, *argv):
-    import subprocess
-
-    subprocess.run(
-        ["git", "-C", str(cwd), *argv],
-        check=True,
-        capture_output=True,
-        env={
-            "PATH": "/usr/bin:/bin",
-            "GIT_AUTHOR_NAME": "t",
-            "GIT_AUTHOR_EMAIL": "t@example.com",
-            "GIT_COMMITTER_NAME": "t",
-            "GIT_COMMITTER_EMAIL": "t@example.com",
-            "HOME": str(cwd),
-        },
-    )
-
-
-class TestChangedOnly:
-    def _repo(self, tmp_path):
+    def _baselined(self, tmp_path):
         src = tmp_path / "src"
         src.mkdir()
         (src / "stable.py").write_text(DIRTY, encoding="utf-8")
         (src / "touched.py").write_text(CLEAN, encoding="utf-8")
-        _git(tmp_path, "init", "-q")
-        _git(tmp_path, "add", "-A")
-        _git(tmp_path, "commit", "-qm", "seed")
-        return src
-
-    def test_scans_only_files_the_diff_names(self, tmp_path, capsys):
-        src = self._repo(tmp_path)
-        (src / "touched.py").write_text(
-            CLEAN + "\n\n_extra = double(2)\n", encoding="utf-8"
-        )
-        assert run(tmp_path, src, "--changed-only") == 0
-        out = capsys.readouterr().out
-        # stable.py's D101 violation is out of scope: only 1 file scanned.
-        assert "1 files" in out
-        assert "D101" not in out
-
-    def test_untracked_files_are_in_scope(self, tmp_path, capsys):
-        src = self._repo(tmp_path)
-        (src / "fresh.py").write_text(DIRTY, encoding="utf-8")
-        assert run(tmp_path, src, "--changed-only") == 1
-        out = capsys.readouterr().out
-        assert "src/fresh.py" in out and "src/stable.py" not in out
-
-    def test_matches_scripted_git_diff(self, tmp_path):
-        from repro.analysis.cli import _changed_relpaths
-
-        src = self._repo(tmp_path)
-        (src / "touched.py").write_text("TOUCHED = 1\n", encoding="utf-8")
-        (src / "fresh.py").write_text("FRESH = 1\n", encoding="utf-8")
-        changed = _changed_relpaths(tmp_path, "HEAD")
-        assert changed == {"src/touched.py", "src/fresh.py"}
-
-    def test_unchanged_baseline_entries_survive_partial_scan(
-        self, tmp_path, capsys
-    ):
-        src = self._repo(tmp_path)
-        # Baseline stable.py's findings, then change only touched.py: the
-        # partial run must neither expire nor re-match stable.py's entry,
-        # and --update-baseline must carry it over verbatim.
         assert run(tmp_path, src, "--update-baseline") == 0
         baseline = tmp_path / "bl.json"
         data = json.loads(baseline.read_text(encoding="utf-8"))
+        assert data["entries"]
         for entry in data["entries"]:
             entry["reason"] = "kept"
         baseline.write_text(json.dumps(data), encoding="utf-8")
+        return baseline
 
-        (src / "touched.py").write_text(
-            CLEAN + "\n\n_extra = double(2)\n", encoding="utf-8"
-        )
+    @pytest.mark.parametrize(
+        "scope",
+        [("src/touched.py",), ("src", "--rules", "D104")],
+        ids=["path", "rules"],
+    )
+    def test_out_of_scope_entries_neither_expire_nor_drop(
+        self, tmp_path, capsys, scope
+    ):
+        baseline = self._baselined(tmp_path)
+        before = json.loads(baseline.read_text(encoding="utf-8"))
+        target, *extra = scope
         capsys.readouterr()
-        assert run(tmp_path, src, "--changed-only") == 0
+        assert run(tmp_path, tmp_path / target, *extra) == 0
         assert "expired" not in capsys.readouterr().out
 
-        assert run(tmp_path, src, "--changed-only", "--update-baseline") == 0
-        data = json.loads(baseline.read_text(encoding="utf-8"))
-        assert data["entries"], "out-of-scope entries must be carried over"
-        assert {e["reason"] for e in data["entries"]} == {"kept"}
-
-    def test_no_git_repo_exits_two(self, tmp_path, capsys, monkeypatch):
-        src = project(tmp_path, CLEAN)
-        monkeypatch.setenv("GIT_DIR", str(tmp_path / "nope"))
-        monkeypatch.setenv("GIT_CEILING_DIRECTORIES", str(tmp_path))
-        assert run(tmp_path, src, "--changed-only") == 2
-        assert "--changed-only" in capsys.readouterr().err
+        assert run(
+            tmp_path, tmp_path / target, *extra, "--update-baseline"
+        ) == 0
+        after = json.loads(baseline.read_text(encoding="utf-8"))
+        assert after["entries"] == before["entries"]

@@ -238,7 +238,7 @@ def run_transitive_rule(tmp_path, files):
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(textwrap.dedent(source), encoding="utf-8")
     report = analyze_paths(
-        [tmp_path], root=tmp_path, rules=build_rules(["C202"]), jobs=1
+        [tmp_path], root=tmp_path, rules=build_rules(["C202"])
     )
     return [f for f in report.findings if f.rule == "C202"]
 

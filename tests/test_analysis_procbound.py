@@ -2,22 +2,18 @@
 
 Every rule gets seeded-regression fixtures proving it fires (including
 the PR 9 miss-counter bug shape for P602) and negative twins proving it
-stays quiet on conforming code; the pass itself is pinned byte-identical
-between cold, ``--cache`` and ``--changed-only`` runs.
+stays quiet on conforming code.
 """
 
-import subprocess
 import textwrap
 from pathlib import Path
 
 import pytest
 
 from repro.analysis import analyze_paths, build_rules
-from repro.analysis.cli import main
 from repro.analysis.engine import collect_files
 from repro.analysis.graph import ProjectGraph
 from repro.analysis.procbound import ProcessBoundaryAnalysis, process_boundary
-from repro.analysis.rules.concurrency import SharedStateRule
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -570,62 +566,13 @@ class TestSuppressionAndBaseline:
         assert report.by_status("suppressed")
 
 
-class TestByteIdentity:
-    def run_cli(self, tmp_path, *extra):
-        return main(
-            [
-                str(tmp_path / "backend"),
-                "--root",
-                str(tmp_path),
-                "--no-baseline",
-                "--rules",
-                P_RULES,
-                "--format",
-                "json",
-                *extra,
-            ]
-        )
-
-    def test_cold_cache_changed_only_byte_identical(
-        self, tmp_path, capsys, monkeypatch
-    ):
-        write_tree(tmp_path, {"backend/runner.py": MISS_COUNTER_BUG})
-        subprocess.run(["git", "init", "-q"], cwd=tmp_path, check=True)
-        subprocess.run(["git", "add", "-A"], cwd=tmp_path, check=True)
-        subprocess.run(
-            ["git", "-c", "user.email=t@t", "-c", "user.name=t",
-             "commit", "-qm", "seed"],
-            cwd=tmp_path,
-            check=True,
-        )
-        monkeypatch.chdir(tmp_path)
-        outputs = {}
-        for label, extra in {
-            "cold": (),
-            "warm": ("--cache", str(tmp_path / "cache.json")),
-            "warm2": ("--cache", str(tmp_path / "cache.json")),
-        }.items():
-            assert self.run_cli(tmp_path, *extra) == 1
-            outputs[label] = capsys.readouterr().out
-        # Touch the fixture so --changed-only re-checks it.
-        runner = tmp_path / "backend" / "runner.py"
-        runner.write_text(
-            runner.read_text(encoding="utf-8") + "\n", encoding="utf-8"
-        )
-        assert self.run_cli(tmp_path, "--changed-only") == 1
-        outputs["changed"] = capsys.readouterr().out
-        assert outputs["warm"] == outputs["cold"]
-        assert outputs["warm2"] == outputs["cold"]
-        assert outputs["changed"] == outputs["cold"]
-
-
 class TestRepoCoverage:
     """The boundary analyses still see the repository's real fan-out.
 
     Both batch callers hand their item functions to the executor; the
-    analyses must keep finding the dispatch sites, the worker-side item
-    functions and the modules T301 guards, or lint coverage silently
-    shrinks while the tree stays "clean".
+    analyses must keep finding the dispatch sites and the worker-side
+    item functions, or lint coverage silently shrinks while the tree
+    stays "clean".
     """
 
     @pytest.fixture(scope="class")
@@ -652,20 +599,3 @@ class TestRepoCoverage:
             "repro.registry.store:StagedRegistryView.export",
         ):
             assert qualname in reachable, qualname
-
-    def test_t301_reaches_the_analysis_pool_and_the_pipeline(self, graph):
-        # The analysis engine holds the only thread pool under src; T301
-        # must still cover it, the rule modules it runs, and the pipeline
-        # those rules import.
-        rule = SharedStateRule()
-        rule.prepare_graph(graph)
-        src = (REPO_ROOT / "src").resolve()
-        reached = {
-            Path(path).resolve().relative_to(src).as_posix()
-            for path in rule._reachable_files
-        }
-        assert {
-            "repro/analysis/engine.py",
-            "repro/analysis/rules/determinism.py",
-            "repro/core/pipeline.py",
-        } <= reached

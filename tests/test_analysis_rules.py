@@ -220,113 +220,6 @@ class TestUnsortedListingD104:
         )
 
 
-class TestSharedStateT301:
-    def _analyze_tree(self, tmp_path, files):
-        from repro.analysis import analyze_paths, build_rules
-
-        for name, source in files.items():
-            path = tmp_path / name
-            path.parent.mkdir(parents=True, exist_ok=True)
-            path.write_text(textwrap.dedent(source), encoding="utf-8")
-        report = analyze_paths(
-            [tmp_path], root=tmp_path, rules=build_rules(["T301"]), jobs=1
-        )
-        return [f for f in report.findings if f.rule == "T301"]
-
-    POOL = """
-        from concurrent.futures import ThreadPoolExecutor
-        import state
-
-        def run_all(items):
-            with ThreadPoolExecutor() as pool:
-                return [f.result() for f in [pool.submit(state.work, i) for i in items]]
-    """
-
-    def test_module_dict_write_in_reachable_module_flagged(self, tmp_path):
-        findings = self._analyze_tree(
-            tmp_path,
-            {
-                "poolmod.py": self.POOL,
-                "state.py": """
-                    _CACHE = {}
-
-                    def work(item):
-                        _CACHE[item] = item * 2
-                        return _CACHE[item]
-                """,
-            },
-        )
-        assert any("'_CACHE'" in f.message for f in findings)
-
-    def test_global_rebind_flagged(self, tmp_path):
-        findings = self._analyze_tree(
-            tmp_path,
-            {
-                "poolmod.py": self.POOL,
-                "state.py": """
-                    TOTAL = 0
-
-                    def work(item):
-                        global TOTAL
-                        TOTAL += item
-                        return TOTAL
-                """,
-            },
-        )
-        assert any("'TOTAL'" in f.message for f in findings)
-
-    def test_mutating_method_call_flagged(self, tmp_path):
-        findings = self._analyze_tree(
-            tmp_path,
-            {
-                "poolmod.py": self.POOL,
-                "state.py": """
-                    _SEEN = []
-
-                    def work(item):
-                        _SEEN.append(item)
-                        return item
-                """,
-            },
-        )
-        assert any("'_SEEN'" in f.message for f in findings)
-
-    def test_unreachable_module_not_flagged(self, tmp_path):
-        findings = self._analyze_tree(
-            tmp_path,
-            {
-                "poolmod.py": self.POOL,
-                "state.py": """
-                    def work(item):
-                        return item
-                """,
-                "island.py": """
-                    _CACHE = {}
-
-                    def mutate(item):
-                        _CACHE[item] = item
-                """,
-            },
-        )
-        assert not findings
-
-    def test_local_state_not_flagged(self, tmp_path):
-        findings = self._analyze_tree(
-            tmp_path,
-            {
-                "poolmod.py": self.POOL,
-                "state.py": """
-                    def work(items):
-                        cache = {}
-                        for item in items:
-                            cache[item] = item
-                        return cache
-                """,
-            },
-        )
-        assert not findings
-
-
 def analyze_tree(tmp_path, rule_id, files, scan=None):
     """Run one whole-program rule over a fixture tree.
 
@@ -342,7 +235,7 @@ def analyze_tree(tmp_path, rule_id, files, scan=None):
         path.write_text(textwrap.dedent(source), encoding="utf-8")
     target = tmp_path / scan if scan else tmp_path
     report = analyze_paths(
-        [target], root=tmp_path, rules=build_rules([rule_id]), jobs=1
+        [target], root=tmp_path, rules=build_rules([rule_id])
     )
     return [f for f in report.findings if f.rule == rule_id]
 
