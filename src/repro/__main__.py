@@ -148,7 +148,6 @@ def _cmd_extract(args: argparse.Namespace) -> int:
         params = RunParams().with_overrides(
             failure_policy=args.failure_policy,
             max_retries=args.max_retries,
-            shard=shard,
         )
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -225,11 +225,8 @@ def main(argv: list[str] | None = None) -> int:
         )
         return 2
 
-    report = analyze_paths(paths, root=root, rules=rules)
-
-    if args.schemas_out:
-        _write_schemas(args.schemas_out, report, paths, root)
-
+    # A bad baseline fails before the walk, and before --schemas-out
+    # writes anything.
     baseline_path = Path(args.baseline)
     entries: list = []
     if not args.no_baseline:
@@ -238,6 +235,12 @@ def main(argv: list[str] | None = None) -> int:
         except BaselineError as exc:
             print(f"reprolint: error: {exc}", file=sys.stderr)
             return 2
+
+    report = analyze_paths(paths, root=root, rules=rules)
+
+    if args.schemas_out:
+        _write_schemas(args.schemas_out, report, paths, root)
+
     # A partial scan (subset paths, --rules) must leave baseline entries
     # it cannot see alone: they neither match nor expire.  Parse findings
     # (E001) come from every run, whatever rules it selects.

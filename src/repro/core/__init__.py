@@ -31,7 +31,6 @@ from repro.core.params import BACKENDS, RunParams
 from repro.core.sharding import ShardSpec, stable_shard
 from repro.core.pipeline import (
     DEFAULT_STAGE_ORDER,
-    REGISTRY_STAGE_ORDER,
     EventBus,
     Pipeline,
     PipelineContext,
@@ -69,7 +68,6 @@ __all__ = [
     "register_stage",
     "stage_registry",
     "DEFAULT_STAGE_ORDER",
-    "REGISTRY_STAGE_ORDER",
     "PreprocessCache",
     "CachedPages",
     "RetryPolicy",

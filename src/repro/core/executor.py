@@ -5,11 +5,15 @@
 :class:`~repro.registry.store.StagedRegistryView` (``None`` without a
 registry).  It plans hash-mod shards, runs each shard's items in input
 order, and merges the shards in global input order, so serial and
-pooled runs give byte-identical output.  The worker count alone picks
-the pool: one worker is one in-process shard; more ship each shard as
-a :class:`ShardTask` through the caller's ``dispatch`` function to the
-caller's module-level worker-process entry, which rebuilds its worker
-from ``ShardTask.worker`` and answers with :func:`run_worker_shard`.
+pooled runs give byte-identical output.  Each item's buffered registry
+writes leave its shard as one exported
+:class:`~repro.registry.store.StagedWrites`, in-process and from a
+worker alike, and the merge replays them in input order.  The worker
+count alone picks the pool: one worker is one in-process shard; more
+send each shard, items as they are, as a :class:`ShardTask` through the
+caller's ``dispatch`` function to the caller's module-level
+worker-process entry, which rebuilds its worker from
+``ShardTask.worker`` and answers with :func:`run_worker_shard`.
 """
 
 from __future__ import annotations
@@ -61,17 +65,16 @@ class ShardResult:
 
     ``outcomes`` maps each run item to its outcome (a fail-fast shard
     stops at its first failure).  ``writes`` holds each run item's
-    buffered registry writes: live views in-process, exported
-    :class:`StagedWrites` from a worker.  Only a worker fills the
-    remaining fields, because in-process the live observers, cache and
-    registry saw everything already.
+    buffered registry writes, exported as :class:`StagedWrites`.  Only
+    a worker fills the remaining fields, because in-process the live
+    observers, cache and registry saw everything already.
     """
 
     index: int
     count: int
     wall_seconds: float
     outcomes: dict[str, Any]
-    writes: dict[str, StagedRegistryView | StagedWrites]
+    writes: dict[str, StagedWrites]
     #: Per-source metrics, for ``MetricsObserver.adopt_source``.
     registries: dict[str, "MetricsRegistry"] = field(default_factory=dict)
     registry_stats: dict[str, int] | None = None
@@ -90,21 +93,21 @@ def _run_shard(
 
     An exception becomes the item's :class:`SourceFailure`; under
     ``fail_fast`` the shard stops there.  Nothing reaches ``registry``:
-    the views buffer every write for the merge to apply.
+    the views buffer every write, exported for the merge to apply.
     """
     start = monotonic_seconds()
     outcomes: dict[str, Any] = {}
-    writes: dict[str, StagedRegistryView | StagedWrites] = {}
+    writes: dict[str, StagedWrites] = {}
     for key, item in items:
         view = StagedRegistryView(registry) if registry is not None else None
-        if view is not None:
-            writes[key] = view
         try:
             outcomes[key] = run_item(key, item, view)
         except Exception as exc:
             outcomes[key] = SourceFailure.from_exception(key, exc)
             if fail_fast:
                 break
+        if view is not None:
+            writes[key] = view.export()
     return ShardResult(
         index=index,
         count=count,
@@ -122,16 +125,14 @@ def run_worker_shard(
 ) -> ShardResult:
     """Run a process shard over the worker's own services; pack it for home.
 
-    Registry writes leave as exported :class:`StagedWrites`, metrics as
-    per-source registries, the counters of ``registry`` and of the
-    caches ``observer`` watches as plain dicts.
+    Metrics leave as per-source registries, the counters of
+    ``registry`` and of the caches ``observer`` watches as plain dicts.
     """
     shard = _run_shard(
         task.index, task.count, task.items, run_item, registry, task.fail_fast
     )
     return dataclasses.replace(
         shard,
-        writes={key: view.export() for key, view in shard.writes.items()},
         registries={
             key: observer.source_registry(key) for key in observer.sources()
         },
@@ -150,7 +151,6 @@ def run_batch(
     observers: Iterable["PipelineObserver"] = (),
     worker: Callable[[], Any] | None = None,
     dispatch: Callable[[list[ShardTask]], list[ShardResult]] | None = None,
-    ship: Callable[[Any], Any] | None = None,
 ) -> tuple[list[Any], list[ShardResult]]:
     """Run a batch over ``workers``; return its outcomes and its shards.
 
@@ -160,8 +160,8 @@ def run_batch(
     more than one item; otherwise it runs as one in-process shard.  The
     :class:`MetricsObserver` ones among ``observers`` adopt what workers
     ship home.  A fan-out needs ``worker``, called once for the
-    picklable worker spec, and ``dispatch``; ``ship`` maps an item to
-    what crosses the boundary (default: the item itself).
+    picklable worker spec, and ``dispatch``; items cross the boundary
+    as they are.
     """
     observers = [o for o in observers if isinstance(o, MetricsObserver)]
     for observer in observers:
@@ -174,10 +174,7 @@ def run_batch(
         shards = dispatch([
             ShardTask(
                 worker=spec,
-                items=tuple(
-                    (key, ship(item) if ship is not None else item)
-                    for key, item in bucket
-                ),
+                items=tuple(bucket),
                 index=index,
                 count=workers,
                 fail_fast=fail_fast,
@@ -199,7 +196,7 @@ def _merge(
 ) -> list[Any]:
     """Fold shard results in global input order; abort on a failure."""
     outcome_by_key: dict[str, Any] = {}
-    writes_by_key: dict[str, StagedRegistryView | StagedWrites] = {}
+    writes_by_key: dict[str, StagedWrites] = {}
     # Keyed per-source stores, not dict.update: each key lives in
     # exactly one shard, so the merged mappings cannot depend on the
     # shard layout.

@@ -44,7 +44,6 @@ from repro.core.executor import (
 from repro.core.params import RunParams
 from repro.core.pipeline import (
     DEFAULT_STAGE_ORDER,
-    REGISTRY_STAGE_ORDER,
     Pipeline,
     PipelineContext,
     PipelineObserver,
@@ -278,36 +277,32 @@ class ObjectRunner:
         """Fresh tidied and cleaned trees of raw HTML pages (via the cache)."""
         return list(self.cache.clean_pages(raw_pages).pages)
 
-    def _active_registry(self) -> WrapperRegistry | None:
-        """The wrapper registry, unless enrichment disables the fast path.
-
-        Enrichment passes deliberately *re-induce* with the dictionaries
-        the previous pass grew; a registry hit would defeat that loop, so
-        enrichment runs always take the classic pipeline.
-        """
-        if self.params.enrich_dictionaries:
-            return None
-        return self.wrapper_registry
-
-    def _run_registry(
+    def _run(
         self,
         source: str,
-        registry: "WrapperRegistry | StagedRegistryView",
+        registry: "WrapperRegistry | StagedRegistryView | None",
         raw_pages: Iterable[str] = (),
         pages: Iterable[Element] = (),
     ) -> SourceResult:
-        """Registry-first run with one demote-and-reinduce retry.
+        """Run one source through the pipeline as often as it needs.
 
-        If the post-extraction check demoted a stale registry wrapper,
-        the source re-runs once: the second attempt misses (the entry is
-        gone), induces a fresh wrapper and stores it.  The returned
-        ``timings`` cover both attempts.
+        Every re-run rule of a source lives here:
 
-        A discard raised during induction never reaches the store stage
-        (the pipeline stops at the discarding stage), so the write-back
-        happens here: the discard is stored as a registry tombstone under
-        the fingerprint from match time, and warm runs replay it instead
-        of re-paying the doomed induction.
+        - With ``enrich_dictionaries`` the registry is off, and the
+          whole pipeline runs ``enrichment_passes`` times, each pass
+          annotating with the dictionaries the previous one grew, until
+          a pass discards.  Enrichment deliberately *re-induces*; a
+          registry hit would defeat the loop.
+        - If the post-extraction check demoted a stale registry wrapper,
+          the source re-runs once: the second attempt misses (the entry
+          is gone), induces a fresh wrapper and stores it.
+        - A discard raised during induction never reaches the store
+          stage (the pipeline stops at the discarding stage), so it is
+          written back here: stored as a registry tombstone under the
+          fingerprint from match time, so warm runs replay it instead
+          of re-paying the doomed induction.
+
+        The returned ``timings`` cover every run.
         """
         from repro.core.stages.registry import (
             DEMOTED_KEY,
@@ -315,16 +310,23 @@ class ObjectRunner:
             ORIGIN_KEY,
         )
 
+        passes = 1
+        if self.params.enrich_dictionaries:
+            registry = None
+            passes = max(1, self.params.enrichment_passes)
         result = SourceResult(source=source)
-        for __ in range(2):
+        pass_index, reran = 0, False
+        while pass_index < passes:
             ctx = self._context(
                 source,
                 raw_pages=raw_pages,
                 pages=pages,
+                pass_index=pass_index,
+                total_passes=passes,
                 registry=registry,
                 timings=result.timings,
             )
-            result = self._build_pipeline(REGISTRY_STAGE_ORDER).run(ctx)
+            result = self._build_pipeline().run(ctx)
             if (
                 result.discarded
                 and ctx.artifacts.get(ORIGIN_KEY) == "induced"
@@ -337,8 +339,12 @@ class ObjectRunner:
                     stage=result.discard_stage,
                     reason=result.discard_reason,
                 )
-            if not ctx.artifacts.get(DEMOTED_KEY):
+            if ctx.artifacts.get(DEMOTED_KEY) and not reran:
+                reran = True
+                continue
+            if result.discarded:
                 break
+            pass_index += 1
         return result
 
     def run_source(self, source: str, raw_pages: list[str]) -> SourceResult:
@@ -355,38 +361,16 @@ class ObjectRunner:
         coverage — and with it the wrapper — improves (the paper's
         "use current annotations to discover new annotations" loop).
         Tidying/cleaning is only paid once: later passes thaw fresh trees
-        from the preprocessing cache's snapshots.  The returned
-        ``timings`` cover every pass.
+        from the preprocessing cache's snapshots.  :meth:`_run` holds the
+        re-run rules; the returned ``timings`` cover every run.
         """
-        registry = self._active_registry()
-        if registry is not None:
-            return self._run_registry(source, registry, raw_pages=raw_pages)
-        passes = max(1, self.params.enrichment_passes)
-        if not self.params.enrich_dictionaries:
-            passes = 1
-        result = SourceResult(source=source)
-        for pass_index in range(passes):
-            ctx = self._context(
-                source,
-                raw_pages=raw_pages,
-                pass_index=pass_index,
-                total_passes=passes,
-                timings=result.timings,
-            )
-            result = self._build_pipeline().run(ctx)
-            if result.discarded:
-                break
-        return result
+        return self._run(source, self.wrapper_registry, raw_pages=raw_pages)
 
     def run_source_prepared(
         self, source: str, pages: list[Element]
     ) -> SourceResult:
         """Run on already tidied/cleaned pages (shared-harness entry)."""
-        registry = self._active_registry()
-        if registry is not None:
-            return self._run_registry(source, registry, pages=pages)
-        ctx = self._context(source, pages=pages)
-        return self._build_pipeline().run(ctx)
+        return self._run(source, self.wrapper_registry, pages=pages)
 
     def extract_with(self, wrapper: Wrapper, raw_pages: list[str]) -> SourceResult:
         """Apply an existing (possibly persisted) wrapper to fresh pages.
@@ -437,21 +421,15 @@ class ObjectRunner:
         from repro.core.dedup import DedupConfig, deduplicate
 
         items = list(sources.items())
-        if self.params.shard is not None:
-            # Deterministic hash-mod membership: the same source lands in
-            # the same shard in every process, under every PYTHONHASHSEED.
-            kept = self.params.shard.partition(sources)
-            items = [(source, sources[source]) for source in kept]
         outcomes, __ = run_batch(
             items,
             self._run_item,
             workers=self._workers(),
             fail_fast=self.params.failure_policy != ISOLATE,
-            registry=self._active_registry(),
+            registry=self.wrapper_registry,
             observers=self.observers,
             worker=self._worker_spec,
             dispatch=_dispatch_shards,
-            ship=tuple,
         )
         result = pool_outcomes(items, outcomes)
         if deduplicate_across:
@@ -469,9 +447,7 @@ class ObjectRunner:
         view: StagedRegistryView | None,
     ) -> SourceResult:
         """One batch item: through its staged registry view when present."""
-        if view is not None:
-            return self._run_registry(source, view, raw_pages=raw_pages)
-        return self.run_source(source, raw_pages)
+        return self._run(source, view, raw_pages=raw_pages)
 
     def _workers(self) -> int:
         """The pool width ``run_sources`` fans out to; 1 runs in-process.
@@ -532,7 +508,7 @@ class ObjectRunner:
         root; a worker only runs items, so it never fans out again.
         """
         self._check_process_backend_support()
-        registry = self._active_registry()
+        registry = self.wrapper_registry
         kwargs = {
             "sod": self.sod,
             "registry": self.registry,

@@ -6,7 +6,6 @@ import dataclasses
 from dataclasses import dataclass
 
 from repro.core.faults import FAILURE_POLICIES
-from repro.core.sharding import ShardSpec
 
 #: Pool of a ``run_sources`` fan-out: worker processes, the only one.
 BACKENDS = ("process",)
@@ -71,12 +70,6 @@ class RunParams:
     #: own cache/metrics/registry view, merged with the order-pinned
     #: semantics, so output is byte-identical to a serial run.
     backend: str = "process"
-    #: Restrict ``run_sources`` to the sources of one deterministic
-    #: hash-mod shard (:class:`~repro.core.sharding.ShardSpec`); ``None``
-    #: runs everything.  Membership is ``PYTHONHASHSEED``-independent, so
-    #: N cooperating processes given shards 0/N .. N-1/N cover every
-    #: source exactly once.
-    shard: ShardSpec | None = None
 
     def __post_init__(self) -> None:
         """Reject out-of-range values that would silently distort runs."""
@@ -98,10 +91,6 @@ class RunParams:
             known = ", ".join(BACKENDS)
             raise ValueError(
                 f"unknown backend {self.backend!r} (known: {known})"
-            )
-        if self.shard is not None and not isinstance(self.shard, ShardSpec):
-            raise ValueError(
-                f"shard must be a ShardSpec or None, got {self.shard!r}"
             )
 
     def with_overrides(self, **kwargs) -> "RunParams":

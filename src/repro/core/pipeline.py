@@ -54,21 +54,14 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
     from repro.wrapper.tokens import TokenTable
 
 
-#: Canonical stage order, mirroring the paper's Figure 1 left to right.
+#: Canonical stage order, mirroring the paper's Figure 1 left to right,
+#: with the wrapper-registry stages around it: ``registry_match`` after
+#: pre-processing (a hit skips segmentation/annotation/wrapping),
+#: ``registry_check`` (demotes a stale registry wrapper) and
+#: ``registry_store`` (persists a freshly induced one).  The three
+#: registry stages excuse themselves when the context carries no
+#: registry, and a skipped stage emits no event.
 DEFAULT_STAGE_ORDER: tuple[str, ...] = (
-    "preprocess",
-    "segmentation",
-    "annotation",
-    "wrapping",
-    "extraction",
-    "enrichment",
-)
-
-#: Registry-first stage order: match against the wrapper registry after
-#: pre-processing; a hit skips segmentation/annotation/wrapping entirely,
-#: a miss induces as usual and stores the result.  The post-extraction
-#: check demotes stale registry wrappers back to induction.
-REGISTRY_STAGE_ORDER: tuple[str, ...] = (
     "preprocess",
     "registry_match",
     "segmentation",

@@ -15,11 +15,12 @@ IV-B extraction           :class:`ExtractionStage`       ``extraction``
 IV-A feedback (Eq. 4)     :class:`EnrichmentStage`       ``enrichment``
 ========================  =============================  ==================
 
-The registry-first path (``REGISTRY_STAGE_ORDER``) adds three stages
-around the classics: ``registry_match`` (wrapper lookup by template
-fingerprint, a hit skips induction), ``registry_check`` (post-extract
-demotion of stale wrappers) and ``registry_store`` (persist freshly
-induced wrappers).
+The one stage order (``DEFAULT_STAGE_ORDER``) also holds three registry
+stages around the classics: ``registry_match`` (wrapper lookup by
+template fingerprint, a hit skips induction), ``registry_check``
+(post-extract demotion of stale wrappers) and ``registry_store``
+(persist freshly induced wrappers).  They excuse themselves when the
+context carries no wrapper registry.
 """
 
 from repro.core.stages.annotate import AnnotationStage

@@ -1,6 +1,6 @@
 """Registry stages: match -> (induce on miss) -> extract -> check/store.
 
-The registry-first path (``REGISTRY_STAGE_ORDER``) splits the monolithic
+The registry stages of ``DEFAULT_STAGE_ORDER`` split the monolithic
 induce-then-extract flow around the wrapper registry:
 
 - :class:`RegistryMatchStage` runs right after pre-processing.  It
@@ -21,8 +21,10 @@ induce-then-extract flow around the wrapper registry:
   extract-often loop.
 
 All three stages are inert (``enabled`` returns False) when the context
-carries no registry, so the classic pipeline is byte-identical to the
-pre-registry code path.
+carries no registry, and a skipped stage emits no event, so a run
+without a registry is byte-identical to the classic six-stage path.
+The re-run after a demotion and the tombstone write-back of an induced
+discard live in ``ObjectRunner._run``.
 """
 
 from __future__ import annotations

@@ -324,8 +324,6 @@ class BenchSession:
             observers=(metrics,),
             worker=lambda: (self.config, system_name),
             dispatch=_dispatch_bench_shards,
-            # Names cross the boundary; workers rebuild the entries.
-            ship=lambda entry: None,
         )
         wrap = MetricsRegistry()
         evaluations: dict[str, list] = {name: [] for name in DOMAIN_ORDER}
@@ -474,13 +472,12 @@ def _bench_shard_worker(task: ShardTask) -> ShardResult:
     """
     config, system_name = task.worker
     session = BenchSession(config)
-    entries = {entry.spec.name: entry for entry in session.entries()}
     metrics = MetricsObserver()
     metrics.observe_cache(session.preprocess_cache)
     return run_worker_shard(
         task,
-        lambda name, __, view: session._run_entry(
-            system_name, entries[name], metrics, view
+        lambda __, entry, view: session._run_entry(
+            system_name, entry, metrics, view
         ),
         metrics,
         session.registry,

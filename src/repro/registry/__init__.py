@@ -27,7 +27,6 @@ from repro.registry.store import (
     StagedRegistryView,
     StoredDiscard,
     WrapperRegistry,
-    apply_staged_views,
     signature_for,
     write_json_atomic,
 )
@@ -40,7 +39,6 @@ __all__ = [
     "StagedRegistryView",
     "StoredDiscard",
     "WrapperRegistry",
-    "apply_staged_views",
     "fingerprint_matches",
     "load_wrapper_file",
     "save_wrapper_file",

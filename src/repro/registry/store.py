@@ -15,7 +15,8 @@ Both files are JSON with sorted keys and are written atomically
 (temp file + ``os.replace``), so a crashed writer never leaves a torn
 file and two registries holding the same entries are byte-identical.
 The store is thread-safe; batch runs additionally go through
-:class:`StagedRegistryView` so parallel ``run_sources`` snapshots are
+:class:`StagedRegistryView`, whose exported :class:`StagedWrites` are
+replayed in input order, so parallel ``run_sources`` snapshots are
 byte-identical to serial ones.
 """
 
@@ -27,7 +28,7 @@ import os
 import threading
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Iterable, Sequence
+from typing import Any, Sequence
 
 from repro.errors import RegistryError
 from repro.sod.canonical import canonicalize
@@ -102,8 +103,8 @@ def entry_for(
     """The registry entry a store of ``stored`` under this key produces.
 
     Shared by the live ``put``/``put_discard`` paths and the staged-view
-    export, so an entry serialized in a worker process is byte-identical
-    to the one a serial run would have written.
+    export, so an entry a batch source staged is byte-identical to the
+    one a live store would have written.
     """
     signature = signature_for(sod, fingerprint)
     canonical = format_sod(canonicalize(sod))
@@ -506,15 +507,15 @@ class WrapperRegistry:
 class StagedWrites:
     """A picklable snapshot of one source's buffered registry writes.
 
-    Worker processes cannot ship a :class:`StagedRegistryView` home (it
-    holds the live, lock-bearing base registry), so they export this
-    value object instead: the sorted demotions plus the staged entries in
-    insertion order.  :meth:`apply_to` replays them with exactly the
-    semantics of :meth:`StagedRegistryView.apply_to`, so a sharded run's
-    registry bytes match the serial run.  (The stores/races counter split
-    still reflects where duplicate inductions were discarded, so those
-    counts are layout-dependent — which is why the bench digest excludes
-    them.)
+    A :class:`StagedRegistryView` holds the live, lock-bearing base
+    registry, so every batch source's view is exported to this value
+    object when the source finishes, in-process and in a worker alike:
+    the sorted demotions plus the staged entries in insertion order.
+    :meth:`apply_to` is the one replay of those writes, so a sharded
+    run's registry bytes match the serial run.  (The stores/races
+    counter split still reflects where duplicate inductions were
+    discarded, so those counts are layout-dependent — which is why the
+    bench digest excludes them.)
     """
 
     demoted: tuple[str, ...]
@@ -534,11 +535,12 @@ class StagedRegistryView:
 
     Batch runs (``ObjectRunner.run_sources``) give every source its own
     view: lookups see the registry as it was at batch start plus this
-    source's *own* staged writes; puts and demotions are buffered and
-    applied to the base registry in input order once the batch finishes
-    (:meth:`apply_to`).  Hit/miss per source therefore never depends on
-    shard scheduling, which is what makes a parallel batch snapshot
-    byte-identical to a serial one.
+    source's *own* staged writes; puts and demotions are buffered,
+    exported when the source finishes (:meth:`export`) and applied to
+    the base registry in input order once the batch finishes
+    (:meth:`StagedWrites.apply_to`).  Hit/miss per source therefore
+    never depends on shard scheduling, which is what makes a parallel
+    batch snapshot byte-identical to a serial one.
     """
 
     base: WrapperRegistry
@@ -591,22 +593,6 @@ class StagedRegistryView:
         self.demoted.add(signature)
         return True
 
-    def apply_to(self, base: WrapperRegistry) -> None:
-        """Apply buffered demotions then stores to ``base``."""
-        for signature in sorted(self.demoted):
-            base.demote(signature)
-        for sod, fingerprint, stored in self.staged.values():
-            if isinstance(stored, StoredDiscard):
-                base.put_discard(
-                    sod,
-                    fingerprint,
-                    source=stored.source,
-                    stage=stored.stage,
-                    reason=stored.reason,
-                )
-            else:
-                base.put(sod, fingerprint, stored)
-
     def export(self) -> StagedWrites:
         """This view's buffered writes as a picklable value object."""
         return StagedWrites(
@@ -617,16 +603,3 @@ class StagedRegistryView:
             ),
         )
 
-
-def apply_staged_views(
-    base: WrapperRegistry, views: Iterable[StagedRegistryView]
-) -> None:
-    """Apply per-source views to the base registry in input order.
-
-    Called once per batch after every source finished; combined with the
-    canonical conflict rule of ``put``, the base registry's final bytes
-    depend only on the *set* of staged writes — never on scheduling, and
-    not even on the input order of the sources.
-    """
-    for view in views:
-        view.apply_to(base)

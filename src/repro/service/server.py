@@ -1,8 +1,9 @@
 """``repro serve``: extraction-as-a-service over a wrapper registry.
 
 A long-running JSON-lines request loop: each request names an SOD and
-carries the raw HTML pages of one source; the service routes it through
-the registry-first pipeline (``REGISTRY_STAGE_ORDER``), so the first
+carries the raw HTML pages of one source; the service runs it through
+the pipeline with the wrapper registry on (the registry stages of
+``DEFAULT_STAGE_ORDER``), so the first
 request for a template pays induction and every later request for the
 same template is a registry hit that goes straight to extraction.
 

@@ -157,6 +157,37 @@ class TestBaselineWorkflow:
         assert run(tmp_path, src, "--update-baseline") == 2
         assert "X999" in (tmp_path / "bl.json").read_text(encoding="utf-8")
 
+    def test_bad_baseline_fails_before_the_walk(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # The baseline is checked first: a bad one costs no walk of the
+        # tree and leaves no --schemas-out snapshot behind.
+        def no_walk(*args, **kwargs):
+            raise AssertionError("analyze_paths ran before the baseline")
+
+        monkeypatch.setattr("repro.analysis.cli.analyze_paths", no_walk)
+        src = project(tmp_path, CLEAN)
+        snapshot = tmp_path / "schemas.json"
+        (tmp_path / "bl.json").write_text(
+            json.dumps(
+                {
+                    "version": 1,
+                    "entries": [
+                        {
+                            "rule": "X999",
+                            "path": "src/mod.py",
+                            "snippet": "VALUE = 1",
+                            "reason": "no such rule",
+                        }
+                    ],
+                }
+            ),
+            encoding="utf-8",
+        )
+        assert run(tmp_path, src, "--schemas-out", str(snapshot)) == 2
+        assert "unknown rule(s) X999" in capsys.readouterr().err
+        assert not snapshot.exists()
+
     def test_parse_error_entry_matches_and_expires(self, tmp_path, capsys):
         # E001 comes from the engine, not a registered rule; its entries
         # are known and in scope like any other rule's.

@@ -8,7 +8,7 @@ import pytest
 
 from repro.analysis import analyze_file
 from repro.analysis.rules import StageContractRule, stage_contracts
-from repro.core.pipeline import REGISTRY_STAGE_ORDER, stage_registry
+from repro.core.pipeline import DEFAULT_STAGE_ORDER, stage_registry
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 STAGES_DIR = REPO_ROOT / "src" / "repro" / "core" / "stages"
@@ -199,7 +199,7 @@ class TestRealStages:
         for path in self.stage_files():
             tree = ast.parse(path.read_text(encoding="utf-8"))
             names.update(c.stage_name for c in stage_contracts(tree))
-        assert names == set(REGISTRY_STAGE_ORDER)
+        assert names == set(DEFAULT_STAGE_ORDER)
         assert names == set(stage_registry())
 
     def test_real_stage_modules_clean(self):
@@ -212,7 +212,7 @@ class TestRealStages:
             ]
             assert findings == [], f"{path.name}: {findings}"
 
-    @pytest.mark.parametrize("name", REGISTRY_STAGE_ORDER)
+    @pytest.mark.parametrize("name", DEFAULT_STAGE_ORDER)
     def test_registered_classes_declare_contracts(self, name):
         cls = stage_registry()[name]
         assert isinstance(cls.reads, tuple)

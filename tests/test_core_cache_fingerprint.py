@@ -18,7 +18,7 @@ import pytest
 import repro.core.cache as cache_module
 from repro.core import ObjectRunner, PreprocessCache, RunParams
 from repro.core.pipeline import (
-    REGISTRY_STAGE_ORDER,
+    DEFAULT_STAGE_ORDER,
     Pipeline,
     PipelineContext,
     build_stages,
@@ -175,7 +175,7 @@ def run_catalog(catalog, root, cache):
     """Registry-first pipeline over every catalog source, one registry."""
     sources_cache, sources = catalog
     registry = WrapperRegistry(root)
-    stages = build_stages(REGISTRY_STAGE_ORDER)
+    stages = build_stages(DEFAULT_STAGE_ORDER)
     for entry, pages in sources:
         domain = domain_spec(entry.spec.domain)
         knowledge = sources_cache.knowledge(

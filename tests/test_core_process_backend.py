@@ -50,6 +50,11 @@ def make_runner(domain, knowledge, registry_root=None, observers=(), **params):
     )
 
 
+def shard_slice(sources, shard):
+    """The sources of one hash-mod shard, in input order."""
+    return {name: sources[name] for name in shard.partition(sources)}
+
+
 def as_bytes(outcome):
     return json.dumps(
         [instance.values for instance in outcome.objects], sort_keys=True
@@ -126,10 +131,9 @@ class TestProcessEqualsSerial:
             domain, knowledge, max_workers=1
         ).run_sources(sources)
         parts = [
-            make_runner(
-                domain, knowledge, max_workers=1,
-                shard=ShardSpec(index=index, count=2),
-            ).run_sources(sources)
+            make_runner(domain, knowledge, max_workers=1).run_sources(
+                shard_slice(sources, ShardSpec(index=index, count=2))
+            )
             for index in range(2)
         ]
         names = [list(part.results) for part in parts]
@@ -145,8 +149,8 @@ class TestProcessEqualsSerial:
         domain, knowledge, sources = four_sources
         shard = ShardSpec(index=0, count=2)
         outcome = make_runner(
-            domain, knowledge, max_workers=1, shard=shard
-        ).run_sources(sources)
+            domain, knowledge, max_workers=1
+        ).run_sources(shard_slice(sources, shard))
         expected = [name for name in sources if shard.contains(name)]
         assert list(outcome.results) == expected
 
@@ -340,8 +344,6 @@ class TestProcessBackendSupport:
         for backend in ("thread", "fiber"):
             with pytest.raises(ValueError, match="unknown backend"):
                 RunParams(backend=backend)
-        with pytest.raises(ValueError):
-            RunParams(shard="0/2")  # must be a ShardSpec, not a string
 
 
 class TestMergeBuildingBlocks:

@@ -146,17 +146,20 @@ for index in range(4):
 
 
 def run(workers, shard=None, root=None):
+    batch = sources
+    if shard is not None:
+        batch = {name: sources[name] for name in shard.partition(sources)}
     observer = MetricsObserver()
     runner = ObjectRunner(
         domain.sod,
         ontology=knowledge.ontology,
         corpus=knowledge.corpus,
         gazetteer_classes=domain.gazetteer_classes,
-        params=RunParams(max_workers=workers, shard=shard),
+        params=RunParams(max_workers=workers),
         observers=(observer,),
         wrapper_registry=WrapperRegistry(root) if root else None,
     )
-    return runner.run_sources(sources), observer
+    return runner.run_sources(batch), observer
 
 
 def values(outcome):

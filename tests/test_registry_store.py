@@ -17,7 +17,6 @@ from repro.registry import (
     StagedRegistryView,
     StoredDiscard,
     WrapperRegistry,
-    apply_staged_views,
     signature_for,
     write_json_atomic,
 )
@@ -287,12 +286,14 @@ class TestStagedView:
         views = [StagedRegistryView(base), StagedRegistryView(base)]
         views[0].put(SOD, fingerprint, wrapper)
         views[1].put(SOD, fingerprint, wrapper)
-        apply_staged_views(base, views)
+        for view in views:
+            view.export().apply_to(base)
         other = WrapperRegistry(tmp_path / "two")
         swapped = [StagedRegistryView(other), StagedRegistryView(other)]
         swapped[1].put(SOD, fingerprint, wrapper)
         swapped[0].put(SOD, fingerprint, wrapper)
-        apply_staged_views(other, swapped)
+        for view in swapped:
+            view.export().apply_to(other)
         assert registry_bytes(tmp_path / "one") == registry_bytes(tmp_path / "two")
         assert base.stats()["stores"] == 1
         assert base.stats()["races"] == 1
@@ -304,7 +305,7 @@ class TestStagedView:
         view = StagedRegistryView(base)
         view.demote(signature)
         assert view.lookup(SOD, fingerprint) is None
-        apply_staged_views(base, [view])
+        view.export().apply_to(base)
         assert base.lookup(SOD, fingerprint) is None
 
 
@@ -388,7 +389,7 @@ class TestDiscardTombstones:
         view.put_discard(SOD, "fp", source="s", stage="wrapper", reason="r")
         assert isinstance(view.lookup(SOD, "fp"), StoredDiscard)
         assert base.lookup(SOD, "fp") is None
-        apply_staged_views(base, [view])
+        view.export().apply_to(base)
         assert isinstance(
             WrapperRegistry(tmp_path).lookup(SOD, "fp"), StoredDiscard
         )
