@@ -1,7 +1,7 @@
 """Parallel multi-source execution: correctness and wall-clock.
 
 ``RunParams.max_workers`` above 1 runs independent sources concurrently
-in worker processes, one hash-mod shard each.  Correctness bar: the
+in worker processes that share one per-source queue.  Correctness bar: the
 parallel run must be byte-identical to the serial run (same objects,
 same order).  Wall-clock is reported for both; the speedup is bounded by
 the host's cores and by process start-up, pickling and the merge, which

@@ -624,8 +624,9 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=1,
         metavar="N",
-        help="worker processes of the sweep: above 1 runs hash-mod "
-        "sub-shards on a process pool (default: 1, one serial loop)",
+        help="worker processes of the sweep: above 1, N worker processes "
+        "take entries one at a time off a shared queue (default: 1, one "
+        "serial loop)",
     )
     bench.add_argument(
         "--merge-shards",

@@ -22,8 +22,10 @@ reconstructs those facts statically from the shared
   unpicklable (locks, pools, open files, lambdas, generators, instances
   of project classes holding such values without ``__getstate__``/
   ``__reduce__``), propagated through local assignments, function
-  returns and constructor arguments into the boundary classes the
-  entrypoints are annotated with.
+  returns and constructor arguments into the boundary classes: those
+  the entrypoints are annotated with, those built into a dispatch
+  payload, and the homeward messages worker code hands a channel's
+  ``send``/``put`` (a streamed per-source report, say).
 - **Homeward surfaces** — for classes that opted into a homeward
   protocol, the attributes their protocol methods actually read; any
   attribute mutated in worker-reachable code but absent from that
@@ -80,6 +82,11 @@ UNPICKLABLE_CALLS: dict[str, str] = {
 #: Methods whose presence makes a class explicitly picklable: the class
 #: controls its own crossing, so field-level heuristics stand down.
 PICKLE_HOOKS = frozenset({"__getstate__", "__reduce__", "__reduce_ex__"})
+
+#: Channel methods whose one argument travels from a worker to the
+#: parent (a pipe's ``send``, a queue's ``put``): what a worker passes
+#: them is a homeward message, so it crosses the boundary.
+HOMEWARD_SENDS = frozenset({"send", "put", "put_nowait"})
 
 #: Exact method names that constitute a homeward-shipping protocol.
 HOMEWARD_EXACT = frozenset({"__getstate__", "__reduce__", "__reduce_ex__", "export"})
@@ -623,34 +630,69 @@ class ProcessBoundaryAnalysis:
                                 f"{fn.name}()",
                             )
             caller = self.graph.functions.get(dispatch.caller)
-            module = self.graph.modules[dispatch.module]
-            payload_roots = {
-                root
-                for expr in dispatch.payload
-                for root in (_name_root(expr),)
-                if root is not None
-            }
-            scope: list[ast.expr] = list(dispatch.payload)
-            if caller is not None and caller.node is not None:
-                for node in ast.walk(caller.node):
-                    if isinstance(node, ast.Assign) and any(
-                        isinstance(t, ast.Name) and t.id in payload_roots
-                        for t in node.targets
-                    ):
-                        scope.append(node.value)
-            for expr in scope:
-                for node in ast.walk(expr):
-                    if isinstance(node, ast.Call):
-                        dotted = dotted_name(node.func)
-                        if not dotted:
-                            continue
-                        ci = self.graph._resolve_class(module, dotted)
-                        if ci is not None:
-                            self._note_boundary(
-                                ci,
-                                "constructed into the dispatch payload "
-                                f"of {dispatch.caller.partition(':')[2]}()",
-                            )
+            for ci in self._classes_built_into(
+                self.graph.modules[dispatch.module],
+                caller.node if caller is not None else None,
+                list(dispatch.payload),
+            ):
+                self._note_boundary(
+                    ci,
+                    "constructed into the dispatch payload "
+                    f"of {dispatch.caller.partition(':')[2]}()",
+                )
+        for qualname in sorted(self.worker_reachable):
+            fn = self.graph.functions.get(qualname)
+            if fn is None or fn.node is None:
+                continue
+            sent = [
+                node.args[0]
+                for node in ast.walk(fn.node)
+                if isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr in HOMEWARD_SENDS
+                and len(node.args) == 1
+                and not node.keywords
+            ]
+            for ci in self._classes_built_into(
+                self.graph.modules[fn.module], fn.node, sent
+            ):
+                self._note_boundary(ci, f"sent home by {fn.name}()")
+
+    def _classes_built_into(
+        self,
+        module: ModuleInfo,
+        fn_node: ast.AST | None,
+        exprs: list[ast.expr],
+    ) -> list[ClassInfo]:
+        """Project classes constructed in ``exprs`` or in the names they use.
+
+        A bare name among ``exprs`` pulls in every value ``fn_node``
+        assigns to it, so ``report = Report(...); send(report)`` counts.
+        """
+        roots = {
+            root for expr in exprs for root in (_name_root(expr),) if root
+        }
+        scope = list(exprs)
+        if fn_node is not None:
+            for node in ast.walk(fn_node):
+                if isinstance(node, ast.Assign) and any(
+                    isinstance(t, ast.Name) and t.id in roots
+                    for t in node.targets
+                ):
+                    scope.append(node.value)
+        out: list[ClassInfo] = []
+        for expr in scope:
+            for node in ast.walk(expr):
+                if isinstance(node, ast.Call):
+                    dotted = dotted_name(node.func)
+                    ci = (
+                        self.graph._resolve_class(module, dotted)
+                        if dotted
+                        else None
+                    )
+                    if ci is not None:
+                        out.append(ci)
+        return out
 
     def _note_boundary(self, ci: ClassInfo, why: str) -> None:
         self.boundary_classes.setdefault(

@@ -7,7 +7,9 @@ the invariants the process backend's byte-identity claim rests on:
 
 - **P601** — an unpicklable value (lock, pool, open file, lambda,
   generator, or an instance of a project class holding one without
-  ``__getstate__``/``__reduce__``) flows into the process boundary:
+  ``__getstate__``/``__reduce__``) flows into the process boundary (a
+  task spec, a worker entry's result, or a message worker code sends
+  home):
   either a boundary class is itself unpicklable, or a constructor
   argument of a boundary class is definitely unpicklable (tracked
   interprocedurally through the callers' parameters).

@@ -3,28 +3,40 @@
 :func:`run_batch` runs ``(key, item)`` pairs through one item function
 ``run_item(key, item, view)``, where ``view`` is the item's own
 :class:`~repro.registry.store.StagedRegistryView` (``None`` without a
-registry).  It plans hash-mod shards, runs each shard's items in input
-order, and merges the shards in global input order, so serial and
-pooled runs give byte-identical output.  Each item's buffered registry
-writes leave its shard as one exported
+registry).  One worker runs the items in input order in-process.  More
+workers share one per-source :class:`WorkQueue`: each worker process
+makes one long call of the caller's module-level entry, which rebuilds
+its worker from ``ShardTask.worker`` and hands over to
+:func:`run_worker_shard`.  That call claims the next input position
+from a shared counter, runs the item and streams a
+:class:`SourceReport` home, until the queue is empty, so no worker
+idles while another still has a backlog.  Each item's buffered
+registry writes travel as one exported
 :class:`~repro.registry.store.StagedWrites`, in-process and from a
-worker alike, and the merge replays them in input order.  The worker
-count alone picks the pool: one worker is one in-process shard; more
-send each shard, items as they are, as a :class:`ShardTask` through the
-caller's ``dispatch`` function to the caller's module-level
-worker-process entry, which rebuilds its worker from
-``ShardTask.worker`` and answers with :func:`run_worker_shard`.
+worker alike, and the merge folds the reports keyed by input position,
+so serial and pooled runs give byte-identical output whatever worker
+ran what.  A worker that dies becomes a typed
+``SourceFailure(stage="worker")`` for the item it had in flight.
 """
 
 from __future__ import annotations
 
-import dataclasses
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Sequence
+import gc
+import multiprocessing
+from concurrent.futures import Future, wait
+from concurrent.futures.process import BrokenProcessPool
+from dataclasses import dataclass
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Callable,
+    ContextManager,
+    Iterable,
+    Sequence,
+)
 
 from repro.core.faults import SourceFailure
 from repro.core.results import MultiSourceResult, SourceResult
-from repro.core.sharding import stable_shard
 from repro.errors import MultiSourceError
 from repro.metrics.observer import MetricsObserver, monotonic_seconds
 from repro.registry.store import (
@@ -43,78 +55,225 @@ RunItem = Callable[[str, Any, "StagedRegistryView | None"], Any]
 #: ``(key, item)`` pairs in input order.
 Items = Sequence[tuple[str, Any]]
 
+#: ``dispatch(queue)``: a context manager running ``queue`` on a process
+#: pool and yielding the futures of its workers' calls.
+Dispatch = Callable[["WorkQueue"], ContextManager[list[Future]]]
+
+#: Seconds the parent waits for a report before it checks whether the
+#: pool's calls are all over (a worker died, or one raised).
+_POLL_SECONDS = 0.05
+
 
 @dataclass(frozen=True)
 class ShardTask:
-    """One shard as shipped to a worker process (every field picklable).
+    """One worker's call, as shipped to its process (every field picklable).
 
     ``worker`` is the caller's spec: the worker entry rebuilds its runner
     or session from it, because the live one holds locks and caches.
+    The items themselves reach the worker inside the :class:`WorkQueue`
+    its process was started with.
     """
 
     worker: Any
-    items: tuple[tuple[str, Any], ...]
     index: int
     count: int
-    fail_fast: bool
 
 
 @dataclass(frozen=True)
 class ShardResult:
-    """One shard's outcomes plus the state the merge folds in.
+    """What one worker call (or the in-process loop) did.
 
-    ``outcomes`` maps each run item to its outcome (a fail-fast shard
-    stops at its first failure).  ``writes`` holds each run item's
-    buffered registry writes, exported as :class:`StagedWrites`.  Only
-    a worker fills the remaining fields, because in-process the live
-    observers, cache and registry saw everything already.
+    Its share of a queue varies from run to run; only the merged
+    reports are pinned to input order.
     """
 
     index: int
     count: int
     wall_seconds: float
-    outcomes: dict[str, Any]
-    writes: dict[str, StagedWrites]
-    #: Per-source metrics, for ``MetricsObserver.adopt_source``.
-    registries: dict[str, "MetricsRegistry"] = field(default_factory=dict)
-    registry_stats: dict[str, int] | None = None
+    #: Items this call ran.
+    sources: int
+
+
+@dataclass(frozen=True)
+class SourceReport:
+    """One item's outcome plus the state the merge folds in.
+
+    ``writes`` holds the item's buffered registry writes.  Only a worker
+    fills the remaining fields, because in-process the live observers,
+    cache and registry saw everything already: the item's metrics, and
+    what it added to the worker's preprocess-cache and registry
+    counters.  Shipping them per item lets the merge adopt exactly the
+    items a serial run would have run.
+    """
+
+    position: int
+    outcome: Any
+    writes: StagedWrites | None = None
+    metrics: "MetricsRegistry | None" = None
     cache_stats: dict[str, int] | None = None
+    registry_stats: dict[str, int] | None = None
 
 
-def _run_shard(
-    index: int,
-    count: int,
-    items: Items,
+class WorkQueue:
+    """One pool's per-source queue: positions to claim, reports to stream.
+
+    The parent builds it and hands it to every worker as the pool's
+    initializer argument, so a forked worker inherits it, batch items
+    included, instead of unpickling a copy.  Workers :meth:`claim`
+    positions from one shared counter in increasing order and
+    :meth:`send` one report per item; the parent :meth:`drain` s the
+    reports while the workers run.
+    """
+
+    def __init__(
+        self,
+        worker: Any,
+        items: Items,
+        positions: Sequence[int],
+        width: int,
+        fail_fast: bool,
+    ):
+        context = multiprocessing.get_context()
+        self.worker = worker
+        self.items = items
+        self.positions = tuple(positions)
+        self.width = width
+        self.fail_fast = fail_fast
+        #: ``[claimed, stopped]``: how many positions were handed out,
+        #: and whether a fail-fast failure closed the queue.
+        self._claims = context.RawArray("q", 2)
+        self._claim_lock = context.Lock()
+        self._send_lock = context.Lock()
+        self._reader, self._writer = context.Pipe(duplex=False)
+        #: Parent side: the reports received, by position.
+        self.reports: dict[int, SourceReport] = {}
+
+    def tasks(self) -> list[ShardTask]:
+        """One task per worker of the pool."""
+        return [
+            ShardTask(worker=self.worker, index=index, count=self.width)
+            for index in range(self.width)
+        ]
+
+    # -- worker side -------------------------------------------------------
+
+    def claim(self) -> int | None:
+        """The next position to run, or ``None`` once the queue is done."""
+        with self._claim_lock:
+            claimed, stopped = self._claims
+            if stopped or claimed >= len(self.positions):
+                return None
+            self._claims[0] = claimed + 1
+        return self.positions[claimed]
+
+    def stop(self) -> None:
+        """Hand out no further position (a fail-fast failure happened).
+
+        Positions are claimed in increasing order, so every position
+        before the failing one was claimed already and still finishes.
+        """
+        with self._claim_lock:
+            self._claims[1] = 1
+
+    def send(self, report: SourceReport | None) -> None:
+        """Stream one report home; ``None`` says this worker is done."""
+        with self._send_lock:
+            self._writer.send(report)
+
+    # -- parent side -------------------------------------------------------
+
+    def drain(self, calls: list[Future]) -> bool:
+        """Take reports until every worker says it is done.
+
+        Returns False when some worker never did: it died, or its call
+        raised.  The reports streamed before that are kept either way.
+        """
+        # Only the workers hold the write end now, so a read past the
+        # last byte of a dead pool ends in EOFError instead of blocking.
+        self._writer.close()
+        ended = 0
+        over = False
+        while ended < len(calls):
+            if not self._reader.poll(0 if over else _POLL_SECONDS):
+                if over:
+                    break
+                # Quiet pipe: once every call is over (a worker died or
+                # raised), read what the pipe still holds, then stop.
+                over = all(call.done() for call in calls)
+                continue
+            try:
+                report = self._reader.recv()
+            except EOFError:
+                break
+            if report is None:
+                ended += 1
+            else:
+                self.reports[report.position] = report
+        self._reader.close()
+        return ended == len(calls)
+
+    @staticmethod
+    def results(calls: list[Future]) -> list[ShardResult]:
+        """What the calls returned; the ones a worker death ended are missing.
+
+        Any other exception of a call is raised.
+        """
+        wait(calls)
+        results = []
+        for call in calls:
+            error = call.exception()
+            if error is None:
+                results.append(call.result())
+            elif not isinstance(error, BrokenProcessPool):
+                raise error
+        return results
+
+    def _claimed(self) -> int:
+        # Read without the lock: a worker killed in claim() may hold it.
+        return self._claims[0]
+
+    def unfinished(self) -> list[int]:
+        """Positions claimed but never reported: in flight at a death."""
+        claimed = self.positions[: self._claimed()]
+        return [position for position in claimed if position not in self.reports]
+
+    def unclaimed(self) -> list[int]:
+        """Positions no worker claimed."""
+        return list(self.positions[self._claimed():])
+
+
+#: The queue this worker process serves (set by :func:`attach_queue`).
+_ATTACHED: WorkQueue | None = None
+
+
+def attach_queue(queue: WorkQueue) -> None:
+    """Pool initializer: remember the queue this worker process serves."""
+    global _ATTACHED
+    _ATTACHED = queue
+
+
+def _run_one(
+    key: str,
+    item: Any,
     run_item: RunItem,
     registry: WrapperRegistry | None,
-    fail_fast: bool,
-) -> ShardResult:
-    """Run one shard's items in order, each through its own staged view.
+) -> tuple[Any, StagedWrites | None]:
+    """Run one item through its own staged view; an exception is its failure.
 
-    An exception becomes the item's :class:`SourceFailure`; under
-    ``fail_fast`` the shard stops there.  Nothing reaches ``registry``:
-    the views buffer every write, exported for the merge to apply.
+    Nothing reaches ``registry``: the view buffers every write, exported
+    for the merge to apply.
     """
-    start = monotonic_seconds()
-    outcomes: dict[str, Any] = {}
-    writes: dict[str, StagedWrites] = {}
-    for key, item in items:
-        view = StagedRegistryView(registry) if registry is not None else None
-        try:
-            outcomes[key] = run_item(key, item, view)
-        except Exception as exc:
-            outcomes[key] = SourceFailure.from_exception(key, exc)
-            if fail_fast:
-                break
-        if view is not None:
-            writes[key] = view.export()
-    return ShardResult(
-        index=index,
-        count=count,
-        wall_seconds=round(monotonic_seconds() - start, 6),
-        outcomes=outcomes,
-        writes=writes,
-    )
+    view = StagedRegistryView(registry) if registry is not None else None
+    try:
+        outcome = run_item(key, item, view)
+    except Exception as exc:
+        outcome = SourceFailure.from_exception(key, exc)
+    return outcome, view.export() if view is not None else None
+
+
+def _delta(after: dict[str, int], before: dict[str, int]) -> dict[str, int]:
+    """What one item added to a set of counters."""
+    return {name: value - before.get(name, 0) for name, value in after.items()}
 
 
 def run_worker_shard(
@@ -123,21 +282,148 @@ def run_worker_shard(
     observer: MetricsObserver,
     registry: WrapperRegistry | None,
 ) -> ShardResult:
-    """Run a process shard over the worker's own services; pack it for home.
+    """Serve the attached queue over the worker's own services.
 
-    Metrics leave as per-source registries, the counters of
-    ``registry`` and of the caches ``observer`` watches as plain dicts.
+    Claims positions until the queue is done and streams each item's
+    report home: its metrics, and what it added to the counters of
+    ``registry`` and of the caches ``observer`` watches.
     """
-    shard = _run_shard(
-        task.index, task.count, task.items, run_item, registry, task.fail_fast
+    queue = _ATTACHED
+    start = monotonic_seconds()
+    ran = 0
+    while (position := queue.claim()) is not None:
+        key, item = queue.items[position]
+        cache_before = observer.cache_stats()
+        registry_before = registry.stats() if registry is not None else {}
+        outcome, writes = _run_one(key, item, run_item, registry)
+        if queue.fail_fast and isinstance(outcome, SourceFailure):
+            queue.stop()
+        queue.send(
+            SourceReport(
+                position=position,
+                outcome=outcome,
+                writes=writes,
+                metrics=observer.source_registry(key),
+                cache_stats=_delta(observer.cache_stats(), cache_before),
+                registry_stats=(
+                    _delta(registry.stats(), registry_before)
+                    if registry is not None
+                    else None
+                ),
+            )
+        )
+        ran += 1
+    queue.send(None)
+    return ShardResult(
+        index=task.index,
+        count=task.count,
+        wall_seconds=round(monotonic_seconds() - start, 6),
+        sources=ran,
     )
-    return dataclasses.replace(
-        shard,
-        registries={
-            key: observer.source_registry(key) for key in observer.sources()
-        },
-        registry_stats=registry.stats() if registry is not None else None,
-        cache_stats=observer.cache_stats(),
+
+
+def _run_in_process(
+    items: Items,
+    run_item: RunItem,
+    registry: WrapperRegistry | None,
+    fail_fast: bool,
+) -> tuple[dict[int, SourceReport], ShardResult]:
+    """Run the items in input order; under ``fail_fast`` stop at a failure."""
+    start = monotonic_seconds()
+    reports: dict[int, SourceReport] = {}
+    for position, (key, item) in enumerate(items):
+        outcome, writes = _run_one(key, item, run_item, registry)
+        reports[position] = SourceReport(position, outcome, writes)
+        if fail_fast and isinstance(outcome, SourceFailure):
+            break
+    shard = ShardResult(
+        index=0,
+        count=1,
+        wall_seconds=round(monotonic_seconds() - start, 6),
+        sources=len(reports),
+    )
+    return reports, shard
+
+
+def _first_failure(reports: dict[int, SourceReport]) -> int | None:
+    """The lowest position whose outcome is a failure, if any."""
+    return min(
+        (
+            position
+            for position, report in reports.items()
+            if isinstance(report.outcome, SourceFailure)
+        ),
+        default=None,
+    )
+
+
+def _fan_out(
+    items: Items,
+    spec: Any,
+    workers: int,
+    fail_fast: bool,
+    dispatch: Dispatch,
+    merge: Callable[[dict[int, SourceReport]], list[Any]],
+) -> tuple[list[Any], list[ShardResult]]:
+    """Run ``items`` on worker processes; the merged outcomes, and the calls.
+
+    The parent's heap stays frozen (``gc.freeze``) while workers run, so
+    a forked worker's collections never walk, and so never copy, the
+    objects it inherited.  Once every report is in, the merge runs while
+    the workers exit.  When a worker dies, every item its pool had in
+    flight runs again alone on a fresh worker: one that kills that
+    worker too becomes ``SourceFailure(stage="worker")``, the others
+    report as usual.  The items nobody claimed go to a fresh pool.
+    Under ``fail_fast`` nothing past the first failure starts again.
+    """
+    reports: dict[int, SourceReport] = {}
+    shards: list[ShardResult] = []
+    todo = list(range(len(items)))
+    gc.freeze()
+    try:
+        while todo:
+            queue = WorkQueue(spec, items, todo, min(workers, len(todo)), fail_fast)
+            with dispatch(queue) as calls:
+                drained = queue.drain(calls)
+                reports.update(queue.reports)
+                if drained:
+                    outcomes = merge(reports)
+                shards.extend(queue.results(calls))
+            if drained:
+                return outcomes, shards
+            # A worker that died between items leaves nothing in flight;
+            # blaming the next position keeps every pass making progress.
+            suspects = queue.unfinished() or queue.unclaimed()[:1]
+            for position in suspects:
+                cut = _first_failure(reports)
+                if fail_fast and cut is not None and position > cut:
+                    break
+                alone = WorkQueue(spec, items, [position], 1, fail_fast)
+                with dispatch(alone) as calls:
+                    alone.drain(calls)
+                    shards.extend(alone.results(calls))
+                reports[position] = alone.reports.get(
+                    position,
+                    SourceReport(position, _worker_failure(items[position][0])),
+                )
+            if fail_fast and _first_failure(reports) is not None:
+                break
+            todo = [p for p in queue.unclaimed() if p not in suspects]
+        return merge(reports), shards
+    finally:
+        gc.unfreeze()
+
+
+def _worker_failure(key: str) -> SourceFailure:
+    """The failure of an item whose worker process died running it."""
+    exc = BrokenProcessPool(
+        "the worker process died while running this source"
+    )
+    return SourceFailure(
+        source=key,
+        stage="worker",
+        error=f"{type(exc).__name__}: {exc}",
+        exception=exc,
     )
 
 
@@ -150,84 +436,70 @@ def run_batch(
     registry: WrapperRegistry | None = None,
     observers: Iterable["PipelineObserver"] = (),
     worker: Callable[[], Any] | None = None,
-    dispatch: Callable[[list[ShardTask]], list[ShardResult]] | None = None,
+    dispatch: Dispatch | None = None,
 ) -> tuple[list[Any], list[ShardResult]]:
-    """Run a batch over ``workers``; return its outcomes and its shards.
+    """Run a batch over ``workers``; return its outcomes and its calls.
 
     Outcomes come one per item in input order (failures as
-    :class:`SourceFailure`, under isolate); shards in index order.  The
-    batch fans out to worker processes only with ``workers > 1`` and
-    more than one item; otherwise it runs as one in-process shard.  The
-    :class:`MetricsObserver` ones among ``observers`` adopt what workers
-    ship home.  A fan-out needs ``worker``, called once for the
-    picklable worker spec, and ``dispatch``; items cross the boundary
-    as they are.
+    :class:`SourceFailure`, under isolate); the calls as one
+    :class:`ShardResult` each.  The batch fans out to worker processes
+    only with ``workers > 1`` and more than one item; otherwise it runs
+    in-process.  The :class:`MetricsObserver` ones among ``observers``
+    adopt what workers ship home.  A fan-out needs ``worker``, called
+    once for the picklable worker spec, and ``dispatch``: given a
+    :class:`WorkQueue`, a context manager that starts a process pool
+    with :func:`attach_queue` as its initializer, submits one call of
+    the caller's worker entry per :meth:`WorkQueue.tasks` task and
+    yields the futures.
     """
     observers = [o for o in observers if isinstance(o, MetricsObserver)]
     for observer in observers:
         observer.note_source_order(key for key, __ in items)
+
+    def merge(reports: dict[int, SourceReport]) -> list[Any]:
+        return _merge(items, reports, fail_fast, registry, observers)
+
     if workers > 1 and len(items) > 1:
-        buckets: list[list[tuple[str, Any]]] = [[] for __ in range(workers)]
-        for key, item in items:
-            buckets[stable_shard(key, workers)].append((key, item))
-        spec = worker()
-        shards = dispatch([
-            ShardTask(
-                worker=spec,
-                items=tuple(bucket),
-                index=index,
-                count=workers,
-                fail_fast=fail_fast,
-            )
-            for index, bucket in enumerate(buckets)
-            if bucket
-        ])
-    else:
-        shards = [_run_shard(0, 1, items, run_item, registry, fail_fast)]
-    return _merge(items, shards, fail_fast, registry, observers), shards
+        return _fan_out(items, worker(), workers, fail_fast, dispatch, merge)
+    reports, shard = _run_in_process(items, run_item, registry, fail_fast)
+    return merge(reports), [shard]
 
 
 def _merge(
     items: Items,
-    shards: list[ShardResult],
+    reports: dict[int, SourceReport],
     fail_fast: bool,
     registry: WrapperRegistry | None,
     observers: list[MetricsObserver],
 ) -> list[Any]:
-    """Fold shard results in global input order; abort on a failure."""
-    outcome_by_key: dict[str, Any] = {}
-    writes_by_key: dict[str, StagedWrites] = {}
-    # Keyed per-source stores, not dict.update: each key lives in
-    # exactly one shard, so the merged mappings cannot depend on the
-    # shard layout.
-    for shard in shards:
-        for key, outcome in shard.outcomes.items():
-            outcome_by_key[key] = outcome
-        for key, staged in shard.writes.items():
-            writes_by_key[key] = staged
+    """Fold the reports in input order; abort on a failure.
+
+    Under ``fail_fast`` the first failure in input order decides the
+    cut: the merge adopts the metrics and counters of the items before
+    it and of the failing item, the ones a serial run ran, and ignores
+    any item a worker finished past it.
+    """
+    cut = _first_failure(reports) if fail_fast else None
+    adopted = len(items) if cut is None else cut + 1
+    for position in range(adopted):
+        report = reports[position]
+        key = items[position][0]
         for observer in observers:
-            for key, shipped in shard.registries.items():
-                observer.adopt_source(key, shipped)
-            if shard.cache_stats is not None:
-                observer.adopt_cache_stats(shard.cache_stats)
-        if registry is not None and shard.registry_stats is not None:
-            registry.adopt_stats(shard.registry_stats)
-    # The first failure in input order decides the cut: every item
-    # before it ran to completion in its shard, whatever the layout.
-    outcomes: list[Any] = []
-    failure: SourceFailure | None = None
-    for key, __ in items:
-        outcome = outcome_by_key[key]
-        if fail_fast and isinstance(outcome, SourceFailure):
-            failure = outcome
-            break
-        outcomes.append(outcome)
+            if report.metrics is not None:
+                observer.adopt_source(key, report.metrics)
+            if report.cache_stats is not None:
+                observer.adopt_cache_stats(report.cache_stats)
+        if registry is not None and report.registry_stats is not None:
+            registry.adopt_stats(report.registry_stats)
+    completed = len(items) if cut is None else cut
+    outcomes = [reports[position].outcome for position in range(completed)]
     if registry is not None:
-        for key, __ in items[: len(outcomes)]:
-            staged = writes_by_key.get(key)
+        for position in range(completed):
+            staged = reports[position].writes
             if staged is not None:
                 staged.apply_to(registry)
-    if failure is not None:
+    if cut is not None:
+        failure = reports[cut].outcome
         # The failing item sits right after the completed prefix, so
         # pooling the prefix plus the failure gives the partial result.
         raise MultiSourceError(

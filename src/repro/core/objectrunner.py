@@ -23,8 +23,9 @@ and counters of every run.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
-from typing import Iterable
+from concurrent.futures import Future, ProcessPoolExecutor
+from contextlib import contextmanager
+from typing import Iterable, Iterator
 
 from repro.baselines.interface import SystemOutput
 from repro.core.cache import PreprocessCache
@@ -37,6 +38,8 @@ from repro.core.faults import (
 from repro.core.executor import (
     ShardResult,
     ShardTask,
+    WorkQueue,
+    attach_queue,
     pool_outcomes,
     run_batch,
     run_worker_shard,
@@ -48,6 +51,7 @@ from repro.core.pipeline import (
     PipelineContext,
     PipelineObserver,
     build_stages,
+    stage_registry,
 )
 from repro.core.results import MultiSourceResult, SourceResult, StageTimings
 from repro.corpus.store import Corpus
@@ -73,14 +77,15 @@ from repro.wrapper.generate import Wrapper
 
 
 def _run_process_shard(task: ShardTask) -> ShardResult:
-    """Run one shard inside a worker process (module-level for pickling).
+    """Serve a batch's work queue in a worker process (module-level).
 
-    The worker mirrors the serial batch path: per-source staged registry
-    views over a private registry handle, one :class:`MetricsObserver`,
-    sources in shard input order.  Nothing is written to the shared
-    registry here — writes are exported and applied by the parent in
-    global input order, which is what keeps an N-way process run
-    byte-identical to the serial one.
+    One call per worker: it rebuilds the runner from ``task.worker``,
+    then runs sources one at a time off the shared queue, each through
+    a staged registry view over a private registry handle, under one
+    :class:`MetricsObserver`.  Nothing is written to the shared registry
+    here — writes are exported and applied by the parent in global input
+    order, which is what keeps an N-way process run byte-identical to
+    the serial one.
     """
     kwargs, registry_root = task.worker
     observer = MetricsObserver()
@@ -91,10 +96,13 @@ def _run_process_shard(task: ShardTask) -> ShardResult:
     return run_worker_shard(task, runner._run_item, observer, registry)
 
 
-def _dispatch_shards(tasks: list[ShardTask]) -> list[ShardResult]:
-    """Run the shards on a process pool, one worker per shard."""
-    with ProcessPoolExecutor(max_workers=len(tasks)) as pool:
-        return list(pool.map(_run_process_shard, tasks))
+@contextmanager
+def _dispatch_shards(queue: WorkQueue) -> Iterator[list[Future]]:
+    """Serve a work queue on a process pool: one long call per worker."""
+    with ProcessPoolExecutor(
+        max_workers=queue.width, initializer=attach_queue, initargs=(queue,)
+    ) as pool:
+        yield [pool.submit(_run_process_shard, task) for task in queue.tasks()]
 
 
 class ObjectRunner:
@@ -399,18 +407,20 @@ class ObjectRunner:
         """Run the pipeline over several sources of the same domain.
 
         With more than one worker (:meth:`_workers`) independent sources
-        wrap concurrently in hash-mod shards, one worker process each;
-        results keep the input order, so the outcome is identical to a
-        serial run.
+        wrap concurrently in worker processes, each taking the next
+        source off a shared queue as soon as it is free; results keep
+        the input order, so the outcome is identical to a serial run.
 
         Unexpected per-source failures (anything except a quality-gate
-        discard) follow ``params.failure_policy``: under ``isolate`` the
-        failure is recorded on ``MultiSourceResult.failures`` and every
-        surviving source completes exactly as it would have in a
-        fault-free run; under ``fail_fast`` every shard stops at its
-        first failure and :class:`~repro.errors.MultiSourceError` is
-        raised, carrying the results of the sources that completed
-        before the failing one (in input order) as ``partial``.
+        discard, and including a worker process dying, recorded as
+        ``stage="worker"``) follow ``params.failure_policy``: under
+        ``isolate`` the failure is recorded on
+        ``MultiSourceResult.failures`` and every surviving source
+        completes exactly as it would have in a fault-free run; under
+        ``fail_fast`` no later source starts after the first failure and
+        :class:`~repro.errors.MultiSourceError` is raised, carrying the
+        results of the sources that completed before the failing one (in
+        input order) as ``partial``.
 
         With ``deduplicate_across=True``, the pooled objects pass through
         the de-duplication stage of the paper's Figure 1 architecture —
@@ -506,8 +516,12 @@ class ObjectRunner:
 
         The runner's constructor arguments plus the wrapper-registry
         root; a worker only runs items, so it never fans out again.
+        Called in the parent just before the workers fork, it also loads
+        the stage modules, so every worker inherits them instead of
+        importing them anew.
         """
         self._check_process_backend_support()
+        stage_registry()
         registry = self.wrapper_registry
         kwargs = {
             "sod": self.sod,

@@ -48,16 +48,17 @@ class RunParams:
     #: below ``total_records * chaos_ratio`` cells).  0 treats every
     #: level as chaotic, 1 effectively disables the check.
     chaos_ratio: float = 0.5
-    #: Workers for multi-source runs (``run_sources``): when > 1,
-    #: independent sources wrap concurrently in that many hash-mod shards,
-    #: one worker process each; 1 runs every source in-process.
-    #: Enrichment runs force serial execution because gazetteer growth is
+    #: Workers for multi-source runs (``run_sources``): when > 1, that
+    #: many worker processes take independent sources one at a time off
+    #: a shared queue; 1 runs every source in-process.  Enrichment runs
+    #: force serial execution because gazetteer growth is
     #: order-dependent.
     max_workers: int = 1
-    #: How ``run_sources`` treats an unexpected per-source failure:
-    #: ``"fail_fast"`` stops every shard at its first failure and raises
-    #: :class:`~repro.errors.MultiSourceError` with partial results
-    #: attached; ``"isolate"`` records a
+    #: How ``run_sources`` treats an unexpected per-source failure (a
+    #: worker process dying counts, as ``stage="worker"``):
+    #: ``"fail_fast"`` starts no later source after the first failure
+    #: and raises :class:`~repro.errors.MultiSourceError` with the
+    #: results before it attached; ``"isolate"`` records a
     #: :class:`~repro.core.faults.SourceFailure` and lets the surviving
     #: sources finish.
     failure_policy: str = "fail_fast"
@@ -66,9 +67,10 @@ class RunParams:
     #: backoff follows :class:`~repro.core.faults.RetryPolicy`.
     max_retries: int = 0
     #: Pool of a ``run_sources`` fan-out (:data:`BACKENDS`): each of the
-    #: ``max_workers`` hash-mod shards runs in a worker process with its
-    #: own cache/metrics/registry view, merged with the order-pinned
-    #: semantics, so output is byte-identical to a serial run.
+    #: ``max_workers`` worker processes runs sources off a shared queue
+    #: with its own cache/metrics/registry view, and the per-source
+    #: reports merge in input order, so output is byte-identical to a
+    #: serial run.
     backend: str = "process"
 
     def __post_init__(self) -> None:

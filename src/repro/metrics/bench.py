@@ -28,16 +28,19 @@ import os
 import platform
 import sys
 import threading
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import Future, ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from repro.baselines import ExAlgSystem, RoadRunnerSystem
 from repro.core.cache import PreprocessCache
 from repro.core.executor import (
     ShardResult,
     ShardTask,
+    WorkQueue,
+    attach_queue,
     run_batch,
     run_worker_shard,
 )
@@ -208,9 +211,9 @@ class BenchConfig:
     #: Which slice of the catalog this capture covers; ``None`` is the
     #: whole catalog.  Shard documents merge via :func:`merge_documents`.
     shard: ShardSpec | None = None
-    #: Worker processes of the sweep: above 1 partitions the
-    #: (shard-filtered) catalog into that many hash-mod sub-shards, one
-    #: worker process each; 1 sweeps it in one in-process loop.
+    #: Worker processes of the sweep: above 1, that many workers take
+    #: the (shard-filtered) catalog's entries one at a time off a shared
+    #: queue; 1 sweeps it in one in-process loop.
     workers: int = 1
 
     def __post_init__(self) -> None:
@@ -335,16 +338,12 @@ class BenchSession:
                 "shard": self._shard_label(),
                 "index": shard.index,
                 "count": shard.count,
-                "sources": len(shard.outcomes),
+                "sources": shard.sources,
                 "wall_seconds": shard.wall_seconds,
             }
             for shard in shards
         ]
-        self._worker_cache_stats.extend(
-            shard.cache_stats
-            for shard in shards
-            if shard.cache_stats is not None
-        )
+        self._worker_cache_stats.append(metrics.adopted_cache_stats())
         # The sweep wall includes pool startup/teardown and the merge —
         # the number a serial-vs-process comparison is about.
         self._walls[system_name] = round(monotonic_seconds() - start, 6)
@@ -434,9 +433,10 @@ class BenchSession:
         """Session preprocess-cache stats plus adopted worker stats.
 
         Process-backend sweeps preprocess in the workers, whose caches
-        die with them; their final stats are summed into the session's
-        (otherwise idle) cache numbers so the document still accounts
-        for every hit and miss of the capture.
+        die with them; what each source added to them ships home with
+        the source, and each sweep's adopted sum is added to the
+        session's (otherwise idle) cache numbers, so the document still
+        accounts for every hit and miss of the capture.
         """
         return _sum_stats(
             [self.preprocess_cache.stats(), *self._worker_cache_stats]
@@ -463,12 +463,14 @@ def _domain_doc(metrics: "DomainMetrics") -> dict:
 
 
 def _bench_shard_worker(task: ShardTask) -> ShardResult:
-    """Run one shard of a bench sweep in a worker process.
+    """Serve a bench sweep's work queue in a worker process.
 
-    The worker builds its own serial session (own caches, own read view
-    of the registry root) and never applies registry writes — it exports
-    them as :class:`~repro.registry.store.StagedWrites` for the parent
-    to apply in catalog order, exactly like the serial sweep would.
+    One call per worker: it builds its own serial session (own caches,
+    own read view of the registry root), then takes catalog entries off
+    the queue one at a time.  It never applies registry writes — it
+    exports them as :class:`~repro.registry.store.StagedWrites` for the
+    parent to apply in catalog order, exactly like the serial sweep
+    would.
     """
     config, system_name = task.worker
     session = BenchSession(config)
@@ -484,10 +486,13 @@ def _bench_shard_worker(task: ShardTask) -> ShardResult:
     )
 
 
-def _dispatch_bench_shards(tasks: list[ShardTask]) -> list[ShardResult]:
-    """Run the sweep's shards on a process pool, one worker per shard."""
-    with ProcessPoolExecutor(max_workers=len(tasks)) as pool:
-        return list(pool.map(_bench_shard_worker, tasks))
+@contextmanager
+def _dispatch_bench_shards(queue: WorkQueue) -> Iterator[list[Future]]:
+    """Serve the sweep's work queue on a process pool, one call per worker."""
+    with ProcessPoolExecutor(
+        max_workers=queue.width, initializer=attach_queue, initargs=(queue,)
+    ) as pool:
+        yield [pool.submit(_bench_shard_worker, task) for task in queue.tasks()]
 
 
 # -- artifact files -------------------------------------------------------

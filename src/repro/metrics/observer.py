@@ -107,7 +107,7 @@ class MetricsObserver(PipelineObserver):
         self._per_source: dict[str, MetricsRegistry] = {}
         self._source_order: list[str] = []
         self._caches: list["PreprocessCache"] = []
-        self._adopted_cache_stats: list[dict[str, int]] = []
+        self._adopted_cache_stats: dict[str, int] = _summed([])
 
     # -- wiring -----------------------------------------------------------
 
@@ -143,11 +143,14 @@ class MetricsObserver(PipelineObserver):
         """Fold a static cache-stats mapping into future snapshots.
 
         Worker processes cannot share live :class:`PreprocessCache`
-        objects with the parent, so they report their final stats and the
-        parent adopts the dict — summed alongside the observed caches.
+        objects with the parent, so they report what each source added
+        to their caches and the parent adopts the dicts — summed
+        alongside the observed caches.
         """
         with self._lock:
-            self._adopted_cache_stats.append(dict(stats))
+            self._adopted_cache_stats = _summed(
+                [self._adopted_cache_stats, stats]
+            )
 
     def _registry(self, source: str) -> MetricsRegistry:
         """The per-source registry, created (and ordered) on first use."""
@@ -209,12 +212,14 @@ class MetricsObserver(PipelineObserver):
         """Summed lifetime stats of every observed preprocessing cache."""
         with self._lock:
             caches = list(self._caches)
-            adopted = [dict(stats) for stats in self._adopted_cache_stats]
-        totals = {"hits": 0, "misses": 0, "races": 0, "entries": 0}
-        for stats in [cache.stats() for cache in caches] + adopted:
-            for name, value in stats.items():
-                totals[name] = totals.get(name, 0) + value
-        return totals
+        return _summed(
+            [*(cache.stats() for cache in caches), self.adopted_cache_stats()]
+        )
+
+    def adopted_cache_stats(self) -> dict[str, int]:
+        """The summed stats :meth:`adopt_cache_stats` received."""
+        with self._lock:
+            return dict(self._adopted_cache_stats)
 
     def snapshot(self) -> dict[str, object]:
         """Everything observed, as one deterministic JSON-ready mapping.
@@ -240,3 +245,12 @@ class MetricsObserver(PipelineObserver):
             "merged": MetricsRegistry.merged(per_source.values()).snapshot(),
             "cache": self.cache_stats(),
         }
+
+
+def _summed(parts: list[Mapping[str, int]]) -> dict[str, int]:
+    """Key-wise sum of cache-stats mappings, over the four base keys."""
+    totals = {"hits": 0, "misses": 0, "races": 0, "entries": 0}
+    for stats in parts:
+        for name, value in stats.items():
+            totals[name] = totals.get(name, 0) + value
+    return totals

@@ -295,6 +295,77 @@ class TestP601Picklability:
         )
 
 
+    def test_unpicklable_message_sent_home_fires(self, tmp_path):
+        findings = findings_for(
+            tmp_path,
+            {
+                "backend/runner.py": STREAMING_BACKEND.format(
+                    guard="threading.Lock()"
+                )
+            },
+            ["P601"],
+        )
+        # Report reaches the boundary only by being sent home.
+        assert [f.message for f in findings] == [
+            "unpicklable value (a threading.Lock) flows into "
+            "process-boundary field 'guard' of Report"
+        ]
+
+    def test_picklable_message_sent_home_is_quiet(self, tmp_path):
+        assert not findings_for(
+            tmp_path,
+            {"backend/runner.py": STREAMING_BACKEND.format(guard="None")},
+            ["P601"],
+        )
+
+
+#: A worker streaming one report per item home over a channel it got
+#: from the pool initializer; ``{guard}`` is what the report carries.
+STREAMING_BACKEND = '''\
+"""Streaming process backend fixture."""
+import threading
+from concurrent.futures import ProcessPoolExecutor
+from dataclasses import dataclass
+
+CHANNEL = None
+
+
+class Report:
+    """One item's outcome, streamed home."""
+
+    def __init__(self, item, guard):
+        self.item = item
+        self.guard = guard
+
+
+@dataclass
+class Task:
+    """Picklable task spec."""
+
+    items: tuple
+
+
+def attach(channel):
+    """Pool initializer."""
+    global CHANNEL
+    CHANNEL = channel
+
+
+def _worker(task: Task):
+    """Worker entrypoint: one report per item."""
+    for item in task.items:
+        report = Report(item, {guard})
+        CHANNEL.send(report)
+    return len(task.items)
+
+
+def run(items, channel):
+    """Dispatcher."""
+    with ProcessPoolExecutor(initializer=attach, initargs=(channel,)) as pool:
+        return pool.submit(_worker, Task(tuple(items))).result()
+'''
+
+
 #: The PR 9 miss-counter bug shape: a counter mutated worker-side whose
 #: value never appears in __getstate__ — state that dies with the worker.
 MISS_COUNTER_BUG = '''\
@@ -378,6 +449,29 @@ class TestP602HomewardSurface:
         assert not findings_for(
             tmp_path, {"backend/runner.py": source}, ["P602"]
         )
+
+    def test_streamed_message_missing_a_counter_fires(self, tmp_path):
+        # The same bug when the stats travel home one message per item
+        # over a channel instead of in the entry's return value.
+        source = MISS_COUNTER_BUG.replace(
+            "    stats = ShardStats()\n"
+            "    for item in task.items:\n"
+            "        stats.record(bool(item))\n"
+            "    return stats",
+            "    for item in task.items:\n"
+            "        stats = ShardStats()\n"
+            "        stats.record(bool(item))\n"
+            "        CHANNEL.send(stats)\n"
+            "    return len(task.items)",
+        ).replace(
+            "@dataclass\nclass ShardTask:",
+            "CHANNEL = None\n\n\n@dataclass\nclass ShardTask:",
+        )
+        assert "CHANNEL.send(stats)" in source
+        (finding,) = findings_for(
+            tmp_path, {"backend/runner.py": source}, ["P602"]
+        )
+        assert "'_misses'" in finding.message
 
     def test_parent_side_class_is_out_of_scope(self, tmp_path):
         # A class with a homeward protocol but no worker-reachable
@@ -588,6 +682,13 @@ class TestRepoCoverage:
             "repro.metrics.bench:_bench_shard_worker",
         ]
 
+    def test_streamed_report_crosses_the_boundary(self, graph):
+        # The per-source report each worker streams home is a boundary
+        # class, so P601 checks what it carries.
+        boundary = ProcessBoundaryAnalysis.build(graph).boundary_classes
+        report = boundary["repro.core.executor:SourceReport"]
+        assert report.why == "sent home by run_worker_shard()"
+
     def test_item_functions_and_homeward_surface_are_worker_reachable(
         self, graph
     ):
@@ -597,5 +698,7 @@ class TestRepoCoverage:
             "repro.metrics.bench:BenchSession._run_entry",
             "repro.metrics.observer:MetricsObserver.adopt_source",
             "repro.registry.store:StagedRegistryView.export",
+            "repro.core.executor:WorkQueue.claim",
+            "repro.core.executor:WorkQueue.send",
         ):
             assert qualname in reachable, qualname

@@ -2,14 +2,16 @@
 
 import io
 import json
+import os
 import pickle
 
 import pytest
 
 from repro.core import ObjectRunner, RunParams, ShardSpec
 from repro.core import objectrunner as objectrunner_module
-from repro.core.faults import FaultInjector, FaultSpec
+from repro.core.faults import FaultInjector, FaultSpec, SourceFailure
 from repro.core.pipeline import TraceObserver
+from repro.core.stages.wrap import WrapperGenerationStage
 from repro.datasets import build_knowledge, domain_spec, generate_source
 from repro.datasets.sites import SiteSpec
 from repro.errors import MultiSourceError, ProcessBackendConfigError
@@ -59,6 +61,40 @@ def as_bytes(outcome):
     return json.dumps(
         [instance.values for instance in outcome.objects], sort_keys=True
     ).encode()
+
+
+def metrics_view(observer):
+    """An observer's snapshot minus its wall-clock values."""
+    per_source = {}
+    for source in observer.sources():
+        registry = observer.source_registry(source)
+        per_source[source] = {
+            "counters": registry.counters_snapshot(),
+            "timers": {
+                name: len(registry.observations(name))
+                for name in registry.timer_names()
+            },
+        }
+    return json.dumps(
+        {
+            "sources": list(observer.sources()),
+            "per_source": per_source,
+            "cache": observer.cache_stats(),
+        },
+        sort_keys=True,
+    )
+
+
+def failing_sources(sources):
+    """``sources`` with a source that fails at preprocess at index 2."""
+    mixed = {}
+    for index, (name, pages) in enumerate(sources.items()):
+        if index == 2:
+            # A non-string page fails deterministically at preprocess
+            # in any backend.
+            mixed["bad"] = [None]
+        mixed[name] = pages
+    return mixed
 
 
 class TestProcessEqualsSerial:
@@ -157,15 +193,7 @@ class TestProcessEqualsSerial:
 
 class TestProcessFailurePolicies:
     def failing_sources(self, sources):
-        mixed = {}
-        for index, (name, pages) in enumerate(sources.items()):
-            if index == 2:
-                # A non-string page fails deterministically at preprocess
-                # in any backend (fault injectors cannot cross the
-                # process boundary).
-                mixed["bad"] = [None]
-            mixed[name] = pages
-        return mixed
+        return failing_sources(sources)
 
     def test_isolate_matches_serial(self, four_sources):
         domain, knowledge, sources = four_sources
@@ -218,6 +246,110 @@ class TestProcessFailurePolicies:
         assert (roots["process"] / "index.json").read_bytes() == (
             roots["serial"] / "index.json"
         ).read_bytes()
+
+
+class TestWorkQueue:
+    def test_worker_counts_give_equal_bytes(self, four_sources, tmp_path):
+        domain, knowledge, sources = four_sources
+        seen = {}
+        for workers in (1, 2, 3):
+            observer = MetricsObserver()
+            root = tmp_path / f"w{workers}"
+            outcome = make_runner(
+                domain, knowledge, registry_root=root,
+                observers=(observer,), max_workers=workers,
+            ).run_sources(sources)
+            seen[workers] = (
+                as_bytes(outcome),
+                metrics_view(observer),
+                (root / "index.json").read_bytes(),
+            )
+        assert seen[2] == seen[1]
+        assert seen[3] == seen[1]
+
+    def test_fail_fast_metrics_match_serial_prefix(
+        self, four_sources, tmp_path
+    ):
+        # Workers may finish sources past the failing one; the merge
+        # adopts their metrics and counters only up to the failure, as
+        # far as a serial run gets.
+        domain, knowledge, sources = four_sources
+        mixed = failing_sources(sources)
+        seen = {}
+        for workers in (1, 4):
+            observer = MetricsObserver()
+            runner = make_runner(
+                domain, knowledge, registry_root=tmp_path / f"w{workers}",
+                observers=(observer,), max_workers=workers,
+                failure_policy="fail_fast",
+            )
+            with pytest.raises(MultiSourceError):
+                runner.run_sources(mixed)
+            seen[workers] = (
+                metrics_view(observer), runner.wrapper_registry.stats()
+            )
+        assert json.loads(seen[1][0])["sources"] == ["proc-0", "proc-1", "bad"]
+        assert seen[4] == seen[1]
+
+
+class TestWorkerDeath:
+    """A worker process dying mid-source is that source's typed failure."""
+
+    CRASHING = "proc-1"
+
+    @pytest.fixture
+    def crash_in_wrapping(self, monkeypatch):
+        """Patch wrapper generation, before any fork, to kill the process."""
+        original = WrapperGenerationStage.run
+
+        def run(stage, ctx):
+            if ctx.source == self.CRASHING:
+                os._exit(3)
+            return original(stage, ctx)
+
+        def install():
+            monkeypatch.setattr(WrapperGenerationStage, "run", run)
+
+        return install
+
+    def test_isolate_records_the_death_and_keeps_siblings(
+        self, four_sources, crash_in_wrapping
+    ):
+        domain, knowledge, sources = four_sources
+        serial = make_runner(domain, knowledge).run_sources(sources)
+        crash_in_wrapping()
+        process = make_runner(
+            domain, knowledge, max_workers=2, failure_policy="isolate"
+        ).run_sources(sources)
+        failure = process.failures[self.CRASHING]
+        assert isinstance(failure, SourceFailure)
+        assert failure.stage == "worker"
+        siblings = [name for name in sources if name != self.CRASHING]
+        assert list(process.results) == siblings
+        for name in siblings:
+            assert [o.values for o in process.results[name].objects] == [
+                o.values for o in serial.results[name].objects
+            ]
+
+    def test_fail_fast_raises_the_serial_prefix(
+        self, four_sources, crash_in_wrapping
+    ):
+        domain, knowledge, sources = four_sources
+        serial = make_runner(domain, knowledge).run_sources(sources)
+        crash_in_wrapping()
+        runner = make_runner(
+            domain, knowledge, max_workers=2, failure_policy="fail_fast"
+        )
+        with pytest.raises(MultiSourceError) as excinfo:
+            runner.run_sources(sources)
+        error = excinfo.value
+        assert error.failure.source == self.CRASHING
+        assert error.failure.stage == "worker"
+        assert list(error.partial.results) == ["proc-0"]
+        assert list(error.partial.failures) == [self.CRASHING]
+        assert [o.values for o in error.partial.objects] == [
+            o.values for o in serial.results["proc-0"].objects
+        ]
 
 
 class TestProcessBackendSupport:
