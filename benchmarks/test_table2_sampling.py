@@ -24,6 +24,18 @@ from repro.eval.report import render_comparison_table
 #: A small sample budget makes sample *choice* matter.
 SAMPLE_SIZE = 6
 
+#: EXPERIMENTS.md's Table II, measured at scale 0.1: per domain, the
+#: SOD-based Pc and Pp, then the random Pc and Pp, in percent.  This is
+#: the only bench whose sample budget is below the page count, so the
+#: only one where Algorithm 1's candidate narrowing picks the sample.
+MEASURED_TABLE2 = {
+    "concerts": (79.3, 79.3, 69.0, 69.0),
+    "albums": (74.5, 100.0, 74.5, 100.0),
+    "books": (74.7, 74.7, 74.7, 74.7),
+    "publications": (67.9, 76.6, 67.9, 76.6),
+    "cars": (65.3, 100.0, 65.3, 100.0),
+}
+
 
 def _run_mode(sod_based: bool):
     params = RunParams(
@@ -97,3 +109,20 @@ def test_table2_sample_selection(benchmark):
     total_sod = sum(sod_based[d].precision_correct for d in DOMAIN_ORDER)
     total_random = sum(random[d].precision_correct for d in DOMAIN_ORDER)
     assert total_sod >= total_random
+
+    if BENCH_SCALE == 0.1:
+        # The figures themselves are pinned at the scale EXPERIMENTS.md
+        # reports; a change that moves them updates both and says why.
+        measured = {
+            domain: tuple(
+                round(100.0 * value, 1)
+                for value in (
+                    sod_based[domain].precision_correct,
+                    sod_based[domain].precision_partial,
+                    random[domain].precision_correct,
+                    random[domain].precision_partial,
+                )
+            )
+            for domain in DOMAIN_ORDER
+        }
+        assert measured == MEASURED_TABLE2

@@ -36,6 +36,12 @@ class AnnotatedPage:
     _texts: list[tuple[Text, str]] = field(
         default_factory=list, init=False, repr=False, compare=False
     )
+    #: Every annotated element of the scopes annotated so far, each once,
+    #: in the order it gained its first annotation; see
+    #: :meth:`PageAnnotator.annotate`.
+    marked: list[Element] = field(
+        default_factory=list, init=False, repr=False, compare=False
+    )
 
     def annotation_count(self, type_name: str | None = None) -> int:
         """Total matches (for one type, or across all types)."""
@@ -54,10 +60,20 @@ class PageAnnotator:
     covers an entire text node — such matches are strong signals that the
     node is a data slot of the template (the paper mentions value/textual
     rules of this form).
+
+    An annotator keeps, for its lifetime, the scored matches of every
+    (recognizer, text) pair it scanned, so template text repeated on
+    every page of a source is scanned once.  That relies on
+    :meth:`Recognizer.find` being a pure function of its text: a
+    recognizer must not change while an annotator that used it is
+    still in use.  Build one annotator per annotation pass.
     """
 
     def __init__(self, full_node_bonus: float = 0.1):
         self._full_node_bonus = full_node_bonus
+        #: id(recognizer) -> (recognizer, collapsed text -> scored matches).
+        #: The recognizer is held so its id is not reused.
+        self._memo: dict[int, tuple[Recognizer, dict[str, list[Match]]]] = {}
 
     def annotate(
         self,
@@ -72,10 +88,18 @@ class PageAnnotator:
 
         Cost model: the scope's text nodes are listed (and their text
         collapsed) on the first call for a scope and reused by later
-        calls over the same scope; each call then runs the recognizer
-        once per non-empty text node and re-propagates only along the
-        ancestors of the nodes it annotated.  The page's tree must not be
-        changed between calls except by this annotator.
+        calls over the same scope.  Each call then looks up, per
+        non-empty text node, the matches of its text, running the
+        recognizer only on a text this annotator has not scanned with
+        it, and re-propagates only along the ancestors of the nodes it
+        annotated.  The page's tree must not be changed between calls
+        except by this annotator.
+
+        ``page.marked`` gains every element that gets its first
+        annotation here.  On the first call for a scope whose subtree
+        already held annotations, propagation runs over the whole scope
+        and every annotated element of it is marked, so ``marked`` holds
+        exactly the annotated elements of the scopes annotated.
         """
         scope = within if within is not None else page.root
         at_fixpoint = True
@@ -83,36 +107,61 @@ class PageAnnotator:
             page._texts, at_fixpoint = _scan_scope(scope)
             page._scope = scope
         type_name = recognizer.type_name
+        memo = self._memo.get(id(recognizer))
+        if memo is None:
+            memo = self._memo[id(recognizer)] = (recognizer, {})
+        scored = memo[1]
+        marked = page.marked
         found: list[Match] = []
         annotated: list[Text] = []
         for text_node, text in page._texts:
-            matches = prune_overlaps(recognizer.find(text))
+            matches = scored.get(text)
+            if matches is None:
+                matches = scored[text] = self._scored(recognizer, text)
             if not matches:
                 continue
             text_node.annotations.add(type_name)
             parent = text_node.parent
             if parent is not None:
+                if not parent.annotations:
+                    marked.append(parent)
                 parent.annotations.add(type_name)
             annotated.append(text_node)
-            for match in matches:
-                confidence = match.confidence
-                if match.length >= len(text):
-                    confidence = min(1.0, confidence + self._full_node_bonus)
-                found.append(
-                    Match(
-                        start=match.start,
-                        end=match.end,
-                        value=match.value,
-                        type_name=match.type_name,
-                        confidence=confidence,
-                    )
-                )
+            found.extend(matches)
         page.matches_by_type.setdefault(type_name, []).extend(found)
         if at_fixpoint:
-            propagate_upward(annotated, scope)
+            marked.extend(propagate_upward(annotated, scope))
         else:
             propagate_annotations(scope)
+            seen = {id(element) for element in marked}
+            marked.extend(
+                element
+                for element in scope.iter_elements()
+                if element.annotations and id(element) not in seen
+            )
         return found
+
+    def _scored(self, recognizer: Recognizer, text: str) -> list[Match]:
+        """The recognizer's pruned matches in ``text``, a match covering
+        the whole text raised by the full-node bonus."""
+        matches = recognizer.find(text)
+        if not matches:
+            return []
+        scored: list[Match] = []
+        for match in prune_overlaps(matches):
+            confidence = match.confidence
+            if match.length >= len(text):
+                confidence = min(1.0, confidence + self._full_node_bonus)
+            scored.append(
+                Match(
+                    start=match.start,
+                    end=match.end,
+                    value=match.value,
+                    type_name=match.type_name,
+                    confidence=confidence,
+                )
+            )
+        return scored
 
 
 def _scan_scope(scope: Element) -> tuple[list[tuple[Text, str]], bool]:

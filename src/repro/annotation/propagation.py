@@ -64,7 +64,7 @@ def propagate_annotations(root: Element) -> None:
     visit(root)
 
 
-def propagate_upward(nodes: Iterable[Node], root: Element) -> None:
+def propagate_upward(nodes: Iterable[Node], root: Element) -> list[Element]:
     """Re-propagate only along the ancestor paths of ``nodes`` up to ``root``.
 
     Equivalent to :func:`propagate_annotations` on ``root`` when the
@@ -72,6 +72,9 @@ def propagate_upward(nodes: Iterable[Node], root: Element) -> None:
     ``nodes`` (and to their parents): inheritance is monotone and
     independent per type, so only the ancestors of changed nodes can
     change.  Ancestors are updated deepest first, children before parents.
+
+    Returns the ancestors that held no annotation before and hold one
+    now, in the order they were updated.
     """
     depth_of: dict[int, int] = {}
     affected: list[tuple[int, Element]] = []
@@ -93,8 +96,13 @@ def propagate_upward(nodes: Iterable[Node], root: Element) -> None:
             depth_of[id(element)] = depth
             affected.append((depth, element))
     affected.sort(key=lambda item: -item[0])
+    gained: list[Element] = []
     for __, element in affected:
+        was_empty = not element.annotations
         _absorb_children(element)
+        if was_empty and element.annotations:
+            gained.append(element)
+    return gained
 
 
 def clear_annotations(root: Element) -> None:

@@ -74,61 +74,100 @@ def _order_types(
     return gazetteers + others
 
 
-def _block_annotation_rate(
-    pages: list[AnnotatedPage], block_signature_of: dict[int, str]
-) -> dict[str, float]:
-    """Average per-page annotation count per block signature.
+@dataclass
+class _PageBlocks:
+    """One page's alpha-gate counts: how many of its marked elements were
+    read, and per block signature the count and the smallest pre-order
+    key."""
 
-    The paper checks, per visual block, ``sum_k (annotations in block) / k``
-    against ``alpha``: blocks must be annotated on average on at least
-    ``alpha`` ... we interpret the condition as "mean annotated-node count
-    per page in the block reaches alpha", which matches the formula given.
+    read: int = 0
+    counts: dict[str, int] = field(default_factory=dict)
+    first: dict[str, tuple[int, ...]] = field(default_factory=dict)
+
+
+class _BlockTally:
+    """Annotated elements per visual block, page by page: the alpha gate's
+    counts.
+
+    The paper checks, per visual block, ``sum_k (annotations in block) /
+    k`` against ``alpha``: blocks must be annotated on average on at
+    least ``alpha`` ... we interpret the condition as "mean annotated-node
+    count per page in the block reaches alpha", which matches the formula
+    given.  An element counts for the innermost block whose element is
+    itself or an ancestor; without segmentation each page body is one
+    block.
+
+    The annotated elements are the ones :class:`PageAnnotator` recorded
+    in :attr:`AnnotatedPage.marked`, so a round reads only the elements
+    that round marked, never a whole page.  Each element's block comes
+    from one walk up its ancestors, shared with the elements below it.
     """
-    totals: dict[str, float] = {}
-    for page in pages:
-        per_block: dict[str, int] = {}
-        for node in page.root.iter_elements():
-            if not node.annotations:
-                continue
-            signature = block_signature_of.get(id(node))
+
+    def __init__(
+        self, pages: list[AnnotatedPage], block_trees: list[BlockTree] | None
+    ):
+        #: id(block element) -> block signature.
+        self._block_at: dict[int, str] = {}
+        if block_trees is None:
+            for page in pages:
+                body = page.root.find("body") or page.root
+                self._block_at[id(body)] = "page-body"
+        else:
+            for tree in block_trees:
+                for block in tree.all_blocks():
+                    self._block_at[id(block.element)] = block.signature
+        #: id(element) -> (enclosing block signature or None, pre-order
+        #: key: the child indexes on the path from the tree root).
+        self._located: dict[int, tuple[str | None, tuple[int, ...]]] = {}
+        self._pages: dict[int, _PageBlocks] = {}
+
+    def signature_of(self, element: Element) -> str | None:
+        """The signature of the innermost block holding ``element``."""
+        return self._locate(element)[0]
+
+    def _locate(self, element: Element) -> tuple[str | None, tuple[int, ...]]:
+        located = self._located
+        path: list[Element] = []
+        node: Element | None = element
+        while node is not None and id(node) not in located:
+            path.append(node)
+            node = node.parent
+        signature, key = located[id(node)] if node is not None else (None, ())
+        for node in reversed(path):
+            parent = node.parent
+            if parent is not None:
+                key = key + (parent.children.index(node),)
+            signature = self._block_at.get(id(node), signature)
+            located[id(node)] = (signature, key)
+        return signature, key
+
+    def _page_counts(self, page: AnnotatedPage) -> dict[str, int]:
+        """Annotated elements per signature on ``page``, keyed in the
+        pre-order of each signature's first annotated element."""
+        blocks = self._pages.get(id(page))
+        if blocks is None:
+            blocks = self._pages[id(page)] = _PageBlocks()
+        counts, first = blocks.counts, blocks.first
+        for element in page.marked[blocks.read :]:
+            signature, key = self._locate(element)
             if signature is None:
                 continue
-            per_block[signature] = per_block.get(signature, 0) + 1
-        for signature, count in per_block.items():
-            totals[signature] = totals.get(signature, 0.0) + count
-    if not pages:
-        return {}
-    return {signature: total / len(pages) for signature, total in totals.items()}
+            counts[signature] = counts.get(signature, 0) + 1
+            if signature not in first or key < first[signature]:
+                first[signature] = key
+        blocks.read = len(page.marked)
+        order = sorted(first, key=first.__getitem__)
+        return {signature: counts[signature] for signature in order}
 
-
-def _enclosing_block_signatures(
-    pages: list[AnnotatedPage], block_trees: list[BlockTree] | None
-) -> dict[int, str]:
-    """Map node id -> signature of the innermost block containing it."""
-    mapping: dict[int, str] = {}
-    if block_trees is None:
-        # No segmentation available: treat each page body as one block.
+    def rates(self, pages: list[AnnotatedPage]) -> dict[str, float]:
+        """Average per-page annotated-element count per block signature."""
+        totals: dict[str, float] = {}
         for page in pages:
-            body = page.root.find("body") or page.root
-            for node in body.iter_elements():
-                mapping[id(node)] = "page-body"
-        return mapping
-    for tree in block_trees:
-        # One DFS per tree, carrying the innermost enclosing block's
-        # signature down; block elements nest as their blocks do.
-        signature_at = {
-            id(block.element): block.signature for block in tree.all_blocks()
-        }
-        root = tree.root.element
-        stack = [(root, signature_at[id(root)])]
-        while stack:
-            element, signature = stack.pop()
-            signature = signature_at.get(id(element), signature)
-            mapping[id(element)] = signature
-            for child in element.children:
-                if isinstance(child, Element):
-                    stack.append((child, signature))
-    return mapping
+            for signature, count in self._page_counts(page).items():
+                totals[signature] = totals.get(signature, 0.0) + count
+        if not pages:
+            return {}
+        return {signature: total / len(pages) for signature, total in totals.items()}
 
 
 def select_sample(
@@ -153,7 +192,7 @@ def select_sample(
 
     candidates = list(annotated)
     processed: list[str] = []
-    signature_of = _enclosing_block_signatures(annotated, block_trees)
+    tally = _BlockTally(annotated, block_trees)
     block_rates: dict[str, float] = {}
 
     for round_index, recognizer in enumerate(ordered):
@@ -167,7 +206,7 @@ def select_sample(
         # incomplete (the paper assumes ~20% coverage), so intermediate
         # rounds only need a weak signal; the full threshold applies once
         # every type has been processed.
-        block_rates = _block_annotation_rate(candidates, signature_of)
+        block_rates = tally.rates(candidates)
         if config.enforce_alpha:
             final_round = round_index == len(ordered) - 1
             threshold = config.alpha if final_round else config.alpha * 0.2

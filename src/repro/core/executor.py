@@ -43,6 +43,7 @@ from repro.registry.store import (
     StagedRegistryView,
     StagedWrites,
     WrapperRegistry,
+    replay,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - types only
@@ -494,10 +495,8 @@ def _merge(
     completed = len(items) if cut is None else cut
     outcomes = [reports[position].outcome for position in range(completed)]
     if registry is not None:
-        for position in range(completed):
-            staged = reports[position].writes
-            if staged is not None:
-                staged.apply_to(registry)
+        staged = [reports[position].writes for position in range(completed)]
+        replay([writes for writes in staged if writes is not None], registry)
     if cut is not None:
         failure = reports[cut].outcome
         # The failing item sits right after the completed prefix, so

@@ -60,18 +60,29 @@ class Node:
 
 
 class Text(Node):
-    """A text node."""
+    """A text node.
 
-    __slots__ = ("text", "annotations")
+    ``text`` is set once, at construction: code that needs other text
+    (tidy's merge of adjacent text nodes) builds a new node, so the
+    collapsed form :meth:`text_content` computes on first use stays
+    valid for the node's lifetime.
+    """
+
+    __slots__ = ("text", "annotations", "_collapsed")
 
     def __init__(self, text: str):
         self.parent = None
         self.text = text
         #: Semantic entity-type names attached by the annotator.
         self.annotations: set[str] = set()
+        self._collapsed: str | None = None
 
     def text_content(self) -> str:
-        return collapse_whitespace(self.text)
+        """The text, whitespace-collapsed (computed once per node)."""
+        collapsed = self._collapsed
+        if collapsed is None:
+            collapsed = self._collapsed = collapse_whitespace(self.text)
+        return collapsed
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         preview = self.text if len(self.text) <= 30 else self.text[:27] + "..."
@@ -129,19 +140,31 @@ class Element(Node):
     # -- traversal -----------------------------------------------------------
 
     def iter(self) -> Iterator[Node]:
-        """Pre-order traversal over this element and all descendants."""
-        yield self
-        for child in self.children:
-            if isinstance(child, Element):
-                yield from child.iter()
-            else:
-                yield child
+        """Pre-order traversal over this element and all descendants.
+
+        One explicit stack, so the cost per node does not grow with its
+        depth and no depth exceeds the recursion limit.
+        """
+        stack: list[Node] = [self]
+        pop = stack.pop
+        extend = stack.extend
+        while stack:
+            node = pop()
+            yield node
+            if isinstance(node, Element) and node.children:
+                extend(reversed(node.children))
 
     def iter_elements(self) -> Iterator["Element"]:
         """Pre-order traversal over descendant elements (self included)."""
-        for node in self.iter():
-            if isinstance(node, Element):
-                yield node
+        stack: list[Element] = [self]
+        pop = stack.pop
+        push = stack.append
+        while stack:
+            element = pop()
+            yield element
+            for child in reversed(element.children):
+                if isinstance(child, Element):
+                    push(child)
 
     def iter_text_nodes(self) -> Iterator[Text]:
         """All descendant text nodes in document order."""
@@ -288,6 +311,7 @@ def thaw(snapshot: Snapshot) -> Element:
             text.parent = parent
             text.text = record
             text.annotations = set()
+            text._collapsed = None
             siblings.append(text)
         elif record == _CLOSE:
             parent = stack.pop()

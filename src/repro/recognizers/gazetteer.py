@@ -5,8 +5,9 @@ over word boundaries with a longest-match-first strategy.  A first-token
 index (first word of each entry -> entries starting with it, plus the
 word's offset inside the entry) is maintained by :meth:`add` and
 :meth:`remove`, so :meth:`GazetteerRecognizer.find` never passes over the
-dictionary: a scan costs one tokenisation of the text, O(words in the
-text), plus one comparison per candidate entry sharing a word's token.
+dictionary: a scan costs O(words in the text) — one tokenisation that
+rejects a text none of whose words is indexed, a second one otherwise —
+plus one comparison per candidate entry sharing a word's token.
 """
 
 from __future__ import annotations
@@ -118,20 +119,21 @@ class GazetteerRecognizer:
             return []
         haystack = text if self._case_sensitive else text.lower()
         index = self._first_token_index
+        if index.keys().isdisjoint(_WORD_RE.findall(haystack)):
+            return []  # no word starts an entry: the common case
         matches: list[Match] = []
         taken_until = 0
         for word in _WORD_RE.finditer(haystack):
             candidates = index.get(word.group(0))
             if not candidates:
                 continue
+            word_start = word.start()
             best: tuple[int, int, str] | None = None
             for key, offset in candidates.items():
-                start = word.start() - offset
-                if start < taken_until:
+                start = word_start - offset
+                if start < taken_until or not haystack.startswith(key, start):
                     continue
                 end = start + len(key)
-                if haystack[start:end] != key:
-                    continue
                 if start > 0 and _is_word_char(haystack[start - 1]):
                     continue
                 if end < len(haystack) and _is_word_char(haystack[end]):

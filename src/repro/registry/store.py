@@ -28,7 +28,7 @@ import os
 import threading
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Any, Iterable, Sequence
 
 from repro.errors import RegistryError
 from repro.sod.canonical import canonicalize
@@ -277,23 +277,25 @@ class WrapperRegistry:
         """The stored wrapper or discard for this (SOD, template), or None.
 
         Counts a hit or a miss (a tombstone is a hit — the registry
-        resolved the source); a present-but-unreadable entry raises
-        :class:`RegistryError` rather than silently inducing again.
+        resolved the source).  An index row whose entry file is gone is
+        a miss, so the caller induces and stores the entry again; a
+        present-but-unreadable entry raises :class:`RegistryError`
+        rather than silently inducing again.
         """
         signature = signature_for(sod, fingerprint)
         with self._lock:
-            present = signature in self._index
-            self._count("hits" if present else "misses")
-        if not present:
-            return None
-        return self.get(signature)
+            indexed = signature in self._index
+        stored = self.get(signature) if indexed else None
+        self._count("misses" if stored is None else "hits")
+        return stored
 
     def get(self, signature: str) -> Wrapper | StoredDiscard | None:
         """Load what ``signature`` stores (``None`` if absent)."""
         path = self.entry_path(signature)
-        if not path.exists():
+        try:
+            entry = self._read_entry(path)
+        except FileNotFoundError:
             return None
-        entry = self._read_entry(path)
         if entry.signature != signature:
             raise RegistryError(
                 f"{path}: entry signature {entry.signature!r} does not match "
@@ -347,9 +349,24 @@ class WrapperRegistry:
         merge byte-identical to the serial catalog-order apply even when
         distinct sources induce under the same signature.
         """
+        with self._lock:
+            if self._offer(entry):
+                self._write_index()
+        return entry.signature
+
+    def _offer(self, entry: RegistryEntry) -> bool:
+        """:meth:`_store_entry` without the index file write; returns
+        whether the index changed.
+
+        An index row whose entry file is gone does not count as an
+        incumbent: the offered entry is stored afresh.
+        """
         signature = entry.signature
+        path = self.entry_path(signature)
         with self._lock:
             incumbent = self._index.get(signature)
+            if incumbent is not None and not path.exists():
+                incumbent = None
             if incumbent is not None:
                 self._count("races")
                 offered = _entry_precedence(entry.kind, entry.source)
@@ -357,18 +374,17 @@ class WrapperRegistry:
                     incumbent["kind"], incumbent["source"]
                 )
                 if offered >= kept:
-                    return signature
-            write_json_atomic(self.entry_path(signature), entry.to_dict())
+                    return False
+            write_json_atomic(path, entry.to_dict())
             self._index[signature] = {
                 "kind": entry.kind,
                 "sod": entry.sod,
                 "fingerprint": entry.fingerprint,
                 "source": entry.source,
             }
-            self._write_index()
             if incumbent is None:
                 self._count("stores")
-        return signature
+        return True
 
     def demote(self, signature: str) -> bool:
         """Evict a stale wrapper so the next request re-induces.
@@ -378,10 +394,17 @@ class WrapperRegistry:
         longer extracts at threshold ``alpha``.
         """
         with self._lock:
+            removed = self._evict(signature)
+            if removed:
+                self._write_index()
+        return removed
+
+    def _evict(self, signature: str) -> bool:
+        """:meth:`demote` without the index file write."""
+        with self._lock:
             if signature not in self._index:
                 return False
             del self._index[signature]
-            self._write_index()
             path = self.entry_path(signature)
             if path.exists():
                 path.unlink()
@@ -497,9 +520,13 @@ class WrapperRegistry:
         signature.
         """
         combined = cls(root)
-        for part in parts:
-            for entry in part.entries():
-                combined._store_entry(entry)
+        with combined._lock:
+            changed = False
+            for part in parts:
+                for entry in part.entries():
+                    changed |= combined._offer(entry)
+            if changed:
+                combined._write_index()
         return combined
 
 
@@ -511,8 +538,9 @@ class StagedWrites:
     registry, so every batch source's view is exported to this value
     object when the source finishes, in-process and in a worker alike:
     the sorted demotions plus the staged entries in insertion order.
-    :meth:`apply_to` is the one replay of those writes, so a sharded
-    run's registry bytes match the serial run.  (The stores/races
+    :meth:`apply_to` is the one replay of those writes (a batch calls
+    it once per source through :func:`replay`), so a pooled run's
+    registry bytes match the serial run.  (The stores/races
     counter split still reflects where duplicate inductions were
     discarded, so those counts are layout-dependent — which is why the
     bench digest excludes them.)
@@ -521,12 +549,41 @@ class StagedWrites:
     demoted: tuple[str, ...]
     entries: tuple[RegistryEntry, ...]
 
-    def apply_to(self, base: WrapperRegistry) -> None:
-        """Apply the buffered demotions then stores to ``base``."""
-        for signature in self.demoted:
-            base.demote(signature)
-        for entry in self.entries:
-            base._store_entry(entry)
+    def apply_to(self, base: WrapperRegistry, write_index: bool = True) -> bool:
+        """Apply the buffered demotions then stores to ``base``.
+
+        Returns whether ``base``'s index changed.  With ``write_index``
+        false the index file is left to the caller; :func:`replay`
+        writes it once for a whole batch.
+        """
+        changed = False
+        with base._lock:
+            for signature in self.demoted:
+                changed |= base._evict(signature)
+            for entry in self.entries:
+                changed |= base._offer(entry)
+            if changed and write_index:
+                base._write_index()
+        return changed
+
+
+def replay(
+    writes: Iterable[StagedWrites], base: WrapperRegistry
+) -> None:
+    """Apply each source's staged writes in order, one
+    :meth:`StagedWrites.apply_to` call per source, then write ``base``'s
+    index file once (if it changed).
+
+    Entry files land as each source's writes apply.  The registry's lock
+    is held throughout, so no other thread sees the index ahead of its
+    file.
+    """
+    with base._lock:
+        changed = False
+        for staged in writes:
+            changed |= staged.apply_to(base, write_index=False)
+        if changed:
+            base._write_index()
 
 
 @dataclass

@@ -2,19 +2,23 @@
 
 The rewrite keeps the gazetteer's first-token index as instance state,
 lists each page's text nodes once per source instead of once per round,
-re-propagates annotations only along the ancestors of newly annotated
-nodes, and builds the block-signature map in one DFS.  It must be a pure
-performance change: node annotations, per-type matches, block rates,
-selected samples and extracted objects stay identical to the naive
-reference semantics below.  The references are deliberately naive
+scans each distinct text once per recognizer and source, re-propagates
+annotations only along the ancestors of newly annotated nodes, and
+counts the alpha gate's block rates from the elements the annotator
+marked instead of walking every candidate page after every round.  It
+must be a pure performance change: node annotations, per-type matches,
+block rates (and their key order), selected samples and extracted
+objects stay identical to the naive reference semantics below.  The references are deliberately naive
 transliterations of the pre-rewrite code paths; any divergence from them
 is a correctness bug in the optimization, never a tuning matter.
 """
 
 import re
+from collections import Counter
 
 import pytest
 
+import repro.annotation.annotator as annotator_module
 import repro.annotation.sampling as sampling
 import repro.core.stages.annotate as annotate_stage
 from repro.annotation.annotator import AnnotatedPage, PageAnnotator
@@ -163,6 +167,30 @@ def reference_block_signatures(pages, block_trees):
     return mapping
 
 
+class ReferenceBlockTally:
+    """The seed alpha gate: walks every candidate page after every round."""
+
+    def __init__(self, pages, block_trees):
+        self._signature_of = reference_block_signatures(pages, block_trees)
+
+    def rates(self, pages):
+        totals = {}
+        for page in pages:
+            per_block = {}
+            for node in page.root.iter_elements():
+                if not node.annotations:
+                    continue
+                signature = self._signature_of.get(id(node))
+                if signature is None:
+                    continue
+                per_block[signature] = per_block.get(signature, 0) + 1
+            for signature, count in per_block.items():
+                totals[signature] = totals.get(signature, 0.0) + count
+        if not pages:
+            return {}
+        return {signature: total / len(pages) for signature, total in totals.items()}
+
+
 @pytest.fixture
 def reference(monkeypatch):
     """Switch the annotation hot path to the reference semantics."""
@@ -170,9 +198,7 @@ def reference(monkeypatch):
     def enable():
         monkeypatch.setattr(GazetteerRecognizer, "find", reference_find)
         monkeypatch.setattr(PageAnnotator, "annotate", reference_annotate)
-        monkeypatch.setattr(
-            sampling, "_enclosing_block_signatures", reference_block_signatures
-        )
+        monkeypatch.setattr(sampling, "_BlockTally", ReferenceBlockTally)
 
     return enable
 
@@ -204,7 +230,7 @@ def run_snapshot(run):
             (page.index, matches_snapshot(page), annotation_snapshot(page.root))
             for page in run.all_pages
         ],
-        "block_rates": run.block_rates,
+        "block_rates": list(run.block_rates.items()),
         "sample": [page.index for page in run.sample],
         "type_order": run.type_order,
     }
@@ -370,14 +396,20 @@ def test_annotate_within_subtree_matches_reference(monkeypatch, reference):
 
 
 def test_block_signature_map_matches_reference():
+    """Each element's block, found by walking up its ancestors, is the one
+    the seed's per-block subtree walks assigned it."""
     for entry in _sample_entries():
         __, pages = _prepared(entry)
         annotated = [AnnotatedPage(root=p, index=i) for i, p in enumerate(pages)]
         trees = [segment_page(page) for page in pages]
         for block_trees in (trees, None):
-            assert sampling._enclosing_block_signatures(
-                annotated, block_trees
-            ) == reference_block_signatures(annotated, block_trees)
+            tally = sampling._BlockTally(annotated, block_trees)
+            expected = reference_block_signatures(annotated, block_trees)
+            for page in annotated:
+                for element in page.root.iter_elements():
+                    assert tally.signature_of(element) == expected.get(
+                        id(element)
+                    )
 
 
 def _chain_page():
@@ -448,3 +480,105 @@ def test_unpropagated_annotations_are_propagated_on_first_round(reference):
     slow = _annotate_rounds(prepared(), CHAIN_RECOGNIZERS[1:2])
     assert fast == slow
     assert ("Element", ("manual",)) in slow[1]  # the <li>/<ul> inherited it
+
+
+# -- cost claims ------------------------------------------------------------
+
+
+def test_each_distinct_text_is_scanned_once_per_source(monkeypatch):
+    """Within one Algorithm 1 pass, a recognizer's ``find`` runs at most
+    once per distinct text, although template text repeats on every
+    page."""
+    passes = []
+    real_select = annotate_stage.select_sample
+
+    def spy_select(source, pages, recognizers, *args, **kwargs):
+        scans = Counter()
+        lookups = [0]
+        passes.append((scans, lookups))
+        for recognizer in recognizers:
+            real_find = recognizer.find
+
+            def find(text, recognizer=recognizer, real_find=real_find):
+                scans[(id(recognizer), text)] += 1
+                return real_find(text)
+
+            recognizer.find = find
+        try:
+            return real_select(source, pages, recognizers, *args, **kwargs)
+        finally:
+            for recognizer in recognizers:
+                del recognizer.find
+
+    real_annotate = PageAnnotator.annotate
+
+    def spy_annotate(self, page, recognizer, within=None):
+        if passes:
+            scope = within if within is not None else page.root
+            passes[-1][1][0] += sum(
+                1 for node in scope.iter_text_nodes() if node.text_content()
+            )
+        return real_annotate(self, page, recognizer, within)
+
+    monkeypatch.setattr(annotate_stage, "select_sample", spy_select)
+    monkeypatch.setattr(PageAnnotator, "annotate", spy_annotate)
+    for entry in _sample_entries():
+        runner, source = catalog_runner(entry)
+        try:
+            runner.run_source(entry.spec.name, source.pages)
+        except SourceDiscardedError:
+            pass
+    assert passes
+    for scans, lookups in passes:
+        assert scans and max(scans.values()) == 1
+    # Repeated text was looked up, not scanned: far fewer scans than
+    # (recognizer, text node) visits.
+    visits = sum(lookups[0] for __, lookups in passes)
+    distinct = sum(len(scans) for scans, __ in passes)
+    assert distinct < 0.9 * visits
+
+
+def test_rounds_after_the_first_walk_no_region(monkeypatch):
+    """Only the first round walks page trees: later rounds read the text
+    nodes listed then and the elements the annotator marked."""
+    for entry in _sample_entries():
+        runner, pages = _prepared(entry)
+        if len(runner.recognizers) >= 3:
+            break
+    block_trees = [segment_page(page) for page in pages]
+    rounds = [0]
+    walks = []
+
+    def counted(walk):
+        def spy(*args, **kwargs):
+            walks.append(rounds[0])
+            return walk(*args, **kwargs)
+
+        return spy
+
+    real_rates = sampling._BlockTally.rates
+
+    def rates(self, candidates):
+        out = real_rates(self, candidates)
+        rounds[0] += 1
+        return out
+
+    monkeypatch.setattr(sampling._BlockTally, "rates", rates)
+    monkeypatch.setattr(Element, "iter", counted(Element.iter))
+    monkeypatch.setattr(Element, "iter_elements", counted(Element.iter_elements))
+    monkeypatch.setattr(
+        annotator_module,
+        "propagate_annotations",
+        counted(annotator_module.propagate_annotations),
+    )
+    recognizers = list(runner.recognizers)
+    select_sample(
+        entry.spec.name,
+        pages,
+        recognizers,
+        config=sampling.SampleSelectionConfig(enforce_alpha=False),
+        block_trees=block_trees,
+    )
+    assert rounds[0] == len(recognizers) >= 3
+    assert walks.count(0) >= len(pages)  # the first round lists each page
+    assert set(walks) == {0}

@@ -2,7 +2,7 @@
 
 from repro.annotation.sampling import (
     SampleSelectionConfig,
-    _block_annotation_rate,
+    _BlockTally,
     _order_types,
     select_sample,
 )
@@ -54,17 +54,13 @@ class TestBlockRates:
             annotated = AnnotatedPage(root=root, index=i)
             annotator.annotate(annotated, gazetteer)
             pages.append(annotated)
-        signature_of = {}
-        for annotated in pages:
-            body = annotated.root.find("body")
-            for node in body.iter_elements():
-                signature_of[id(node)] = "main-block"
-        rates = _block_annotation_rate(pages, signature_of)
+        # Without segmentation each page body is one block.
+        rates = _BlockTally(pages, None).rates(pages)
         # Two pages with (li+div+text-parent chain) annotations, two without.
-        assert 0 < rates["main-block"] <= 3
+        assert 0 < rates["page-body"] <= 3
 
     def test_empty_pages(self):
-        assert _block_annotation_rate([], {}) == {}
+        assert _BlockTally([], None).rates([]) == {}
 
 
 class TestNarrowing:

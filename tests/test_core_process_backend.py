@@ -17,6 +17,7 @@ from repro.datasets.sites import SiteSpec
 from repro.errors import MultiSourceError, ProcessBackendConfigError
 from repro.metrics import MetricsObserver, MetricsRegistry
 from repro.metrics.observer import peak_rss_bytes
+from repro.registry import store as store_module
 from repro.registry.store import WrapperRegistry
 
 
@@ -36,6 +37,44 @@ def four_sources():
         )
         sources[spec.name] = generate_source(spec, domain).pages
     return domain, knowledge, sources
+
+
+@pytest.fixture(scope="module")
+def twenty_sources(four_sources):
+    """Twenty album sites: enough for the merge to replay many sources."""
+    domain, knowledge, __ = four_sources
+    sources = {}
+    for index in range(20):
+        spec = SiteSpec(
+            name=f"queue-{index:02d}",
+            domain="albums",
+            archetype="clean",
+            total_objects=10,
+            seed=("one-index-write", index),
+        )
+        sources[spec.name] = generate_source(spec, domain).pages
+    return domain, knowledge, sources
+
+
+def registry_files(root):
+    """Every registry file's bytes, keyed by relative path."""
+    return {
+        str(path.relative_to(root)): path.read_bytes()
+        for path in sorted(root.rglob("*.json"))
+    }
+
+
+def spy_index_writes(monkeypatch):
+    """Record the name of every file the registry writes."""
+    written = []
+    real = store_module.write_json_atomic
+
+    def spy(path, document):
+        written.append(path.name)
+        real(path, document)
+
+    monkeypatch.setattr(store_module, "write_json_atomic", spy)
+    return written
 
 
 def make_runner(domain, knowledge, registry_root=None, observers=(), **params):
@@ -266,6 +305,40 @@ class TestWorkQueue:
             )
         assert seen[2] == seen[1]
         assert seen[3] == seen[1]
+
+    def test_merge_writes_the_index_once(
+        self, twenty_sources, tmp_path, monkeypatch
+    ):
+        domain, knowledge, sources = twenty_sources
+        written = spy_index_writes(monkeypatch)
+        seen = {}
+        for workers in (1, 2, 3):
+            root = tmp_path / f"w{workers}"
+            written.clear()
+            make_runner(
+                domain, knowledge, registry_root=root, max_workers=workers
+            ).run_sources(sources)
+            seen[workers] = registry_files(root)
+            # One entry file per stored signature, one index in all.
+            assert written.count("index.json") == 1
+            assert len(written) - 1 == len(seen[workers]) - 1 > 1
+        assert seen[2] == seen[1]
+        assert seen[3] == seen[1]
+
+    def test_fail_fast_writes_the_index_before_raising(
+        self, four_sources, tmp_path, monkeypatch
+    ):
+        domain, knowledge, sources = four_sources
+        written = spy_index_writes(monkeypatch)
+        root = tmp_path / "reg"
+        with pytest.raises(MultiSourceError):
+            make_runner(
+                domain, knowledge, registry_root=root, max_workers=2,
+                failure_policy="fail_fast",
+            ).run_sources(failing_sources(sources))
+        assert written.count("index.json") == 1
+        # The two sources before the failure are stored and indexed.
+        assert len(WrapperRegistry(root).index_rows()) == 2
 
     def test_fail_fast_metrics_match_serial_prefix(
         self, four_sources, tmp_path

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.htmlkit.dom import Element, Text, clone
+from repro.htmlkit.dom import Element, Text, clone, freeze, thaw
+from repro.htmlkit.tidy import tidy
 
 
 @pytest.fixture()
@@ -130,3 +131,47 @@ class TestClone:
         assert isinstance(copy, Text)
         assert copy.text == "x"
         assert copy.annotations == {"date"}
+
+
+class TestCollapsedText:
+    """``Text.text_content`` collapses once and stays right on every way a
+    text node comes to be."""
+
+    def test_repeated_calls_agree(self):
+        text = Text("  two \n  words ")
+        assert text.text_content() == "two words"
+        assert text.text_content() == "two words"
+
+    def test_after_thaw(self, tree):
+        root, *__ = tree
+        root.find("span").append(Text("\t and   more "))
+        expected = [
+            node.text_content() for node in root.iter_text_nodes()
+        ]
+        thawed = thaw(freeze(root))
+        assert [
+            node.text_content() for node in thawed.iter_text_nodes()
+        ] == expected == ["hello", "world", "and more"]
+        assert thawed.text_content() == root.text_content()
+
+    def test_after_clone(self, tree):
+        root, __, div, __ = tree
+        assert div.text_content() == "hello world"
+        copy = clone(root)
+        assert copy.find("div").text_content() == "hello world"
+        assert [node.text_content() for node in copy.iter_text_nodes()] == [
+            "hello",
+            "world",
+        ]
+
+    def test_after_tidy_text_merge(self):
+        # The second document's body text is hoisted next to the first's
+        # and tidy merges the two into one new text node.
+        root = tidy(
+            "<html><body>one\n  </body></html><html><body>  two <i>x</i></body></html>"
+        )
+        body = root.find("body")
+        merged = body.children[0]
+        assert isinstance(merged, Text)
+        assert merged.text_content() == "one two"
+        assert body.text_content() == "one two x"

@@ -67,3 +67,51 @@ class TestCleanInvariants:
         assert normalize_text(root.text_content()) == normalize_text(
             text.replace("<", " ").replace("&", " ")
         )
+
+
+def _recursive_iter(node):
+    """The recursive pre-order walk the explicit-stack walks replace."""
+    yield node
+    if isinstance(node, Element):
+        for child in node.children:
+            yield from _recursive_iter(child)
+
+
+@st.composite
+def _trees(draw):
+    """A random tree: each node's parent is drawn among earlier elements."""
+    root = Element("r0")
+    elements = [root]
+    for index in range(draw(st.integers(min_value=0, max_value=60))):
+        parent = elements[draw(st.integers(0, len(elements) - 1))]
+        if draw(st.booleans()):
+            elements.append(parent.append(Element(f"e{index}")))
+        else:
+            parent.append(Text(f"t{index}"))
+    return root
+
+
+class TestWalks:
+    @settings(max_examples=200, deadline=None)
+    @given(_trees())
+    def test_walks_equal_recursive_reference(self, root):
+        reference = list(_recursive_iter(root))
+        assert list(root.iter()) == reference
+        assert list(root.iter_elements()) == [
+            node for node in reference if isinstance(node, Element)
+        ]
+        assert list(root.iter_text_nodes()) == [
+            node for node in reference if isinstance(node, Text)
+        ]
+        for element in root.iter_elements():
+            assert list(element.iter()) == list(_recursive_iter(element))
+
+    def test_deep_chain_does_not_hit_the_recursion_limit(self):
+        root = Element("d0")
+        chain = [root]
+        for depth in range(1, 5000):
+            chain.append(chain[-1].append(Element(f"d{depth}")))
+        leaf = chain[-1].append(Text("leaf"))
+        assert list(root.iter()) == [*chain, leaf]
+        assert list(root.iter_elements()) == chain
+        assert root.text_content() == "leaf"

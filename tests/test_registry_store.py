@@ -9,6 +9,7 @@ import pytest
 from repro.annotation.annotator import annotate_page
 from repro.errors import RegistryError
 from repro.htmlkit import pages_fingerprint
+from repro.registry import store as store_module
 from repro.registry import (
     KIND_DISCARD,
     KIND_WRAPPER,
@@ -20,6 +21,7 @@ from repro.registry import (
     signature_for,
     write_json_atomic,
 )
+from repro.registry.store import replay
 from repro.sod.dsl import parse_sod
 from repro.wrapper.generate import WrapperConfig, generate_wrapper
 from repro.wrapper.serialize import wrapper_to_dict
@@ -94,6 +96,94 @@ class TestRoundTrip:
         WrapperRegistry(tmp_path).put(SOD, fingerprint, wrapper)
         reopened = WrapperRegistry(tmp_path)
         assert reopened.lookup(SOD, fingerprint) is not None
+
+
+    def test_missing_entry_file_is_a_miss_and_is_restored(
+        self, tmp_path, induced
+    ):
+        wrapper, fingerprint = induced
+        registry = WrapperRegistry(tmp_path)
+        signature = registry.put(SOD, fingerprint, wrapper)
+        registry.entry_path(signature).unlink()
+        assert registry.lookup(SOD, fingerprint) is None
+        # The re-store rewrites the lost file instead of counting a race.
+        registry.put(SOD, fingerprint, wrapper)
+        assert registry.lookup(SOD, fingerprint) is not None
+        stats = registry.stats()
+        assert (stats["misses"], stats["hits"]) == (1, 1)
+        assert (stats["stores"], stats["races"]) == (2, 0)
+        assert registry.verify() == []
+
+
+class TestIndexWrites:
+    def spy(self, monkeypatch):
+        written = []
+        real = store_module.write_json_atomic
+
+        def spy(path, document):
+            written.append(path.name)
+            real(path, document)
+
+        monkeypatch.setattr(store_module, "write_json_atomic", spy)
+        return written
+
+    def test_live_writes_update_the_index_at_once(
+        self, tmp_path, induced, monkeypatch
+    ):
+        wrapper, fingerprint = induced
+        registry = WrapperRegistry(tmp_path)
+        written = self.spy(monkeypatch)
+        signature = registry.put(SOD, fingerprint, wrapper)
+        assert written.count("index.json") == 1
+        registry.demote(signature)
+        assert written.count("index.json") == 2
+
+    def test_replay_writes_the_index_once(
+        self, tmp_path, induced, monkeypatch
+    ):
+        wrapper, fingerprint = induced
+        staged = []
+        for index in range(5):
+            view = StagedRegistryView(WrapperRegistry(tmp_path / "scratch"))
+            view.put(SOD, f"{fingerprint}-{index}", wrapper)
+            if index == 4:
+                view.demote(signature_for(SOD, f"{fingerprint}-0"))
+            staged.append(view.export())
+        registry = WrapperRegistry(tmp_path / "reg")
+        written = self.spy(monkeypatch)
+        replay(staged, registry)
+        assert written.count("index.json") == 1
+        assert len(written) == 6  # five entry files, then the index
+        assert written[-1] == "index.json"
+        assert len(WrapperRegistry(tmp_path / "reg").index_rows()) == 4
+        assert registry.verify() == []
+
+    def test_replay_bytes_equal_live_applies(self, tmp_path, induced):
+        wrapper, fingerprint = induced
+        staged = []
+        for index in range(3):
+            view = StagedRegistryView(WrapperRegistry(tmp_path / "scratch"))
+            view.put(SOD, f"{fingerprint}-{index}", wrapper)
+            staged.append(view.export())
+        live = WrapperRegistry(tmp_path / "live")
+        for writes in staged:
+            writes.apply_to(live)
+        replay(staged, WrapperRegistry(tmp_path / "once"))
+        assert registry_bytes(tmp_path / "once") == registry_bytes(
+            tmp_path / "live"
+        )
+
+    def test_unchanged_replay_writes_nothing(
+        self, tmp_path, induced, monkeypatch
+    ):
+        wrapper, fingerprint = induced
+        registry = WrapperRegistry(tmp_path)
+        registry.put(SOD, fingerprint, wrapper)
+        view = StagedRegistryView(registry)
+        view.put(SOD, fingerprint, wrapper)
+        written = self.spy(monkeypatch)
+        replay([view.export()], registry)  # the incumbent stays
+        assert written == []
 
 
 class TestDiskLayout:

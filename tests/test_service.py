@@ -68,6 +68,20 @@ class TestExtractionService:
         assert stats["registry"]["misses"] == 1
         assert stats["registry"]["stores"] == 1
 
+    def test_lost_entry_file_is_induced_and_stored_again(self, service):
+        cold = service.handle(extract_request(1))
+        ((signature, __),) = service.registry.index_rows()
+        service.registry.entry_path(signature).unlink()
+        again = service.handle(extract_request(2))
+        assert again["outcome"] == "miss"
+        assert service.registry.entry_path(signature).exists()
+        warm = service.handle(extract_request(3))
+        assert warm["outcome"] == "hit"
+        assert warm["objects"] == again["objects"] == cold["objects"]
+        stats = service.registry.stats()
+        assert (stats["hits"], stats["misses"], stats["races"]) == (1, 2, 0)
+        assert service.registry.verify() == []
+
     def test_request_validation(self, service):
         assert not service.handle({"id": 1, "pages": PAGES})["ok"]
         assert not service.handle({"id": 2, "sod": SOD, "pages": []})["ok"]
