@@ -43,7 +43,15 @@ class Recognizer(Protocol):
         ...
 
     def find(self, text: str) -> list[Match]:
-        """All matches in ``text``, in document order (may overlap)."""
+        """All matches in ``text``, in document order (may overlap).
+
+        Must be a pure function of ``text``: the same text gives the same
+        matches for as long as an annotator that used this recognizer is
+        in use, because :class:`~repro.annotation.annotator.PageAnnotator`
+        scans each distinct text once and reuses the result.  A recognizer
+        whose dictionary grows (a gazetteer between enrichment passes)
+        must change only while no such annotator is in use.
+        """
         ...
 
     def accepts(self, text: str) -> bool:

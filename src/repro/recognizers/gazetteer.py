@@ -5,9 +5,8 @@ over word boundaries with a longest-match-first strategy.  A first-token
 index (first word of each entry -> entries starting with it, plus the
 word's offset inside the entry) is maintained by :meth:`add` and
 :meth:`remove`, so :meth:`GazetteerRecognizer.find` never passes over the
-dictionary: a scan costs O(words in the text) — one tokenisation that
-rejects a text none of whose words is indexed, a second one otherwise —
-plus one comparison per candidate entry sharing a word's token.
+dictionary: a scan costs one tokenisation of the text, O(words in the
+text), plus one comparison per candidate entry sharing a word's token.
 """
 
 from __future__ import annotations
@@ -119,8 +118,6 @@ class GazetteerRecognizer:
             return []
         haystack = text if self._case_sensitive else text.lower()
         index = self._first_token_index
-        if index.keys().isdisjoint(_WORD_RE.findall(haystack)):
-            return []  # no word starts an entry: the common case
         matches: list[Match] = []
         taken_until = 0
         for word in _WORD_RE.finditer(haystack):

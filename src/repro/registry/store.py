@@ -391,25 +391,32 @@ class WrapperRegistry:
 
         Returns ``True`` if an entry was removed.  Fired by the
         post-extract annotation-rate check when a stored wrapper no
-        longer extracts at threshold ``alpha``.
+        longer extracts at threshold ``alpha``.  The index file drops
+        the row before the entry file goes, so no reader of the root
+        finds a row without its file.
         """
         with self._lock:
             removed = self._evict(signature)
             if removed:
                 self._write_index()
+                self._unlink_entry(signature)
         return removed
 
     def _evict(self, signature: str) -> bool:
-        """:meth:`demote` without the index file write."""
+        """Drop ``signature``'s index row, leaving the index file and
+        the entry file to the caller; returns whether there was a row."""
         with self._lock:
             if signature not in self._index:
                 return False
             del self._index[signature]
-            path = self.entry_path(signature)
-            if path.exists():
-                path.unlink()
             self._count("demotions")
         return True
+
+    def _unlink_entry(self, signature: str) -> None:
+        """Delete ``signature``'s entry file, if it is there."""
+        path = self.entry_path(signature)
+        if path.exists():
+            path.unlink()
 
     # -- inspection ---------------------------------------------------------
 
@@ -520,13 +527,9 @@ class WrapperRegistry:
         signature.
         """
         combined = cls(root)
-        with combined._lock:
-            changed = False
-            for part in parts:
-                for entry in part.entries():
-                    changed |= combined._offer(entry)
-            if changed:
-                combined._write_index()
+        for part in parts:
+            for entry in part.entries():
+                combined._store_entry(entry)
         return combined
 
 
@@ -549,12 +552,13 @@ class StagedWrites:
     demoted: tuple[str, ...]
     entries: tuple[RegistryEntry, ...]
 
-    def apply_to(self, base: WrapperRegistry, write_index: bool = True) -> bool:
-        """Apply the buffered demotions then stores to ``base``.
+    def apply_to(self, base: WrapperRegistry) -> bool:
+        """Apply the buffered demotions then stores to ``base``'s index
+        rows and entry files; returns whether the index changed.
 
-        Returns whether ``base``'s index changed.  With ``write_index``
-        false the index file is left to the caller; :func:`replay`
-        writes it once for a whole batch.
+        The index file and the demoted entries' files are left to
+        :func:`replay`, the one caller, which writes the index once for
+        a whole batch and only then deletes those files.
         """
         changed = False
         with base._lock:
@@ -562,8 +566,6 @@ class StagedWrites:
                 changed |= base._evict(signature)
             for entry in self.entries:
                 changed |= base._offer(entry)
-            if changed and write_index:
-                base._write_index()
         return changed
 
 
@@ -574,16 +576,25 @@ def replay(
     :meth:`StagedWrites.apply_to` call per source, then write ``base``'s
     index file once (if it changed).
 
-    Entry files land as each source's writes apply.  The registry's lock
-    is held throughout, so no other thread sees the index ahead of its
-    file.
+    Stored entry files land as each source's writes apply; the files of
+    demoted entries are deleted after the index write, except those a
+    later source stored again.  The registry's lock is held throughout,
+    and the index file never names an entry file that is gone.
     """
     with base._lock:
         changed = False
+        evicted: set[str] = set()
         for staged in writes:
-            changed |= staged.apply_to(base, write_index=False)
+            evicted.update(
+                signature
+                for signature in staged.demoted
+                if signature in base._index
+            )
+            changed |= staged.apply_to(base)
         if changed:
             base._write_index()
+        for signature in sorted(evicted - base._index.keys()):
+            base._unlink_entry(signature)
 
 
 @dataclass
@@ -595,7 +606,7 @@ class StagedRegistryView:
     source's *own* staged writes; puts and demotions are buffered,
     exported when the source finishes (:meth:`export`) and applied to
     the base registry in input order once the batch finishes
-    (:meth:`StagedWrites.apply_to`).  Hit/miss per source therefore
+    (:func:`replay`).  Hit/miss per source therefore
     never depends on shard scheduling, which is what makes a parallel
     batch snapshot byte-identical to a serial one.
     """

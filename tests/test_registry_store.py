@@ -158,6 +158,53 @@ class TestIndexWrites:
         assert len(WrapperRegistry(tmp_path / "reg").index_rows()) == 4
         assert registry.verify() == []
 
+    def test_index_drops_a_demoted_row_before_its_file_goes(
+        self, tmp_path, induced, monkeypatch
+    ):
+        wrapper, fingerprint = induced
+        registry = WrapperRegistry(tmp_path)
+        signature = registry.put(SOD, fingerprint, wrapper)
+        path = registry.entry_path(signature)
+        present = []
+        real = store_module.write_json_atomic
+
+        def spy(target, document):
+            present.append(path.exists())
+            real(target, document)
+
+        monkeypatch.setattr(store_module, "write_json_atomic", spy)
+        registry.demote(signature)
+        assert present == [True]
+        assert not path.exists()
+
+    def test_replay_deletes_demoted_files_after_the_index_write(
+        self, tmp_path, induced, monkeypatch
+    ):
+        wrapper, fingerprint = induced
+        base = WrapperRegistry(tmp_path)
+        dropped = base.put(SOD, fingerprint, wrapper)
+        kept = base.put(SOD, f"{fingerprint}-kept", wrapper)
+        demoting = StagedRegistryView(base)
+        demoting.demote(dropped)
+        demoting.demote(kept)
+        restoring = StagedRegistryView(base)
+        restoring.put(SOD, f"{fingerprint}-kept", wrapper)
+        present = []
+        real = store_module.write_json_atomic
+
+        def spy(target, document):
+            if target.name == "index.json":
+                present.append(base.entry_path(dropped).exists())
+            real(target, document)
+
+        monkeypatch.setattr(store_module, "write_json_atomic", spy)
+        replay([demoting.export(), restoring.export()], base)
+        assert present == [True]
+        assert not base.entry_path(dropped).exists()
+        assert base.entry_path(kept).exists()
+        assert WrapperRegistry(tmp_path).verify() == []
+        assert [sig for sig, __ in base.index_rows()] == [kept]
+
     def test_replay_bytes_equal_live_applies(self, tmp_path, induced):
         wrapper, fingerprint = induced
         staged = []
@@ -167,7 +214,7 @@ class TestIndexWrites:
             staged.append(view.export())
         live = WrapperRegistry(tmp_path / "live")
         for writes in staged:
-            writes.apply_to(live)
+            replay([writes], live)
         replay(staged, WrapperRegistry(tmp_path / "once"))
         assert registry_bytes(tmp_path / "once") == registry_bytes(
             tmp_path / "live"
@@ -377,13 +424,13 @@ class TestStagedView:
         views[0].put(SOD, fingerprint, wrapper)
         views[1].put(SOD, fingerprint, wrapper)
         for view in views:
-            view.export().apply_to(base)
+            replay([view.export()], base)
         other = WrapperRegistry(tmp_path / "two")
         swapped = [StagedRegistryView(other), StagedRegistryView(other)]
         swapped[1].put(SOD, fingerprint, wrapper)
         swapped[0].put(SOD, fingerprint, wrapper)
         for view in swapped:
-            view.export().apply_to(other)
+            replay([view.export()], other)
         assert registry_bytes(tmp_path / "one") == registry_bytes(tmp_path / "two")
         assert base.stats()["stores"] == 1
         assert base.stats()["races"] == 1
@@ -395,7 +442,7 @@ class TestStagedView:
         view = StagedRegistryView(base)
         view.demote(signature)
         assert view.lookup(SOD, fingerprint) is None
-        view.export().apply_to(base)
+        replay([view.export()], base)
         assert base.lookup(SOD, fingerprint) is None
 
 
@@ -479,7 +526,7 @@ class TestDiscardTombstones:
         view.put_discard(SOD, "fp", source="s", stage="wrapper", reason="r")
         assert isinstance(view.lookup(SOD, "fp"), StoredDiscard)
         assert base.lookup(SOD, "fp") is None
-        view.export().apply_to(base)
+        replay([view.export()], base)
         assert isinstance(
             WrapperRegistry(tmp_path).lookup(SOD, "fp"), StoredDiscard
         )
