@@ -156,6 +156,9 @@ def find_equivalence_classes(
     groups = group_by_vector(vectors)
     table = ensure_shared_table(pages)
     first_occurrences = _first_occurrence_index(pages)
+    # Every role of ``groups`` is already in the table, so one copy of its
+    # keys serves every class.
+    keys = table.keys_by_id()
     classes: list[EquivalenceClass] = []
     for vector, roles in groups.items():
         if len(roles) < min_size:
@@ -164,7 +167,6 @@ def find_equivalence_classes(
         role_ids = [table.intern(role) for role in roles]
         ok, ordered_ids = _check_ordered_indexed(role_ids, first_occurrences)
         if ok:
-            keys = table.keys_by_id()
             eq.valid = True
             eq.ordered_roles = [keys[role_id] for role_id in ordered_ids]
         else:

@@ -9,7 +9,7 @@ trees shaped like the original (non-canonical) SOD.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterable
 
 from repro.htmlkit.dom import Element, Node, Text
 from repro.sod.canonical import canonicalize
@@ -21,7 +21,14 @@ from repro.sod.types import (
     SodType,
     TupleType,
 )
-from repro.wrapper.alignment import _items_of, _lcs_align, strip_affixes
+from repro.wrapper.alignment import (
+    Cell,
+    Shape,
+    _collapse_iterators,
+    _items_of,
+    _lcs_align,
+    strip_affixes,
+)
 from repro.wrapper.matching import MatchResult
 from repro.wrapper.template import (
     ElementTemplate,
@@ -44,7 +51,7 @@ class RecordValues:
     iterators: dict[int, list["RecordValues"]] = field(default_factory=dict)
 
 
-def _template_shape(node: TemplateNode) -> tuple:
+def _template_shape(node: TemplateNode) -> Shape:
     if isinstance(node, (StaticSlot, FieldSlot)):
         return ("text",)
     if isinstance(node, ElementTemplate):
@@ -56,20 +63,54 @@ def _template_shape(node: TemplateNode) -> tuple:
     return ("iter", "text")
 
 
-def _collapse_for_template(
-    items: list, template_children: list[TemplateNode]
-) -> list:
-    """Collapse item runs matching this level's iterator unit shapes."""
-    iterator_shapes = set()
-    for node in template_children:
-        if isinstance(node, IteratorSlot):
-            shape = _template_shape(node)
-            iterator_shapes.add(shape[1:])  # strip the 'iter' marker
-    if not iterator_shapes:
-        return items
-    from repro.wrapper.alignment import _collapse_iterators
+@dataclass
+class _LevelPlan:
+    """What reading one template level needs, computed once per template.
 
-    return _collapse_iterators(items, iterator_shapes)
+    A record is read level by level; the template side of each level (its
+    shapes, its iterator unit shapes, the plans of the levels below) is
+    the same for every record, so :func:`_plan_level` computes it once and
+    :func:`_extract_level` only does the record's side.
+    """
+
+    children: list[TemplateNode]
+    #: The level's single field slot when the level is a whole-content
+    #: field (the collapsed-container rule), else ``None``.
+    whole_field: FieldSlot | None = None
+    shapes: list[Shape] = field(default_factory=list)
+    #: Unit shapes of the level's iterator slots, whose item runs are
+    #: collapsed before the alignment.
+    iterator_shapes: set[Shape] = field(default_factory=set)
+    #: Per child: the plan of the element's children, or of the iterator
+    #: unit's level; ``None`` for text slots.
+    subplans: list["_LevelPlan | None"] = field(default_factory=list)
+
+
+def _plan_level(children: list[TemplateNode]) -> _LevelPlan:
+    """The plan of one template level and, recursively, of those below."""
+    if len(children) == 1 and isinstance(children[0], FieldSlot):
+        return _LevelPlan(children, whole_field=children[0])
+    shapes = [_template_shape(node) for node in children]
+    subplans: list[_LevelPlan | None] = []
+    for node in children:
+        if isinstance(node, ElementTemplate):
+            subplans.append(_plan_level(node.children))
+        elif isinstance(node, IteratorSlot):
+            unit = node.unit
+            subplans.append(
+                _plan_level(
+                    unit.children if isinstance(unit, ElementTemplate) else [unit]
+                )
+            )
+        else:
+            subplans.append(None)
+    return _LevelPlan(
+        children,
+        shapes=shapes,
+        # The unit shape of an iterator is its shape without the marker.
+        iterator_shapes={shape[1:] for shape in shapes if shape[0] == "iter"},
+        subplans=subplans,
+    )
 
 
 def _level_text(nodes: list[Node]) -> str:
@@ -77,15 +118,11 @@ def _level_text(nodes: list[Node]) -> str:
     return " ".join(part for part in parts if part)
 
 
-def _extract_level(
-    template_children: list[TemplateNode],
-    nodes: list[Node],
-    out: RecordValues,
-) -> None:
+def _extract_level(plan: _LevelPlan, nodes: list[Node], out: RecordValues) -> None:
     # Whole-content-field levels (the collapsed-container rule) grab
     # everything under them, whatever markup this record happens to use.
-    if len(template_children) == 1 and isinstance(template_children[0], FieldSlot):
-        slot = template_children[0]
+    slot = plan.whole_field
+    if slot is not None:
         text = _level_text(nodes)
         if text:
             value = strip_affixes(text, slot.strip_prefix, slot.strip_suffix)
@@ -93,49 +130,60 @@ def _extract_level(
                 out.fields.setdefault(slot.slot_id, []).append(value)
         return
 
-    items = _collapse_for_template(_items_of(nodes), template_children)
-    template_shapes = [_template_shape(node) for node in template_children]
-    item_shapes = [item.shape for item in items]
-    pairs = _lcs_align(template_shapes, item_shapes)
-    for template_index, item_index in pairs:
-        if template_index is None or item_index is None:
-            continue
-        node = template_children[template_index]
-        item = items[item_index]
+    item_shapes, cells = _collapse_iterators(_items_of(nodes), plan.iterator_shapes)
+    # A record shaped exactly like the level pairs item i with slot i;
+    # only a record that differs needs the LCS alignment.
+    matched: Iterable[tuple[int, Cell]]
+    if item_shapes == plan.shapes:
+        matched = enumerate(cells)
+    else:
+        matched = [
+            (template_index, cells[item_index])
+            for template_index, item_index in _lcs_align(plan.shapes, item_shapes)
+            if template_index is not None and item_index is not None
+        ]
+    children = plan.children
+    for template_index, cell in matched:
+        node = children[template_index]
         if isinstance(node, StaticSlot):
             continue
         if isinstance(node, FieldSlot):
-            text_node = item.nodes[0]
-            assert isinstance(text_node, Text)
+            assert isinstance(cell, Text)
             value = strip_affixes(
-                text_node.text_content(), node.strip_prefix, node.strip_suffix
+                cell.text_content(), node.strip_prefix, node.strip_suffix
             )
             if value:
                 out.fields.setdefault(node.slot_id, []).append(value)
             continue
+        subplan = plan.subplans[template_index]
+        assert subplan is not None
         if isinstance(node, ElementTemplate):
-            element = item.nodes[0]
-            assert isinstance(element, Element)
-            _extract_level(node.children, list(element.children), out)
+            assert isinstance(cell, Element)
+            _extract_level(subplan, cell.children, out)
             continue
-        assert isinstance(node, IteratorSlot)
+        assert isinstance(node, IteratorSlot) and isinstance(cell, list)
         units = out.iterators.setdefault(node.slot_id, [])
-        unit_template = node.unit
-        for unit_node in item.nodes:
+        unit_is_element = isinstance(node.unit, ElementTemplate)
+        for unit_node in cell:
             if not isinstance(unit_node, Element):
                 continue
             unit_values = RecordValues()
-            if isinstance(unit_template, ElementTemplate):
-                _extract_level(unit_template.children, list(unit_node.children), unit_values)
-            else:
-                _extract_level([unit_template], [unit_node], unit_values)
+            _extract_level(
+                subplan,
+                unit_node.children if unit_is_element else [unit_node],
+                unit_values,
+            )
             units.append(unit_values)
 
 
 def extract_record(template: Template, record_nodes: list[Node]) -> RecordValues:
-    """Align one record against the template and read its values."""
+    """Align one record against the template and read its values.
+
+    Plans the template for this one record; :func:`extract_objects` plans
+    it once for all the records it reads.
+    """
     values = RecordValues()
-    _extract_level(template.roots, record_nodes, values)
+    _extract_level(_plan_level(template.roots), record_nodes, values)
     return values
 
 
@@ -245,11 +293,17 @@ def extract_objects(
     pages: list[Element],
     source: str = "",
 ) -> list[ObjectInstance]:
-    """Extract every SOD instance from ``pages`` using ``wrapper``."""
+    """Extract every SOD instance from ``pages`` using ``wrapper``.
+
+    The template is planned once for the call (see :class:`_LevelPlan`),
+    not once per record.
+    """
+    plan = _plan_level(wrapper.template.roots)
     objects: list[ObjectInstance] = []
     for page_index, page in enumerate(pages):
         for record_nodes in wrapper.segment_page(page):
-            record = extract_record(wrapper.template, record_nodes)
+            record = RecordValues()
+            _extract_level(plan, record_nodes, record)
             instance = assemble_instance(
                 wrapper.sod,
                 wrapper.match,

@@ -25,12 +25,7 @@ from repro.wrapper.equivalence import (
     find_equivalence_classes,
     record_class_candidates,
 )
-from repro.wrapper.tokens import (
-    KIND_CLOSE,
-    KIND_OPEN,
-    PageToken,
-    TokenizedPage,
-)
+from repro.wrapper.tokens import PageToken, TokenizedPage
 
 
 @dataclass
@@ -51,19 +46,17 @@ class RecordSegmentation:
         return sequences
 
 
-_TAG_KINDS = (KIND_OPEN, KIND_CLOSE)
-
-
-def _tag_profile(tokens: list[PageToken]) -> Counter:
+def _tag_profile(tag_ids: list[int]) -> Counter:
     """Multiset of tag roles in a span (words ignored — they are data).
 
-    Counts interned role ids: by the time spans are measured the pages
-    have been through the shared role table, so ids are comparable and
-    much cheaper to hash than 4-string role tuples.
+    ``tag_ids`` is a slice of :meth:`TokenizedPage.tag_role_ids`, where
+    words are -1.  Counts interned role ids: by the time spans are
+    measured the pages have been through the shared role table, so ids
+    are comparable and much cheaper to hash than 4-string role tuples.
     """
-    return Counter(
-        token.role_id for token in tokens if token.kind in _TAG_KINDS
-    )
+    profile = Counter(tag_ids)
+    profile.pop(-1, None)
+    return profile
 
 
 def _similarity(a: Counter, b: Counter) -> float:
@@ -110,8 +103,10 @@ def _measure_candidate(
     coverage = covered / total_tokens if total_tokens else 0.0
 
     profiles = [
-        _tag_profile(page.tokens[start:stop])
-        for page, spans in zip(pages, spans_per_page)
+        _tag_profile(tag_ids[start:stop])
+        for tag_ids, spans in zip(
+            [page.tag_role_ids() for page in pages], spans_per_page
+        )
         for start, stop in spans
     ]
     if len(profiles) < 2:

@@ -120,6 +120,7 @@ class TokenizedPage:
     _positions: dict[int, list[int]] | None = field(
         default=None, repr=False, compare=False
     )
+    _tag_ids: list[int] | None = field(default=None, repr=False, compare=False)
 
     def __len__(self) -> int:
         return len(self.tokens)
@@ -128,15 +129,29 @@ class TokenizedPage:
         return [token for token in self.tokens if token.is_tag]
 
     def invalidate_caches(self) -> None:
-        """Drop the cached id sequence/position index (after re-interning)."""
+        """Drop the cached id sequences/position index (after re-interning)."""
         self._id_sequence = None
         self._positions = None
+        self._tag_ids = None
 
     def role_id_sequence(self) -> list[int]:
         """The tokens' role ids in document order (cached)."""
         if self._id_sequence is None:
             self._id_sequence = [token.role_id for token in self.tokens]
         return self._id_sequence
+
+    def tag_role_ids(self) -> list[int]:
+        """The tokens' role ids in document order, -1 for words (cached).
+
+        A span's tag-role multiset is then one C-level ``Counter`` over a
+        slice of this list, minus the -1 key.
+        """
+        if self._tag_ids is None:
+            self._tag_ids = [
+                -1 if token.kind == KIND_WORD else token.role_id
+                for token in self.tokens
+            ]
+        return self._tag_ids
 
     def positions_of(self, role_id: int) -> list[int]:
         """Token indexes playing ``role_id``, ascending (cached index)."""
