@@ -38,7 +38,7 @@ from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 
 from repro.htmlkit.clean import clean_tree
-from repro.htmlkit.dom import Element, Snapshot, freeze, thaw
+from repro.htmlkit.dom import Element, Snapshot, freeze, release, thaw
 from repro.htmlkit.fingerprint import structural_fingerprint
 from repro.htmlkit.tidy import tidy
 
@@ -84,6 +84,10 @@ class LazyPages(Sequence[Element]):
     Each position holds either a tree (a miss, or a hit already thawed)
     or the snapshot of a hit.  Indexing a snapshot thaws it once and keeps
     the tree, so every stage of one run sees the same tree for a page.
+
+    The trees belong to the run the sequence was built for: no other
+    holder gets them (the cache keeps snapshots), so that run releases
+    them (:meth:`release`) when it ends.
     """
 
     __slots__ = ("_items",)
@@ -102,6 +106,17 @@ class LazyPages(Sequence[Element]):
             item = thaw(item)
             self._items[index] = item
         return item
+
+    def release(self) -> None:
+        """Make every tree built here acyclic (see :func:`release`).
+
+        Snapshots never thawed stay as they are.  The trees then die by
+        reference count with their last holder, instead of waiting as
+        cyclic garbage for a full collection.
+        """
+        for item in self._items:
+            if type(item) is not tuple:
+                release(item)
 
 
 @dataclass

@@ -368,8 +368,8 @@ def _fan_out(
 ) -> tuple[list[Any], list[ShardResult]]:
     """Run ``items`` on worker processes; the merged outcomes, and the calls.
 
-    The parent's heap stays frozen (``gc.freeze``) while workers run, so
-    a forked worker's collections never walk, and so never copy, the
+    :func:`run_batch` keeps the parent's heap frozen while workers run,
+    so a forked worker's collections never walk, and so never copy, the
     objects it inherited.  Once every report is in, the merge runs while
     the workers exit.  When a worker dies, every item its pool had in
     flight runs again alone on a fresh worker: one that kills that
@@ -380,39 +380,35 @@ def _fan_out(
     reports: dict[int, SourceReport] = {}
     shards: list[ShardResult] = []
     todo = list(range(len(items)))
-    gc.freeze()
-    try:
-        while todo:
-            queue = WorkQueue(spec, items, todo, min(workers, len(todo)), fail_fast)
-            with dispatch(queue) as calls:
-                drained = queue.drain(calls)
-                reports.update(queue.reports)
-                if drained:
-                    outcomes = merge(reports)
-                shards.extend(queue.results(calls))
+    while todo:
+        queue = WorkQueue(spec, items, todo, min(workers, len(todo)), fail_fast)
+        with dispatch(queue) as calls:
+            drained = queue.drain(calls)
+            reports.update(queue.reports)
             if drained:
-                return outcomes, shards
-            # A worker that died between items leaves nothing in flight;
-            # blaming the next position keeps every pass making progress.
-            suspects = queue.unfinished() or queue.unclaimed()[:1]
-            for position in suspects:
-                cut = _first_failure(reports)
-                if fail_fast and cut is not None and position > cut:
-                    break
-                alone = WorkQueue(spec, items, [position], 1, fail_fast)
-                with dispatch(alone) as calls:
-                    alone.drain(calls)
-                    shards.extend(alone.results(calls))
-                reports[position] = alone.reports.get(
-                    position,
-                    SourceReport(position, _worker_failure(items[position][0])),
-                )
-            if fail_fast and _first_failure(reports) is not None:
+                outcomes = merge(reports)
+            shards.extend(queue.results(calls))
+        if drained:
+            return outcomes, shards
+        # A worker that died between items leaves nothing in flight;
+        # blaming the next position keeps every pass making progress.
+        suspects = queue.unfinished() or queue.unclaimed()[:1]
+        for position in suspects:
+            cut = _first_failure(reports)
+            if fail_fast and cut is not None and position > cut:
                 break
-            todo = [p for p in queue.unclaimed() if p not in suspects]
-        return merge(reports), shards
-    finally:
-        gc.unfreeze()
+            alone = WorkQueue(spec, items, [position], 1, fail_fast)
+            with dispatch(alone) as calls:
+                alone.drain(calls)
+                shards.extend(alone.results(calls))
+            reports[position] = alone.reports.get(
+                position,
+                SourceReport(position, _worker_failure(items[position][0])),
+            )
+        if fail_fast and _first_failure(reports) is not None:
+            break
+        todo = [p for p in queue.unclaimed() if p not in suspects]
+    return merge(reports), shards
 
 
 def _worker_failure(key: str) -> SourceFailure:
@@ -452,6 +448,13 @@ def run_batch(
     with :func:`attach_queue` as its initializer, submits one call of
     the caller's worker entry per :meth:`WorkQueue.tasks` task and
     yields the futures.
+
+    The heap the batch starts on stays frozen (``gc.freeze``) until it
+    ends, on either path and also when it raises: the collections the
+    batch triggers walk only what the batch allocated, never the
+    long-lived runners, recognizers and inputs, and a forked worker
+    never copies the heap it inherited.  A heap the caller froze is
+    left as the caller froze it.
     """
     observers = [o for o in observers if isinstance(o, MetricsObserver)]
     for observer in observers:
@@ -460,10 +463,17 @@ def run_batch(
     def merge(reports: dict[int, SourceReport]) -> list[Any]:
         return _merge(items, reports, fail_fast, registry, observers)
 
-    if workers > 1 and len(items) > 1:
-        return _fan_out(items, worker(), workers, fail_fast, dispatch, merge)
-    reports, shard = _run_in_process(items, run_item, registry, fail_fast)
-    return merge(reports), [shard]
+    freezes = gc.get_freeze_count() == 0
+    if freezes:
+        gc.freeze()
+    try:
+        if workers > 1 and len(items) > 1:
+            return _fan_out(items, worker(), workers, fail_fast, dispatch, merge)
+        reports, shard = _run_in_process(items, run_item, registry, fail_fast)
+        return merge(reports), [shard]
+    finally:
+        if freezes:
+            gc.unfreeze()
 
 
 def _merge(

@@ -28,7 +28,7 @@ from contextlib import contextmanager
 from typing import Iterable, Iterator
 
 from repro.baselines.interface import SystemOutput
-from repro.core.cache import PreprocessCache
+from repro.core.cache import LazyPages, PreprocessCache
 from repro.core.faults import (
     ISOLATE,
     FaultInjector,
@@ -246,6 +246,24 @@ class ObjectRunner:
             sleep=self._sleep,
         )
 
+    def _run_pipeline(
+        self,
+        ctx: PipelineContext,
+        stage_names: Iterable[str] = DEFAULT_STAGE_ORDER,
+    ) -> SourceResult:
+        """Run ``ctx`` through a pipeline, then release the trees it built.
+
+        The trees the preprocess stage built from ``ctx.raw_pages`` (a
+        :class:`~repro.core.cache.LazyPages`) are released when the run
+        ends, also when it raises, so they die by reference count.
+        Trees the caller passed in are never touched.
+        """
+        try:
+            return self._build_pipeline(stage_names).run(ctx)
+        finally:
+            if isinstance(ctx.pages, LazyPages):
+                ctx.pages.release()
+
     def _context(
         self,
         source: str,
@@ -334,7 +352,7 @@ class ObjectRunner:
                 registry=registry,
                 timings=result.timings,
             )
-            result = self._build_pipeline().run(ctx)
+            result = self._run_pipeline(ctx)
             if (
                 result.discarded
                 and ctx.artifacts.get(ORIGIN_KEY) == "induced"
@@ -395,8 +413,7 @@ class ObjectRunner:
         ctx.result.wrapper = wrapper
         ctx.result.support_used = wrapper.support
         ctx.result.conflicts = wrapper.conflicts
-        pipeline = self._build_pipeline(stage_names=("preprocess", "extraction"))
-        return pipeline.run(ctx)
+        return self._run_pipeline(ctx, stage_names=("preprocess", "extraction"))
 
     def run_sources(
         self,

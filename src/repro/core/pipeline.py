@@ -274,7 +274,9 @@ class PipelineContext:
     ontology: "Ontology | None" = None
     raw_pages: list[str] = field(default_factory=list)
     #: Cleaned page trees.  Through the cache they are a ``LazyPages``,
-    #: which thaws a cache hit when a stage first indexes it.
+    #: which thaws a cache hit when a stage first indexes it; those trees
+    #: belong to the run, and ``ObjectRunner`` releases them when it ends.
+    #: Trees the caller passes in stay the caller's and are never touched.
     pages: Sequence[Element] = field(default_factory=list)
     block_trees: "list[BlockTree] | None" = None
     regions: list[Element] = field(default_factory=list)

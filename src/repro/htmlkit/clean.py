@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.htmlkit.dom import Element, Node, Text
+from repro.htmlkit.dom import Element, Node, Text, release
 from repro.htmlkit.parser import VOID_ELEMENTS
 
 #: Tags removed wholesale, subtree included.
@@ -55,14 +55,20 @@ def _is_hidden(element: Element) -> bool:
     return "display:none" in style or "visibility:hidden" in style
 
 
+def _drop(element: Element) -> list[Node]:
+    """No replacement for ``element``; its subtree is released to die now."""
+    release(element)
+    return []
+
+
 def _clean(element: Element, config: CleanerConfig) -> list[Node]:
     """Return the cleaned replacement nodes for ``element``."""
     if element.tag in config.drop_tags:
-        return []
+        return _drop(element)
     if config.drop_hidden and _is_hidden(element):
-        return []
+        return _drop(element)
     if config.drop_images and element.tag == "img":
-        return []
+        return _drop(element)
 
     new_children: list[Node] = []
     for child in element.children:
@@ -87,7 +93,7 @@ def _clean(element: Element, config: CleanerConfig) -> list[Node]:
         and element.tag not in config.protected_tags
         and element.tag not in VOID_ELEMENTS
     ):
-        return []
+        return _drop(element)
     return [element]
 
 

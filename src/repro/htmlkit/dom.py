@@ -272,26 +272,73 @@ def freeze(root: Element) -> Snapshot:
     it.  A text node is its ``str`` alone.  Annotations and the parent
     of ``root`` are not kept.  Such a tuple references no container, so
     the garbage collector untracks it and never walks it again.
+
+    One explicit stack of child iterators, so no depth exceeds the
+    recursion limit and no self-referencing closure is left for the
+    collector.
     """
     out: list[str | int] = []
     append = out.append
     extend = out.extend
-
-    def visit(element: Element) -> None:
-        attributes = element.attributes
-        append(len(attributes))
-        append(element.tag)
-        for item in attributes.items():
-            extend(item)
-        for child in element.children:
+    attributes = root.attributes
+    append(len(attributes))
+    append(root.tag)
+    for item in attributes.items():
+        extend(item)
+    stack = [iter(root.children)]
+    push = stack.append
+    pop = stack.pop
+    while stack:
+        for child in stack[-1]:
             if isinstance(child, Text):
                 append(child.text)
-            else:
-                visit(child)  # type: ignore[arg-type]
-        append(_CLOSE)
-
-    visit(root)
+                continue
+            attributes = child.attributes  # type: ignore[attr-defined]
+            append(len(attributes))
+            append(child.tag)  # type: ignore[attr-defined]
+            if attributes:
+                for item in attributes.items():
+                    extend(item)
+            children = child.children  # type: ignore[attr-defined]
+            # Most elements hold one text node or nothing: close them
+            # here instead of pushing an iterator for them.
+            if len(children) == 1:
+                only = children[0]
+                if isinstance(only, Text):
+                    append(only.text)
+                    append(_CLOSE)
+                    continue
+            elif not children:
+                append(_CLOSE)
+                continue
+            push(iter(children))
+            break
+        else:
+            pop()
+            append(_CLOSE)
     return tuple(out)
+
+
+def release(root: Element) -> None:
+    """Cut the parent pointer of ``root`` and of every node under it.
+
+    A tree is a web of reference cycles (``parent`` up, ``children``
+    down), so a dropped tree waits for a full collection of the cyclic
+    garbage collector.  Once released it is acyclic and dies by
+    reference count the moment its last outside reference goes.  Only
+    the owner of a tree may release it: afterwards every upward walk
+    (:meth:`Node.ancestors`, :meth:`Element.dom_path`) stops at the node
+    it starts from.
+    """
+    root.parent = None
+    stack = [root]
+    pop = stack.pop
+    push = stack.append
+    while stack:
+        for child in pop().children:
+            child.parent = None
+            if isinstance(child, Element) and child.children:
+                push(child)
 
 
 def thaw(snapshot: Snapshot) -> Element:

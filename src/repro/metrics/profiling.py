@@ -11,6 +11,11 @@ cache, same systems) under ``cProfile`` and renders two tables —
   relative locations and deterministic tie-breaking, so two profiles of
   the same build rank the same frames in the same order.
 
+A third table counts the cyclic garbage collector's work during the
+profiled runs, which neither ``cProfile`` nor the stage timers can see:
+collections and objects collected per generation, tallied through
+``gc.callbacks`` (counts only, no clock).
+
 The numbers themselves vary with the host — the *structure* (which
 frames dominate, how stage time decomposes) is the reproducible part,
 and is what the hot-path work in ``src/repro/wrapper/`` was driven by.
@@ -19,6 +24,7 @@ and is what the hot-path work in ``src/repro/wrapper/`` was driven by.
 from __future__ import annotations
 
 import cProfile
+import gc
 import pstats
 from dataclasses import dataclass, field
 
@@ -39,6 +45,33 @@ class ProfileRow:
     cumtime: float
 
 
+class CollectorTally:
+    """Counts the garbage collector's work, as a ``gc.callbacks`` entry.
+
+    ``collections[g]`` is how many collections of generation ``g`` ran
+    (a collection of ``g`` also walks the younger ones), ``collected[g]``
+    how many unreachable objects they freed.
+    """
+
+    def __init__(self) -> None:
+        self.collections = [0] * len(gc.get_count())
+        self.collected = [0] * len(gc.get_count())
+
+    def __call__(self, phase: str, info: dict) -> None:
+        """Tally one collection when it stops."""
+        if phase == "stop":
+            generation = info["generation"]
+            self.collections[generation] += 1
+            self.collected[generation] += info["collected"]
+
+    def __enter__(self) -> "CollectorTally":
+        gc.callbacks.append(self)
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        gc.callbacks.remove(self)
+
+
 @dataclass
 class ProfileReport:
     """Everything ``render_profile`` needs to print the profile tables."""
@@ -49,6 +82,8 @@ class ProfileReport:
     #: straight from the metrics observer of each profiled run.
     stage_timers: dict[str, dict] = field(default_factory=dict)
     rows: list[ProfileRow] = field(default_factory=list)
+    #: The garbage collector's work during the profiled runs.
+    collector: CollectorTally = field(default_factory=CollectorTally)
 
 
 def _normalize_location(filename: str, line: int, name: str) -> str | None:
@@ -66,16 +101,17 @@ def profile_session(config: BenchConfig | None = None) -> ProfileReport:
 
     Each system's ``run_system`` call runs under the shared profiler, so
     the function table aggregates across systems while the stage table
-    stays per-system.
+    stays per-system.  The collector tally covers every system's run.
     """
     config = config or BenchConfig()
     session = BenchSession(config)
     profiler = cProfile.Profile()
     report = ProfileReport(scale=config.scale, systems=tuple(config.systems))
     for system_name in config.systems:
-        profiler.enable()
-        __, wrap, metrics = session.run_system(system_name)
-        profiler.disable()
+        with report.collector:
+            profiler.enable()
+            __, wrap, metrics = session.run_system(system_name)
+            profiler.disable()
         merged = metrics.merged_registry().snapshot()
         for timer_name in sorted(merged["timers"]):
             key = f"{system_name}: {timer_name}"
@@ -103,7 +139,7 @@ def profile_session(config: BenchConfig | None = None) -> ProfileReport:
 
 
 def render_profile(report: ProfileReport, top: int = 25) -> str:
-    """Fixed-width text rendering of the stage and function tables."""
+    """Fixed-width text rendering of the stage, collector and function tables."""
     lines: list[str] = []
     lines.append(
         f"profile: scale={report.scale} systems={','.join(report.systems)}"
@@ -118,6 +154,14 @@ def render_profile(report: ProfileReport, top: int = 25) -> str:
             f"  {key:<40} {summary.get('count', 0):>7} "
             f"{summary.get('total', 0.0):>9.3f} "
             f"{summary.get('mean', 0.0) * 1000:>9.2f}"
+        )
+    lines.append("")
+    lines.append("garbage collector (gc.callbacks)")
+    lines.append(f"  {'generation':<10} {'collections':>11} {'collected':>10}")
+    tally = report.collector
+    for generation, count in enumerate(tally.collections):
+        lines.append(
+            f"  {generation:<10} {count:>11} {tally.collected[generation]:>10}"
         )
     lines.append("")
     lines.append(f"top {top} project functions by cumulative time")

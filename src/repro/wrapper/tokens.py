@@ -29,6 +29,10 @@ KIND_WORD = "word"
 #: The initial role of a token: (kind, value, DOM path, class attribute).
 RoleKey = tuple[str, str, str, str]
 
+#: The annotations of every unannotated token: one shared empty set
+#: instead of a new (garbage-collector tracked) one per node.
+_NO_ANNOTATIONS: frozenset[str] = frozenset()
+
 
 class TokenTable:
     """Interns role keys to dense integer ids.
@@ -202,7 +206,7 @@ def tokenize_element(
     text node's annotations.  Word tokens remember their source text node
     so the extractor can recover exact values later.
 
-    DOM paths are pushed down the recursion (child path = parent path +
+    DOM paths are pushed down the walk (child path = parent path +
     ``"/"`` + tag, matching :meth:`~repro.htmlkit.dom.Element.dom_path`)
     instead of re-walking the ancestor chain per node, and every token's
     role is interned into ``table`` (a fresh one when not given — share
@@ -217,38 +221,100 @@ def tokenize_element(
     # PageToken fields are passed positionally (kind, value, path,
     # annotations, text_node, element, attr_class, role_id): keyword
     # arguments cost about twice as much per token on this hot path.
-    def visit(node: Element, path: str) -> None:
-        tag = node.tag
-        attr_class = node.attributes.get("class", "")
-        node_annotations = frozenset(node.annotations)
-        append(
-            PageToken(
-                KIND_OPEN, tag, path, node_annotations, None, node,
-                attr_class, intern((KIND_OPEN, tag, path, attr_class)),
-            )
+    # Roles are interned in document order: an element's open token, its
+    # children, then its close token.  One explicit stack holds a frame
+    # per open element (its children iterator and what its close token
+    # needs), so no depth exceeds the recursion limit and no
+    # self-referencing closure is left for the collector.  Everything is
+    # inlined, and an element holding one text node, as most do, is
+    # tokenized whole without a frame: that keeps the loop as fast as
+    # the recursion it replaced.
+    path = element.dom_path()
+    tag = element.tag
+    attr_class = element.attributes.get("class", "")
+    annotations = (
+        frozenset(element.annotations) if element.annotations else _NO_ANNOTATIONS
+    )
+    append(
+        PageToken(
+            KIND_OPEN, tag, path, annotations, None, element,
+            attr_class, intern((KIND_OPEN, tag, path, attr_class)),
         )
-        for child in node.children:
+    )
+    stack = [(iter(element.children), element, path, annotations, attr_class)]
+    push = stack.append
+    pop = stack.pop
+    while stack:
+        children, node, path, annotations, attr_class = stack[-1]
+        for child in children:
             if isinstance(child, Text):
-                if not include_words:
-                    continue
-                # One frozen annotation set per text node, shared by its words.
-                text_annotations = frozenset(child.annotations)
-                for word in tokenize_words(child.text):
-                    append(
-                        PageToken(
-                            KIND_WORD, word, path, text_annotations, child,
-                            None, "", intern((KIND_WORD, word, path, "")),
-                        )
+                if include_words:
+                    # One frozen annotation set per text node, shared by
+                    # its words.
+                    text_annotations = (
+                        frozenset(child.annotations)
+                        if child.annotations
+                        else _NO_ANNOTATIONS
                     )
+                    for word in tokenize_words(child.text):
+                        append(
+                            PageToken(
+                                KIND_WORD, word, path, text_annotations, child,
+                                None, "", intern((KIND_WORD, word, path, "")),
+                            )
+                        )
                 continue
             assert isinstance(child, Element)
-            visit(child, f"{path}/{child.tag}")
-        append(
-            PageToken(
-                KIND_CLOSE, tag, path, node_annotations, None, node,
-                attr_class, intern((KIND_CLOSE, tag, path, attr_class)),
+            tag = child.tag
+            child_path = f"{path}/{tag}"
+            child_class = child.attributes.get("class", "")
+            child_annotations = (
+                frozenset(child.annotations)
+                if child.annotations
+                else _NO_ANNOTATIONS
             )
-        )
-
-    visit(element, element.dom_path())
+            append(
+                PageToken(
+                    KIND_OPEN, tag, child_path, child_annotations, None, child,
+                    child_class, intern((KIND_OPEN, tag, child_path, child_class)),
+                )
+            )
+            grandchildren = child.children
+            if len(grandchildren) != 1 or not isinstance(grandchildren[0], Text):
+                push(
+                    (
+                        iter(grandchildren), child, child_path,
+                        child_annotations, child_class,
+                    )
+                )
+                break
+            if include_words:
+                text = grandchildren[0]
+                text_annotations = (
+                    frozenset(text.annotations)
+                    if text.annotations
+                    else _NO_ANNOTATIONS
+                )
+                for word in tokenize_words(text.text):
+                    append(
+                        PageToken(
+                            KIND_WORD, word, child_path, text_annotations, text,
+                            None, "", intern((KIND_WORD, word, child_path, "")),
+                        )
+                    )
+            append(
+                PageToken(
+                    KIND_CLOSE, tag, child_path, child_annotations, None, child,
+                    child_class, intern((KIND_CLOSE, tag, child_path, child_class)),
+                )
+            )
+        else:
+            pop()
+            tag = node.tag
+            append(
+                PageToken(
+                    KIND_CLOSE, tag, path, annotations, None, node,
+                    attr_class, intern((KIND_CLOSE, tag, path, attr_class)),
+                )
+            )
     return TokenizedPage(tokens=tokens, page_index=page_index, table=table)

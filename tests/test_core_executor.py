@@ -1,5 +1,6 @@
 """The batch executor's per-source work queue, on real worker processes."""
 
+import gc
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from functools import partial
@@ -34,13 +35,25 @@ def _entry(task):
     )
 
 
+def _freeze_count(key, item, view):
+    """An item whose outcome is the freeze count it ran under."""
+    if item == "fail":
+        raise RuntimeError(f"{key} failed")
+    return gc.get_freeze_count()
+
+
+def _freeze_count_entry(task):
+    """Worker entry: serve the queue with :func:`_freeze_count` items."""
+    return run_worker_shard(task, _freeze_count, MetricsObserver(), None)
+
+
 @contextmanager
-def _dispatch(queue):
+def _dispatch(queue, entry=_entry):
     """Serve the queue on a process pool, one long call per worker."""
     with ProcessPoolExecutor(
         max_workers=queue.width, initializer=attach_queue, initargs=(queue,)
     ) as pool:
-        yield [pool.submit(_entry, task) for task in queue.tasks()]
+        yield [pool.submit(entry, task) for task in queue.tasks()]
 
 
 def run(items, tmp_path, workers=2, fail_fast=True):
@@ -110,3 +123,48 @@ class TestQueue:
         with pytest.raises(MultiSourceError):
             run(items, tmp_path, workers=1)
         assert started(tmp_path) == ["a", "bad"]
+
+
+def run_frozen(items, workers):
+    return run_batch(
+        items,
+        _freeze_count,
+        workers=workers,
+        worker=lambda: None,
+        dispatch=partial(_dispatch, entry=_freeze_count_entry),
+    )
+
+
+class TestHeapFreeze:
+    """Every batch runs on the heap it started on, frozen, and thaws it."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_items_run_frozen_and_the_heap_thaws_after(self, workers):
+        assert gc.get_freeze_count() == 0
+        items = [(f"item-{i}", 0) for i in range(4)]
+        outcomes, __ = run_frozen(items, workers)
+        # Forked workers inherit the frozen heap; in-process items run on it.
+        assert all(count > 0 for count in outcomes)
+        assert gc.get_freeze_count() == 0
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_a_fail_fast_abort_thaws_the_heap(self, workers):
+        assert gc.get_freeze_count() == 0
+        items = [("a", 0), ("bad", "fail"), ("c", 0)]
+        with pytest.raises(MultiSourceError):
+            run_frozen(items, workers)
+        assert gc.get_freeze_count() == 0
+
+    def test_a_heap_the_caller_froze_stays_frozen(self):
+        assert gc.get_freeze_count() == 0
+        gc.freeze()
+        try:
+            frozen = gc.get_freeze_count()
+            outcomes, __ = run_frozen([("a", 0), ("b", 0)], 1)
+            # The batch neither froze what the caller left young (the
+            # count would grow) nor thawed what the caller froze (it
+            # would drop to 0); frozen objects may still die meanwhile.
+            assert all(0 < count <= frozen for count in outcomes)
+            assert 0 < gc.get_freeze_count() <= frozen
+        finally:
+            gc.unfreeze()

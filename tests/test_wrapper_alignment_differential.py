@@ -22,6 +22,7 @@ against.
 
 import json
 from collections import Counter
+from dataclasses import dataclass
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -40,6 +41,7 @@ from repro.metrics.bench import DICTIONARY_COVERAGE, CatalogCache
 from repro.utils.text import tokenize_words
 from repro.wrapper.alignment import TemplateBuilder, common_affixes
 from repro.wrapper.extraction import extract_objects, extract_record
+from repro.wrapper.generate import Wrapper
 from repro.wrapper.serialize import _node_to_dict, wrapper_to_dict
 from tests import wrapper_alignment_reference as reference
 
@@ -91,14 +93,31 @@ def _runner(cache, entry):
     return runner, source
 
 
+@dataclass
+class _Extract:
+    """One extraction stage call, and what was read from its pages in it."""
+
+    wrapper: Wrapper
+    #: The objects the call returned.
+    objects: list
+    #: The reference extraction's objects, from the same pages.
+    reference: list
+    #: A second extraction's objects, from the same pages ...
+    again: list
+    #: ... and the template nodes it computed a shape for, in call order.
+    shaped: list
+
+
 @pytest.fixture(scope="module")
 def catalog_calls():
     """Every wrapper build, template build and extraction of a catalog run.
 
     ``wrappers`` holds each ``_wrapper_for`` call's arguments with its
     outcome; ``builds`` each ``TemplateBuilder.build`` call's builder
-    settings and records; ``extracts`` each extraction stage call's
-    arguments with its objects.
+    settings and records; ``extracts`` one :class:`_Extract` per
+    extraction stage call.  A run releases the page trees it built when
+    it ends, so whatever reads an extraction's pages runs inside the
+    call, while they are intact.
     """
     wrappers, builds, extracts = [], [], []
     real_wrapper_for = generate_module._wrapper_for
@@ -128,7 +147,20 @@ def catalog_calls():
 
     def spy_extract(wrapper, pages, source=""):
         objects = real_extract(wrapper, pages, source=source)
-        extracts.append((wrapper, pages, source, _objects(objects)))
+        with pytest.MonkeyPatch.context() as patch:
+            shaped = _Spy(patch, extraction, "_template_shape")
+            again = extract_objects(wrapper, pages, source)
+        extracts.append(
+            _Extract(
+                wrapper=wrapper,
+                objects=_objects(objects),
+                reference=_objects(
+                    reference.extract_objects(wrapper, pages, source)
+                ),
+                again=_objects(again),
+                shaped=[args[0] for args in shaped.calls],
+            )
+        )
         return objects
 
     cache = CatalogCache()
@@ -170,9 +202,9 @@ def test_catalog_wrappers_match_reference(catalog_calls):
 def test_catalog_extraction_matches_reference(catalog_calls):
     """The reference extraction reads the same objects from every source."""
     read = 0
-    for wrapper, pages, source, objects in catalog_calls["extracts"]:
-        assert _objects(reference.extract_objects(wrapper, pages, source)) == objects
-        read += len(objects)
+    for call in catalog_calls["extracts"]:
+        assert call.reference == call.objects
+        read += len(call.objects)
     assert read
 
 
@@ -372,13 +404,9 @@ def test_annotations_are_read_only_for_varying_shapes():
 
 
 def test_extraction_plans_each_template_node_once(catalog_calls):
-    wrapper, pages, source, objects = max(
-        catalog_calls["extracts"], key=lambda call: len(call[3])
-    )
-    with pytest.MonkeyPatch.context() as patch:
-        shaped = _Spy(patch, extraction, "_template_shape")
-        assert _objects(extract_objects(wrapper, pages, source)) == objects
-    nodes = [args[0] for args in shaped.calls]
+    call = max(catalog_calls["extracts"], key=lambda call: len(call.objects))
+    assert call.again == call.objects
+    nodes = call.shaped
     assert len(nodes) == len({id(node) for node in nodes})
-    assert len(nodes) <= sum(1 for __ in wrapper.template.iter_nodes())
-    assert len(objects) > len(nodes)
+    assert len(nodes) <= sum(1 for __ in call.wrapper.template.iter_nodes())
+    assert len(call.objects) > len(nodes)
