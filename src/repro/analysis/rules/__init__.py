@@ -17,18 +17,13 @@ Rule id    Check
 ``S502``   artifact shape changed without a schema-version bump
 ``S503``   external-input reader can raise an untyped ``KeyError``
 ``S504``   consumer requires a key older committed artifacts lack
-``P601``   unpicklable value flows into the process boundary
-``P602``   worker-mutated attribute missing from the homeward surface
-``P603``   split-brain module global under the process backend
-``P604``   order-sensitive merge fold over process-shard results
 =========  ==============================================================
 
-D101–D105 are per-file; D106, C202, E401, A501, the S-rules and the
-P-rules are whole-program rules built on the shared
-:class:`repro.analysis.graph.ProjectGraph` (D106
-adds the taint pass of :mod:`repro.analysis.dataflow`; S501–S504 add
-the schema-contract pass of :mod:`repro.analysis.schemas`; P601–P604
-add the process-boundary pass of :mod:`repro.analysis.procbound`).
+D101–D105 are per-file; D106, C202, E401, A501 and the S-rules are
+whole-program rules built on the shared
+:class:`repro.analysis.graph.ProjectGraph` (D106 adds the taint pass
+of :mod:`repro.analysis.dataflow`; S501–S504 add the schema-contract
+pass of :mod:`repro.analysis.schemas`).
 The full catalog with rationale and examples lives in
 ``docs/ANALYSIS.md``.
 """
@@ -51,13 +46,6 @@ from repro.analysis.rules.determinism import (
     is_set_expr,
 )
 from repro.analysis.rules.exceptions import ExceptionContractRule
-from repro.analysis.rules.procbound import (
-    SPLIT_BRAIN_ALLOWLIST,
-    SplitBrainGlobalRule,
-    UnpicklableBoundaryRule,
-    UnpinnedMergeFoldRule,
-    WorkerStateLossRule,
-)
 from repro.analysis.rules.schema import (
     ExternalInputRule,
     HistoryToleranceRule,
@@ -72,22 +60,17 @@ __all__ = [
     "ExceptionContractRule",
     "ExternalInputRule",
     "HistoryToleranceRule",
-    "SPLIT_BRAIN_ALLOWLIST",
     "SchemaDriftRule",
     "SchemaVersionRule",
     "SetOrderRule",
-    "SplitBrainGlobalRule",
     "StageContract",
     "StageContractRule",
     "TaintToArtifactRule",
     "TransitiveStageContractRule",
-    "UnpicklableBoundaryRule",
-    "UnpinnedMergeFoldRule",
     "UnseededRandomRule",
     "UnsortedListingRule",
     "WallClockRule",
     "WallSleepRule",
-    "WorkerStateLossRule",
     "is_set_expr",
     "param_access_summaries",
     "stage_contracts",

@@ -35,7 +35,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from repro.baselines import ExAlgSystem, RoadRunnerSystem
-from repro.core.cache import PreprocessCache
+from repro.core.cache import LazyPages, PreprocessCache
 from repro.core.executor import (
     ShardResult,
     ShardTask,
@@ -270,10 +270,14 @@ class BenchSession:
             ]
         return entries
 
-    def pages(self, entry: CatalogEntry):
-        """Fresh cleaned page trees of one entry, thawed from the cache."""
+    def pages(self, entry: CatalogEntry) -> LazyPages:
+        """Fresh cleaned page trees of one entry, thawed from the cache.
+
+        The trees are the caller's, to :meth:`LazyPages.release` once
+        it is done with them.
+        """
         source = self.catalog.source(entry)
-        return list(self.preprocess_cache.clean_pages(source.pages).pages)
+        return self.preprocess_cache.clean_pages(source.pages).pages
 
     def _shard_label(self) -> str | None:
         return str(self.config.shard) if self.config.shard else None
@@ -297,8 +301,11 @@ class BenchSession:
             observers=(metrics,),
             wrapper_registry=registry_view,
         )
-        output = system.run(entry.spec.name, pages, domain.sod)
-        return grade_source(domain, source.gold, output), output.wrap_seconds
+        try:
+            output = system.run(entry.spec.name, list(pages), domain.sod)
+            return grade_source(domain, source.gold, output), output.wrap_seconds
+        finally:
+            pages.release()
 
     def run_system(
         self, system_name: str

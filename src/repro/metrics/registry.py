@@ -178,9 +178,10 @@ class MetricsRegistry:
         merge; the lock is dropped here and recreated on unpickle.
 
         Each attribute is read directly (not through :meth:`_state`) so
-        the homeward surface is explicit per field: reprolint's P602
-        rule checks that every worker-mutated attribute appears here,
-        and a deleted line is a caught regression, not silent data loss.
+        the homeward surface is explicit per field:
+        ``tests/test_metrics_homeward.py`` checks that every mutated
+        attribute survives the round trip, so a deleted line is a
+        caught regression, not silent data loss.
         """
         with self._lock:
             return {
@@ -230,9 +231,9 @@ class MetricsRegistry:
 
 #: Process-wide registry for library-internal health counters (for
 #: example the grading layer's negative-missed clamp).  Created eagerly
-#: at import time so no function ever rebinds a module-level name: each
-#: worker process gets its own copy, which reprolint's P603 allowlists
-#: as an eager singleton (worker counts travel home as snapshots).
+#: at import time so no function ever rebinds a module-level name.  Each
+#: worker process gets its own copy by design (worker counts travel home
+#: as snapshots).
 _DEFAULT_REGISTRY = MetricsRegistry()
 
 

@@ -212,23 +212,28 @@ def entity_types(sod: SodType) -> list[EntityType]:
 def required_entity_types(sod: SodType) -> list[EntityType]:
     """Entity types that are not optional and not under an optional set."""
     out: list[EntityType] = []
-
-    def walk(node: SodType, optional_context: bool) -> None:
-        if isinstance(node, EntityType):
-            if not node.optional and not optional_context:
-                out.append(node)
-        elif isinstance(node, SetType):
-            walk(node.inner, optional_context or node.multiplicity.optional_allowed)
-        elif isinstance(node, TupleType):
-            for component in node.components:
-                walk(component, optional_context)
-        elif isinstance(node, DisjunctionType):
-            # Either branch may be absent, so both are optional-context.
-            walk(node.left, True)
-            walk(node.right, True)
-
-    walk(sod, False)
+    _collect_required(sod, False, out)
     return out
+
+
+def _collect_required(
+    node: SodType, optional_context: bool, out: list[EntityType]
+) -> None:
+    """Append to ``out`` the required entity types under ``node``."""
+    if isinstance(node, EntityType):
+        if not node.optional and not optional_context:
+            out.append(node)
+    elif isinstance(node, SetType):
+        _collect_required(
+            node.inner, optional_context or node.multiplicity.optional_allowed, out
+        )
+    elif isinstance(node, TupleType):
+        for component in node.components:
+            _collect_required(component, optional_context, out)
+    elif isinstance(node, DisjunctionType):
+        # Either branch may be absent, so both are optional-context.
+        _collect_required(node.left, True, out)
+        _collect_required(node.right, True, out)
 
 
 def arity(sod: SodType) -> int:

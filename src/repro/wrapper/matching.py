@@ -23,7 +23,6 @@ from repro.sod.types import (
 from repro.wrapper.template import (
     FieldSlot,
     GENERALIZATION_THRESHOLD,
-    IteratorSlot,
     Template,
 )
 
@@ -86,88 +85,10 @@ def match_sod(
     """Match ``sod`` (any form; canonicalized internally) to ``template``."""
     canonical = canonicalize(sod)
     result = MatchResult()
-    taken: set[int] = set()
     tuple_fields = template.tuple_level_fields()
-    set_fields = template.set_level_fields()
-    iterators = {it.slot_id: it for it in template.iterator_slots()}
-
-    def match_entity(entity: EntityType, fields: list[FieldSlot]) -> list[int]:
-        slot_ids = _slots_for(fields, entity.name, taken, threshold)
-        taken.update(slot_ids)
-        return slot_ids
-
-    def match_set(set_type: SetType) -> bool:
-        inner = canonicalize(set_type.inner)
-        inner_entities: list[EntityType]
-        if isinstance(inner, EntityType):
-            inner_entities = [inner]
-        elif isinstance(inner, TupleType):
-            inner_entities = [
-                component
-                for component in inner.components
-                if isinstance(component, EntityType)
-            ]
-        else:
-            return False  # nested sets-of-sets are out of template scope
-        # Preferred: an iterator slot whose unit covers the inner entities.
-        best_iterator: int | None = None
-        best_mapping: dict[str, list[int]] = {}
-        for iterator_id, fields in set_fields.items():
-            if iterator_id in result.set_to_iterator.values():
-                continue
-            mapping: dict[str, list[int]] = {}
-            for entity in inner_entities:
-                slot_ids = _slots_for(fields, entity.name, set(), threshold)
-                if slot_ids:
-                    mapping[entity.name] = slot_ids
-            required = [e for e in inner_entities if not e.optional]
-            if required and all(e.name in mapping for e in required):
-                if best_iterator is None or len(mapping) > len(best_mapping):
-                    best_iterator = iterator_id
-                    best_mapping = mapping
-        if best_iterator is not None:
-            result.set_to_iterator[set_type.name] = best_iterator
-            result.set_inner_slots[set_type.name] = best_mapping
-            return True
-        # Fallback: tuple-level slots can serve a set when the source lists
-        # a single element (multiplicity permitting one).
-        if set_type.multiplicity.admits(1):
-            mapping = {}
-            for entity in inner_entities:
-                slot_ids = match_entity(entity, tuple_fields)
-                if slot_ids:
-                    mapping[entity.name] = slot_ids
-            required = [e for e in inner_entities if not e.optional]
-            if required and all(e.name in mapping for e in required):
-                result.set_fallback_slots[set_type.name] = mapping
-                return True
-        return bool(set_type.multiplicity.optional_allowed)
-
-    def match_node(node: SodType) -> None:
-        if isinstance(node, EntityType):
-            slot_ids = match_entity(node, tuple_fields)
-            if slot_ids:
-                result.entity_to_slots[node.name] = slot_ids
-            elif not node.optional:
-                result.missing.append(node.name)
-            return
-        if isinstance(node, SetType):
-            if not match_set(node):
-                result.missing.append(node.name)
-            return
-        if isinstance(node, TupleType):
-            for component in node.components:
-                match_node(component)
-            return
-        assert isinstance(node, DisjunctionType)
-        # Try the left branch on a scratch result; fall back to the right.
-        checkpoint = _snapshot(result, taken)
-        match_node(node.left)
-        if result.missing:
-            _restore(result, taken, checkpoint)
-            match_node(node.right)
-
-    match_node(canonical)
+    _Matcher(
+        result, tuple_fields, template.set_level_fields(), threshold
+    ).match_node(canonical)
 
     # Second pass — Algorithm 2 differentiates with *conflicting*
     # annotations only after the non-conflicting fixpoint.  Entities still
@@ -217,8 +138,104 @@ def match_sod(
         result.missing = still_missing
 
     result.matched = not result.missing
-    __ = iterators  # referenced for clarity; mapping ids point into it
     return result
+
+
+@dataclass
+class _Matcher:
+    """The first, non-conflicting pass of :func:`match_sod`.
+
+    It fills ``result`` as it walks the canonical SOD, claiming each
+    matched slot in ``taken`` so no two entities share one.
+    """
+
+    result: MatchResult
+    tuple_fields: list[FieldSlot]
+    set_fields: dict[int, list[FieldSlot]]
+    threshold: float
+    taken: set[int] = field(default_factory=set)
+
+    def match_entity(
+        self, entity: EntityType, fields: list[FieldSlot]
+    ) -> list[int]:
+        slot_ids = _slots_for(fields, entity.name, self.taken, self.threshold)
+        self.taken.update(slot_ids)
+        return slot_ids
+
+    def match_set(self, set_type: SetType) -> bool:
+        result = self.result
+        inner = canonicalize(set_type.inner)
+        inner_entities: list[EntityType]
+        if isinstance(inner, EntityType):
+            inner_entities = [inner]
+        elif isinstance(inner, TupleType):
+            inner_entities = [
+                component
+                for component in inner.components
+                if isinstance(component, EntityType)
+            ]
+        else:
+            return False  # nested sets-of-sets are out of template scope
+        # Preferred: an iterator slot whose unit covers the inner entities.
+        best_iterator: int | None = None
+        best_mapping: dict[str, list[int]] = {}
+        for iterator_id, fields in self.set_fields.items():
+            if iterator_id in result.set_to_iterator.values():
+                continue
+            mapping: dict[str, list[int]] = {}
+            for entity in inner_entities:
+                slot_ids = _slots_for(
+                    fields, entity.name, set(), self.threshold
+                )
+                if slot_ids:
+                    mapping[entity.name] = slot_ids
+            required = [e for e in inner_entities if not e.optional]
+            if required and all(e.name in mapping for e in required):
+                if best_iterator is None or len(mapping) > len(best_mapping):
+                    best_iterator = iterator_id
+                    best_mapping = mapping
+        if best_iterator is not None:
+            result.set_to_iterator[set_type.name] = best_iterator
+            result.set_inner_slots[set_type.name] = best_mapping
+            return True
+        # Fallback: tuple-level slots can serve a set when the source lists
+        # a single element (multiplicity permitting one).
+        if set_type.multiplicity.admits(1):
+            mapping = {}
+            for entity in inner_entities:
+                slot_ids = self.match_entity(entity, self.tuple_fields)
+                if slot_ids:
+                    mapping[entity.name] = slot_ids
+            required = [e for e in inner_entities if not e.optional]
+            if required and all(e.name in mapping for e in required):
+                result.set_fallback_slots[set_type.name] = mapping
+                return True
+        return bool(set_type.multiplicity.optional_allowed)
+
+    def match_node(self, node: SodType) -> None:
+        result = self.result
+        if isinstance(node, EntityType):
+            slot_ids = self.match_entity(node, self.tuple_fields)
+            if slot_ids:
+                result.entity_to_slots[node.name] = slot_ids
+            elif not node.optional:
+                result.missing.append(node.name)
+            return
+        if isinstance(node, SetType):
+            if not self.match_set(node):
+                result.missing.append(node.name)
+            return
+        if isinstance(node, TupleType):
+            for component in node.components:
+                self.match_node(component)
+            return
+        assert isinstance(node, DisjunctionType)
+        # Try the left branch on a scratch result; fall back to the right.
+        checkpoint = _snapshot(result, self.taken)
+        self.match_node(node.left)
+        if result.missing:
+            _restore(result, self.taken, checkpoint)
+            self.match_node(node.right)
 
 
 def _entities_of(node: SodType) -> list[EntityType]:
@@ -316,42 +333,45 @@ def never_partially_matchable(
     canonical = canonicalize(sod)
     available = set(page_annotation_types)
 
-    def abstract_missing(node: SodType) -> list[str]:
-        if isinstance(node, EntityType):
-            if node.name in available or node.optional:
-                return []
-            return [node.name]
-        if isinstance(node, SetType):
-            inner = canonicalize(node.inner)
-            if isinstance(inner, EntityType):
-                inner_entities = [inner]
-            elif isinstance(inner, TupleType):
-                inner_entities = [
-                    component
-                    for component in inner.components
-                    if isinstance(component, EntityType)
-                ]
-            else:
-                return [node.name]  # nested sets-of-sets never match
-            required = [e for e in inner_entities if not e.optional]
-            if required and all(e.name in available for e in required):
-                return []
-            if node.multiplicity.optional_allowed:
-                return []
-            return [node.name]
-        if isinstance(node, TupleType):
-            out: list[str] = []
-            for component in node.components:
-                out.extend(abstract_missing(component))
-            return out
-        assert isinstance(node, DisjunctionType)
-        left = abstract_missing(node.left)
-        if left:
-            return abstract_missing(node.right)
-        return []
-
-    missing = abstract_missing(canonical)
+    missing = _abstract_missing(canonical, available)
     return bool(missing) and any(name not in available for name in missing)
+
+
+def _abstract_missing(node: SodType, available: set[str]) -> list[str]:
+    """The names :func:`never_partially_matchable` finds missing under
+    ``node`` when a slot exists for exactly the ``available`` types."""
+    if isinstance(node, EntityType):
+        if node.name in available or node.optional:
+            return []
+        return [node.name]
+    if isinstance(node, SetType):
+        inner = canonicalize(node.inner)
+        if isinstance(inner, EntityType):
+            inner_entities = [inner]
+        elif isinstance(inner, TupleType):
+            inner_entities = [
+                component
+                for component in inner.components
+                if isinstance(component, EntityType)
+            ]
+        else:
+            return [node.name]  # nested sets-of-sets never match
+        required = [e for e in inner_entities if not e.optional]
+        if required and all(e.name in available for e in required):
+            return []
+        if node.multiplicity.optional_allowed:
+            return []
+        return [node.name]
+    if isinstance(node, TupleType):
+        out: list[str] = []
+        for component in node.components:
+            out.extend(_abstract_missing(component, available))
+        return out
+    assert isinstance(node, DisjunctionType)
+    left = _abstract_missing(node.left, available)
+    if left:
+        return _abstract_missing(node.right, available)
+    return []
 
 
 def partially_matchable(

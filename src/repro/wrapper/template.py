@@ -174,17 +174,8 @@ class Template:
 
     def iter_nodes(self) -> Iterator[TemplateNode]:
         """Pre-order traversal over the whole template."""
-
-        def walk(node: TemplateNode) -> Iterator[TemplateNode]:
-            yield node
-            if isinstance(node, ElementTemplate):
-                for child in node.children:
-                    yield from walk(child)
-            elif isinstance(node, IteratorSlot):
-                yield from walk(node.unit)
-
         for root in self.roots:
-            yield from walk(root)
+            yield from walk_template(root)
 
     def field_slots(self) -> list[FieldSlot]:
         return [node for node in self.iter_nodes() if isinstance(node, FieldSlot)]
@@ -196,7 +187,7 @@ class Template:
         """Field slots outside any iterator (the tuple level)."""
         inside: set[int] = set()
         for iterator in self.iterator_slots():
-            for node in _walk_one(iterator.unit):
+            for node in walk_template(iterator.unit):
                 if isinstance(node, FieldSlot):
                     inside.add(node.slot_id)
         return [slot for slot in self.field_slots() if slot.slot_id not in inside]
@@ -207,7 +198,7 @@ class Template:
         for iterator in self.iterator_slots():
             out[iterator.slot_id] = [
                 node
-                for node in _walk_one(iterator.unit)
+                for node in walk_template(iterator.unit)
                 if isinstance(node, FieldSlot)
             ]
         return out
@@ -276,10 +267,11 @@ class Template:
         return "\n".join(lines)
 
 
-def _walk_one(node: TemplateNode) -> Iterator[TemplateNode]:
+def walk_template(node: TemplateNode) -> Iterator[TemplateNode]:
+    """Pre-order traversal of ``node`` and every template node under it."""
     yield node
     if isinstance(node, ElementTemplate):
         for child in node.children:
-            yield from _walk_one(child)
+            yield from walk_template(child)
     elif isinstance(node, IteratorSlot):
-        yield from _walk_one(node.unit)
+        yield from walk_template(node.unit)

@@ -1,4 +1,5 @@
-"""The batch executor's per-source work queue, on real worker processes."""
+"""The batch executor: its per-source work queue, on real worker
+processes, and the merge that folds what the workers send home."""
 
 import gc
 from concurrent.futures import ProcessPoolExecutor
@@ -8,10 +9,20 @@ from pathlib import Path
 
 import pytest
 
-from repro.core.executor import attach_queue, run_batch, run_worker_shard
+from repro.core.executor import (
+    SourceReport,
+    _merge,
+    attach_queue,
+    run_batch,
+    run_worker_shard,
+)
 from repro.core.faults import SourceFailure, wall_sleep
 from repro.errors import MultiSourceError
-from repro.metrics import MetricsObserver
+from repro.metrics import MetricsObserver, MetricsRegistry
+from repro.registry import StagedRegistryView, WrapperRegistry, signature_for
+from repro.sod.dsl import parse_sod
+
+SOD = parse_sod("t(a)")
 
 #: Seconds the slow item takes: long enough for the other worker to
 #: start and drain everything else meanwhile.
@@ -168,3 +179,54 @@ class TestHeapFreeze:
             assert 0 < gc.get_freeze_count() <= frozen
         finally:
             gc.unfreeze()
+
+
+def _report(position, key, registry):
+    """What a worker ships home for ``key``, tagged with its position.
+
+    ``a`` stores a discard tombstone for signature S and ``c`` demotes S,
+    so only input order leaves S out of the registry.
+    """
+    view = StagedRegistryView(registry)
+    if key == "a":
+        view.put_discard(SOD, "fp", "a", "wrap", "no records")
+    elif key == "c":
+        view.demote(signature_for(SOD, "fp"))
+    metrics = MetricsRegistry()
+    metrics.count("runs")
+    metrics.gauge("last_position", position)
+    return SourceReport(
+        position=position,
+        outcome=key.upper(),
+        writes=view.export(),
+        metrics=metrics,
+        cache_stats={"hits": position},
+        registry_stats={"misses": 1},
+    )
+
+
+class TestMerge:
+    ITEMS = [("a", None), ("b", None), ("c", None)]
+
+    def merged(self, arrival, root):
+        """Merge reports that arrived in ``arrival`` order."""
+        registry = WrapperRegistry(root)
+        observer = MetricsObserver()
+        reports = {
+            position: _report(position, self.ITEMS[position][0], registry)
+            for position in arrival
+        }
+        outcomes = _merge(self.ITEMS, reports, True, registry, [observer])
+        files = {
+            str(path.relative_to(root)): path.read_bytes()
+            for path in sorted(root.rglob("*.json"))
+        }
+        return outcomes, observer.snapshot(), registry.stats(), files
+
+    def test_reports_fold_in_input_order_whatever_their_arrival(self, tmp_path):
+        serial = self.merged((0, 1, 2), tmp_path / "serial")
+        arrived = self.merged((2, 0, 1), tmp_path / "arrived")
+        assert serial[0] == ["A", "B", "C"]
+        # The later demotion wins: S is gone.
+        assert list(serial[3]) == ["index.json"]
+        assert arrived == serial

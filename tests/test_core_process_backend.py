@@ -291,7 +291,9 @@ class TestWorkQueue:
     def test_worker_counts_give_equal_bytes(self, four_sources, tmp_path):
         domain, knowledge, sources = four_sources
         seen = {}
-        for workers in (1, 2, 3):
+        # Pooled legs first: a worker forked after the serial leg would
+        # inherit any module global that leg filled.
+        for workers in (3, 2, 1):
             observer = MetricsObserver()
             root = tmp_path / f"w{workers}"
             outcome = make_runner(

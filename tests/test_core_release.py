@@ -2,14 +2,16 @@
 
 A page tree is a web of reference cycles (``parent`` up, ``children``
 down).  The trees a run builds from raw pages belong to that run, which
-releases them when it ends (``LazyPages.release``), and cleaning
-releases every subtree it drops.  So what a cold run leaves behind is
-freed by reference count, and the cyclic collector finds none of it.
-Trees a caller hands in stay the caller's.
+releases them when it ends (``LazyPages.release``), as does a bench
+entry, and cleaning releases every subtree it drops.  The recursive
+walks of a run build no self-referencing closure.  So what a cold run
+leaves behind is freed by reference count, and the cyclic collector
+finds none of it.  Trees a caller hands in stay the caller's.
 """
 
 import gc
 from collections import Counter
+from types import CellType, FunctionType
 
 import pytest
 
@@ -22,7 +24,15 @@ from repro.errors import InjectedFaultError
 from repro.htmlkit.clean import clean_tree
 from repro.htmlkit.dom import Element, Text, freeze, release
 from repro.htmlkit.tidy import tidy
-from repro.metrics.bench import DICTIONARY_COVERAGE, CatalogCache
+from repro.metrics import MetricsObserver
+from repro.metrics import bench as bench_module
+from repro.metrics.bench import (
+    DICTIONARY_COVERAGE,
+    BenchConfig,
+    BenchSession,
+    CatalogCache,
+)
+from repro.wrapper.matching import MatchResult
 from repro.wrapper.tokens import PageToken
 from tests.conftest import FIGURE3_P1, FIGURE3_P2, FIGURE3_P3
 
@@ -91,7 +101,11 @@ def test_cold_runs_leave_no_tree_as_cyclic_garbage():
         left = Counter(
             type(thing).__name__
             for thing in gc.garbage
-            if isinstance(thing, (Element, Text, PageToken))
+            # Trees, and the recursive closures that once walked them.
+            if isinstance(
+                thing,
+                (Element, Text, PageToken, FunctionType, CellType, MatchResult),
+            )
         )
     finally:
         gc.set_debug(0)
@@ -127,6 +141,29 @@ def test_extract_with_releases_the_trees_it_built(served_pages):
     # A fresh runner, so its cache misses and extraction reads every tree.
     fresh, __ = _catalog_runner(entry)
     assert fresh.extract_with(wrapper, source.pages).objects
+    (pages,) = served_pages
+    assert all(_released(page) for page in pages)
+
+
+def test_a_bench_entry_releases_its_trees_after_its_run(served_pages):
+    session = BenchSession(BenchConfig(scale=0.01, systems=("objectrunner",)))
+    entry = session.entries()[0]
+    session._run_entry("objectrunner", entry, MetricsObserver(), None)
+    (pages,) = served_pages
+    assert len(pages) == len(session.catalog.source(entry).pages)
+    assert all(_released(page) for page in pages)
+
+
+def test_a_failing_bench_entry_releases_its_trees(served_pages, monkeypatch):
+    def fail(*args):
+        raise RuntimeError("grading failed")
+
+    monkeypatch.setattr(bench_module, "grade_source", fail)
+    session = BenchSession(BenchConfig(scale=0.01, systems=("objectrunner",)))
+    with pytest.raises(RuntimeError):
+        session._run_entry(
+            "objectrunner", session.entries()[0], MetricsObserver(), None
+        )
     (pages,) = served_pages
     assert all(_released(page) for page in pages)
 

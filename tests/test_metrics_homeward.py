@@ -4,15 +4,14 @@ The process backend's metrics story rests on one invariant: anything a
 worker mutates on a :class:`MetricsRegistry` or :class:`MetricsObserver`
 reaches the parent through the explicit homeward surface — pickled
 per-source registries adopted with ``adopt_source``, plus the
-``adopt_cache_stats`` dict.  reprolint's P602 rule checks this statically;
-these tests check it dynamically, property-style: drive randomized (but
-seeded) workloads, diff the mutated ``__dict__`` fields against a fresh
-instance, and assert each one either crosses the pickle boundary intact
-or is explicitly accounted for by a documented side channel.
+``adopt_cache_stats`` dict.  These tests check it property-style: drive
+randomized (but seeded) workloads, diff the mutated ``__dict__`` fields
+against a fresh instance, and assert each one either crosses the pickle
+boundary intact or is explicitly accounted for by a documented side
+channel.
 
 A new field added to either class without a homeward path fails here
-with a message naming the field — the same regression shape P602 flags
-at lint time.
+with a message naming the field.
 """
 
 import pickle
