@@ -16,6 +16,18 @@ from repro.eval.report import render_comparison_table
 
 SYSTEMS = ("objectrunner", "exalg", "roadrunner")
 
+#: EXPERIMENTS.md's Table III, measured at scale 0.1: per domain, Pc and
+#: Pp in percent for ObjectRunner, ExAlg and RoadRunner, in that order.
+#: The baselines read the same prepared pages as ObjectRunner, so a
+#: change to page preparation can move them too.
+MEASURED_TABLE3 = {
+    "concerts": (79.3, 79.3, 34.1, 34.1, 34.1, 34.1),
+    "albums": (74.5, 100.0, 74.5, 92.3, 7.7, 7.7),
+    "books": (74.7, 74.7, 74.7, 74.7, 0.0, 70.6),
+    "publications": (67.9, 76.6, 65.6, 65.6, 19.4, 70.8),
+    "cars": (65.3, 100.0, 65.3, 86.1, 65.3, 78.1),
+}
+
 
 def test_table3_system_comparison(benchmark):
     def run_all():
@@ -60,3 +72,19 @@ def test_table3_system_comparison(benchmark):
         by_domain["roadrunner"][d].precision_correct for d in DOMAIN_ORDER
     ) / len(DOMAIN_ORDER)
     assert our_mean - rr_mean >= 0.3
+
+    if BENCH_SCALE == 0.1:
+        # The figures themselves are pinned at the scale EXPERIMENTS.md
+        # reports; a change that moves them updates both and says why.
+        measured = {
+            domain: tuple(
+                round(100.0 * value, 1)
+                for system in SYSTEMS
+                for value in (
+                    by_domain[system][domain].precision_correct,
+                    by_domain[system][domain].precision_partial,
+                )
+            )
+            for domain in DOMAIN_ORDER
+        }
+        assert measured == MEASURED_TABLE3

@@ -53,15 +53,12 @@ def propagate_annotations(root: Element) -> None:
 
     One bottom-up pass of :func:`_absorb_children` over every element; it
     leaves the subtree at a fixpoint (another pass would change nothing).
+    The pass is the pre-order of :meth:`Element.iter_elements` reversed,
+    which reaches every element after all of its descendants and does
+    not recurse.
     """
-
-    def visit(element: Element) -> None:
-        for child in element.children:
-            if isinstance(child, Element):
-                visit(child)
+    for element in reversed(list(root.iter_elements())):
         _absorb_children(element)
-
-    visit(root)
 
 
 def propagate_upward(nodes: Iterable[Node], root: Element) -> list[Element]:

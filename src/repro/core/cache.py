@@ -7,7 +7,7 @@ keyed by a hash of the raw bytes.  The entry is a plain
 :data:`PageEntry` tuple: the page as a flat
 :func:`~repro.htmlkit.dom.freeze` snapshot (one tuple of ``str`` and
 ``int``), the entry's size, the page's
-:func:`~repro.htmlkit.fingerprint.structural_fingerprint` once a registry
+:func:`~repro.htmlkit.fingerprint.snapshot_fingerprint` once a registry
 match has asked for it, and the page's extracted rows under the last
 wrapper applied to it, keyed by that wrapper's
 :func:`~repro.wrapper.serialize.wrapper_digest`.  Every part of an entry
@@ -21,6 +21,16 @@ from the snapshot the first time a stage indexes it.  A recrawl whose
 pages all have a cached fingerprint and cached rows never builds a tree.
 The annotation stage mutates trees in place, so every request gets trees
 of its own.
+
+The pages of one source repeat their template's tags, attribute names,
+classes and labels.  The snapshots one :meth:`~PreprocessCache.clean_pages`
+call stores therefore share one string table: each string record is
+replaced by the first equal string the call met (:func:`_shared`), so the
+call's snapshots hold one object per distinct string.  The table is a
+plain ``dict`` local to the call and dies with it, so nothing in it
+outlives the entries that use it, and texts the process sees only once
+are freed with their pages.  A thawed tree takes its strings from the
+snapshot, so hits share them too.
 
 The cache is bounded by the bytes its entries hold, not by a number of
 entries: pages differ in size, memory does not care how many there are.
@@ -39,7 +49,7 @@ from dataclasses import dataclass, field
 
 from repro.htmlkit.clean import clean_tree
 from repro.htmlkit.dom import Element, Snapshot, freeze, release, thaw
-from repro.htmlkit.fingerprint import structural_fingerprint
+from repro.htmlkit.fingerprint import snapshot_fingerprint
 from repro.htmlkit.tidy import tidy
 
 #: Resident memory one extraction-service process is budgeted.
@@ -55,11 +65,34 @@ def snapshot_bytes(snapshot: Snapshot) -> int:
 
     The integers in a snapshot are small and interned by the interpreter,
     so they cost nothing beyond their tuple slot.  A string referenced
-    twice is counted twice, so the figure errs high.
+    twice is counted twice, so the figure errs high, and more so for the
+    snapshots :meth:`PreprocessCache.clean_pages` stores, which share
+    their strings: on the 1,062 pages of perfbench's ``cold-batch``
+    (seed 7) the count is 2.9 times the bytes held once each shared
+    string is counted once.  It stays an upper bound.
     """
     getsizeof = sys.getsizeof
     return getsizeof(snapshot) + sum(
         [getsizeof(record) for record in snapshot if type(record) is str]
+    )
+
+
+def _shared(snapshot: Snapshot, strings: dict[str, str]) -> tuple[Snapshot, int]:
+    """``snapshot`` with its strings taken from ``strings``, and its bytes.
+
+    Each string record is replaced by the equal string already in
+    ``strings``, or added to it, so the snapshots that share a table
+    share one object per distinct string.  The byte count is
+    :func:`snapshot_bytes` of the result, from the same walk.
+    """
+    setdefault = strings.setdefault
+    shared = tuple(
+        [setdefault(record, record) if type(record) is str else record
+         for record in snapshot]
+    )
+    getsizeof = sys.getsizeof
+    return shared, getsizeof(shared) + sum(
+        map(getsizeof, [record for record in shared if type(record) is str])
     )
 
 
@@ -172,20 +205,23 @@ class PreprocessCache:
 
     def clean_page(self, raw: str) -> Element:
         """The tidied+cleaned tree for ``raw``, never shared with another call."""
-        item, __ = self._clean_one(self.key_for(raw), raw)
+        item, __ = self._clean_one(self.key_for(raw), raw, {})
         return thaw(item) if type(item) is tuple else item
 
     def clean_pages(self, raw_pages: list[str]) -> CachedPages:
         """Clean many pages at once, reporting keys and hit/miss counts.
 
         The pages come back as a :class:`LazyPages`: a hit is thawed only
-        when a stage first indexes it.
+        when a stage first indexes it.  The snapshots this call stores
+        share one string table (see :meth:`_clean_one`), which dies with
+        the call.
         """
         items: list[Element | Snapshot] = []
         outcome = CachedPages(pages=LazyPages(items))
+        strings: dict[str, str] = {}
         for raw in raw_pages:
             key = self.key_for(raw)
-            item, hit = self._clean_one(key, raw)
+            item, hit = self._clean_one(key, raw, strings)
             items.append(item)
             outcome.keys.append(key)
             if hit:
@@ -197,27 +233,28 @@ class PreprocessCache:
     def page_fingerprint(self, key: str, page: Callable[[], Element]) -> str:
         """Structural fingerprint of the page cached under ``key``.
 
-        ``page`` returns an unmutated tree of that page, as
-        :meth:`clean_pages` served it; it is called only when the
-        fingerprint is not cached.  The fingerprint is computed the first
-        time it is asked for while the entry is resident, and read from
-        the entry after that.  A page that is not resident is
-        fingerprinted every time.  Two threads asking at once may both
-        compute it; they store the same value.
+        A resident entry is fingerprinted from its snapshot the first time
+        it is asked for, and the fingerprint is read from the entry after
+        that.  ``page`` returns an unmutated tree of the page, as
+        :meth:`clean_pages` served it; it is called only when the page is
+        not resident, and such a page is fingerprinted every time.  Two
+        threads asking at once may both compute it; they store the same
+        value.
         """
         with self._lock:
             entry = self._entries.get(key)
-        if entry is not None and entry[2] is not None:
+        if entry is None:
+            return snapshot_fingerprint(freeze(page()))
+        if entry[2] is not None:
             return entry[2]
-        fingerprint = structural_fingerprint(page())
-        if entry is not None:
-            with self._lock:
-                entry = self._entries.get(key)
-                if entry is not None:
-                    # Replacing a present key's value keeps its LRU place.
-                    self._entries[key] = (
-                        entry[0], entry[1], fingerprint, entry[3], entry[4]
-                    )
+        fingerprint = snapshot_fingerprint(entry[0])
+        with self._lock:
+            entry = self._entries.get(key)
+            if entry is not None:
+                # Replacing a present key's value keeps its LRU place.
+                self._entries[key] = (
+                    entry[0], entry[1], fingerprint, entry[3], entry[4]
+                )
         return fingerprint
 
     def page_rows(self, key: str, wrapper_key: str) -> str | None:
@@ -259,8 +296,16 @@ class PreprocessCache:
             __, evicted = self._entries.popitem(last=False)
             self.resident_bytes -= evicted[1]
 
-    def _clean_one(self, key: str, raw: str) -> tuple[Element | Snapshot, bool]:
-        """A fresh tree (miss) or the resident snapshot (hit) for ``raw``."""
+    def _clean_one(
+        self, key: str, raw: str, strings: dict[str, str]
+    ) -> tuple[Element | Snapshot, bool]:
+        """A fresh tree (miss) or the resident snapshot (hit) for ``raw``.
+
+        A miss stores its snapshot with every string taken from
+        ``strings`` (:func:`_shared`): the pages of one source repeat
+        their template's tags, attribute names, classes and labels, and
+        the snapshots stored under one table keep one copy of each.
+        """
         with self._lock:
             cached = self._entries.get(key)
             if cached is not None:
@@ -269,8 +314,7 @@ class PreprocessCache:
         if cached is not None:
             return cached[0], True
         tree = clean_tree(tidy(raw))
-        snapshot = freeze(tree)
-        nbytes = snapshot_bytes(snapshot)
+        snapshot, nbytes = _shared(freeze(tree), strings)
         with self._lock:
             if key in self._entries:
                 # Another thread computed and inserted this key while we

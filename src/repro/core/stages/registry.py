@@ -6,8 +6,8 @@ induce-then-extract flow around the wrapper registry:
 - :class:`RegistryMatchStage` runs right after pre-processing.  It
   fingerprints the tidied pages — by majority vote over the per-page
   fingerprints the preprocessing cache keeps, when the pages came
-  through it, without building a tree for a page whose fingerprint is
-  cached — and looks the (SOD, template) signature up in the
+  through it, without building a tree for a page the cache holds — and
+  looks the (SOD, template) signature up in the
   registry; a hit installs the stored wrapper on the context,
   which disables segmentation, annotation and wrapper generation for the
   rest of the run — induction is skipped entirely.
@@ -73,8 +73,9 @@ class RegistryMatchStage(Stage):
         if keys is None:
             fingerprint = pages_fingerprint(pages)
         else:
-            # A page is indexed (and a cache hit thawed) only when its
-            # fingerprint is not cached.
+            # A page is indexed (and a cache hit thawed) only when it is
+            # not resident: a resident page is fingerprinted from its
+            # snapshot.
             fingerprint = pages_fingerprint(
                 range(len(keys)),
                 lambda index: ctx.cache.page_fingerprint(

@@ -9,6 +9,7 @@ module implements that cleaning pass over our DOM.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Iterator
 
 from repro.htmlkit.dom import Element, Node, Text, release
 from repro.htmlkit.parser import VOID_ELEMENTS
@@ -55,67 +56,71 @@ def _is_hidden(element: Element) -> bool:
     return "display:none" in style or "visibility:hidden" in style
 
 
-def _drop(element: Element) -> list[Node]:
-    """No replacement for ``element``; its subtree is released to die now."""
-    release(element)
-    return []
-
-
-def _clean(element: Element, config: CleanerConfig) -> list[Node]:
-    """Return the cleaned replacement nodes for ``element``."""
-    if element.tag in config.drop_tags:
-        return _drop(element)
-    if config.drop_hidden and _is_hidden(element):
-        return _drop(element)
-    if config.drop_images and element.tag == "img":
-        return _drop(element)
-
-    new_children: list[Node] = []
-    for child in element.children:
-        if isinstance(child, Text):
-            if child.text.strip():
-                new_children.append(child)
-            continue
-        new_children.extend(_clean(child, config))
-
-    element.replace_children(new_children)
-    element.attributes = {
-        key: value
-        for key, value in element.attributes.items()
-        if key in config.keep_attributes
-    }
-
-    if element.tag in config.unwrap_tags:
-        return new_children
-    if (
-        config.drop_empty
-        and not new_children
-        and element.tag not in config.protected_tags
-        and element.tag not in VOID_ELEMENTS
-    ):
-        return _drop(element)
-    return [element]
-
-
 def clean_tree(root: Element, config: CleanerConfig | None = None) -> Element:
     """Clean ``root`` in place and return it.
 
     Removes script/style/comment-like content, hidden and empty elements,
     images, and non-whitelisted attributes.  The root element itself is
     never removed.
+
+    One post-order pass with an explicit stack of ``(element, child
+    iterator, kept children)`` frames, so no depth exceeds the recursion
+    limit.  An element is dropped, subtree and all, before its children
+    are visited; otherwise, once its children are done, it takes the
+    kept ones and then hands its parent itself, its kept children (an
+    unwrapped tag) or nothing (an empty element).  A dropped subtree is
+    released (:func:`~repro.htmlkit.dom.release`) so it dies by reference
+    count at once.
     """
     config = config or CleanerConfig()
-    new_children: list[Node] = []
-    for child in list(root.children):
-        if isinstance(child, Text):
-            if child.text.strip():
-                new_children.append(child)
-            continue
-        new_children.extend(_clean(child, config))
-    root.replace_children(new_children)
-    root.attributes = {
-        key: value
-        for key, value in root.attributes.items()
-        if key in config.keep_attributes
-    }
+    drop_tags = config.drop_tags
+    unwrap_tags = config.unwrap_tags
+    drop_hidden = config.drop_hidden
+    drop_images = config.drop_images
+    keep_attributes = config.keep_attributes
+    # Tags an element with no kept children survives under.
+    keep_empty = (
+        config.protected_tags | VOID_ELEMENTS if config.drop_empty else None
+    )
+    stack: list[tuple[Element, Iterator[Node], list[Node]]] = [
+        (root, iter(root.children), [])
+    ]
+    push = stack.append
+    pop = stack.pop
+    while stack:
+        element, children, kept = stack[-1]
+        for child in children:
+            if isinstance(child, Text):
+                if child.text.strip():
+                    kept.append(child)
+                continue
+            tag = child.tag  # type: ignore[attr-defined]
+            if (
+                tag in drop_tags
+                or (drop_hidden and _is_hidden(child))  # type: ignore[arg-type]
+                or (drop_images and tag == "img")
+            ):
+                release(child)  # type: ignore[arg-type]
+                continue
+            push((child, iter(child.children), []))  # type: ignore[attr-defined]
+            break
+        else:
+            pop()
+            element.replace_children(kept)
+            attributes = element.attributes
+            if attributes:
+                element.attributes = {
+                    key: value
+                    for key, value in attributes.items()
+                    if key in keep_attributes
+                }
+            if not stack:
+                break
+            tag = element.tag
+            if tag in unwrap_tags:
+                stack[-1][2].extend(kept)
+            elif keep_empty is not None and not kept and tag not in keep_empty:
+                release(element)
+            else:
+                stack[-1][2].append(element)
     return root

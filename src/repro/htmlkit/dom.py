@@ -214,15 +214,16 @@ class Element(Node):
             node = ancestor
         return "/".join(reversed(parts))
 
-    def signature(self) -> str:
+    def signature(self, path: str | None = None) -> str:
         """Identity of a block across pages: tag, path and sorted attributes.
 
         The paper identifies the "best candidate block" across the pages of a
         source by tag name, DOM path and attribute names/values; this is that
-        key.
+        key.  ``path`` is this element's :meth:`dom_path`, for a caller that
+        already holds it.
         """
         attrs = ",".join(f"{k}={v}" for k, v in sorted(self.attributes.items()))
-        return f"{self.dom_path()}|{attrs}"
+        return f"{self.dom_path() if path is None else path}|{attrs}"
 
     # -- text ------------------------------------------------------------
 
@@ -250,17 +251,31 @@ class Element(Node):
 
 
 def clone(node: Node) -> Node:
-    """Deep-copy a DOM subtree (annotations included)."""
+    """Deep-copy a DOM subtree (annotations included).
+
+    One explicit stack of ``(original, copy)`` element pairs, so no depth
+    exceeds the recursion limit.
+    """
     if isinstance(node, Text):
         copy = Text(node.text)
         copy.annotations = set(node.annotations)
         return copy
     assert isinstance(node, Element)
-    copy_element = Element(node.tag, dict(node.attributes))
-    copy_element.annotations = set(node.annotations)
-    for child in node.children:
-        copy_element.append(clone(child))
-    return copy_element
+    root = Element(node.tag, dict(node.attributes))
+    root.annotations = set(node.annotations)
+    stack = [(node, root)]
+    while stack:
+        original, copy_element = stack.pop()
+        for child in original.children:
+            if isinstance(child, Text):
+                copy = Text(child.text)
+            else:
+                assert isinstance(child, Element)
+                copy = Element(child.tag, dict(child.attributes))
+                stack.append((child, copy))
+            copy.annotations = set(child.annotations)
+            copy_element.append(copy)
+    return root
 
 
 def freeze(root: Element) -> Snapshot:

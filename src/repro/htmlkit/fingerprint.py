@@ -18,6 +18,11 @@ The fingerprint is a SHA-256 over a recursive "shape" string:
   30 rows fingerprint identically, and reorderings of independent
   sections do not produce spurious template splits.
 
+The shape is computed in one flat loop over a page's
+:func:`~repro.htmlkit.dom.freeze` snapshot, so a cached snapshot is
+fingerprinted without building a tree, and no depth exceeds the
+recursion limit.
+
 ``pages_fingerprint`` folds a whole source (several pages of one
 template) into a single fingerprint by majority vote, so one anomalous
 page cannot shift the source's registry key.  It takes the per-page
@@ -31,29 +36,56 @@ import hashlib
 from typing import Callable, Sequence, TypeVar
 
 from repro.errors import HtmlParseError
-from repro.htmlkit.dom import Element, Node, Text
+from repro.htmlkit.dom import _CLOSE, Element, Snapshot, freeze
 
 #: Bumped whenever the shape function changes; part of the hashed text so
 #: fingerprints from different algorithm versions can never collide.
 FINGERPRINT_VERSION = 1
 
 
-def shape_of(node: Node) -> str:
-    """Return the recursive shape string of a DOM subtree.
+def snapshot_shape(snapshot: Snapshot) -> str:
+    """The shape string of the tree a :func:`freeze` snapshot holds.
 
-    Exposed for tests and debugging; most callers want
-    :func:`structural_fingerprint`, which hashes this.
+    One pass over the records: an element's prefix and the set of its
+    children's shapes wait on a stack until its close record.
     """
-    if isinstance(node, Text):
-        return "t"
-    assert isinstance(node, Element)
-    class_value = node.attributes.get("class", "")
-    other_attrs = ",".join(
-        sorted(name for name in node.attributes if name != "class")
-    )
-    child_shapes = sorted({shape_of(child) for child in node.children})
-    inner = ";".join(child_shapes)
-    return f"{node.tag}.{class_value}[{other_attrs}]({inner})"
+    records = iter(snapshot)
+    shapes: set[str] = set()
+    prefixes: list[str] = []
+    outer: list[set[str]] = []
+    for record in records:
+        if type(record) is str:
+            shapes.add("t")
+        elif record == _CLOSE:
+            shape = f"{prefixes.pop()}({';'.join(sorted(shapes))})"
+            shapes = outer.pop()
+            shapes.add(shape)
+        else:
+            tag = next(records)
+            if record:
+                names = []
+                class_value = ""
+                for __ in range(record):  # type: ignore[arg-type]
+                    name = next(records)
+                    value = next(records)
+                    if name == "class":
+                        class_value = value
+                    else:
+                        names.append(name)
+                names.sort()
+                prefixes.append(f"{tag}.{class_value}[{','.join(names)}]")
+            else:
+                prefixes.append(f"{tag}.[]")
+            outer.append(shapes)
+            shapes = set()
+    (shape,) = shapes
+    return shape
+
+
+def snapshot_fingerprint(snapshot: Snapshot) -> str:
+    """SHA-256 fingerprint of the page a :func:`freeze` snapshot holds."""
+    text = f"{FINGERPRINT_VERSION}\n{snapshot_shape(snapshot)}"
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 def structural_fingerprint(page: Element) -> str:
@@ -63,8 +95,7 @@ def structural_fingerprint(page: Element) -> str:
     same template (same nesting of tags/classes, any number of repeated
     records, any text) hash identically.
     """
-    text = f"{FINGERPRINT_VERSION}\n{shape_of(page)}"
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+    return snapshot_fingerprint(freeze(page))
 
 
 #: Whatever stands for one page in :func:`pages_fingerprint`.

@@ -10,6 +10,7 @@ name, DOM path and attributes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Iterator
 
 from repro.htmlkit.dom import Element
 from repro.vision.boxes import Rect
@@ -33,18 +34,18 @@ class Block:
 
     element: Element
     rect: Rect
+    #: Cross-page identity of the block (tag + path + attributes), as
+    #: :meth:`~repro.htmlkit.dom.Element.signature` gives it.
+    signature: str
     children: list["Block"] = field(default_factory=list)
 
-    @property
-    def signature(self) -> str:
-        """Cross-page identity of the block (tag + path + attributes)."""
-        return self.element.signature()
-
-    def iter(self):
+    def iter(self) -> Iterator["Block"]:
         """Pre-order traversal over this block and its descendants."""
-        yield self
-        for child in self.children:
-            yield from child.iter()
+        stack = [self]
+        while stack:
+            block = stack.pop()
+            yield block
+            stack.extend(reversed(block.children))
 
     def text_length(self) -> int:
         return len(self.element.text_content())
@@ -62,15 +63,28 @@ class BlockTree:
 
 
 def _build_block(element: Element, layout: LayoutResult) -> Block:
-    block = Block(element=element, rect=layout.rect_of(element))
-    for child in element.children:
-        if not isinstance(child, Element):
-            continue
-        if not layout.has(child):
-            continue
-        if child.tag in _BLOCK_TAGS and layout.rect_of(child).area >= _MIN_BLOCK_AREA:
-            block.children.append(_build_block(child, layout))
-    return block
+    """The block of ``element`` and, below it, of every large block element.
+
+    One explicit stack of blocks whose children are still to be found.  A
+    block's signature extends its parent block's DOM path by one tag, so
+    no block walks up to the root for it.
+    """
+    path = element.dom_path()
+    root = Block(element, layout.rect_of(element), element.signature(path))
+    stack = [(root, path)]
+    while stack:
+        block, path = stack.pop()
+        for child in block.element.children:
+            if not isinstance(child, Element) or child.tag not in _BLOCK_TAGS:
+                continue
+            rect = layout.get(child)
+            if rect is None or rect.area < _MIN_BLOCK_AREA:
+                continue
+            child_path = f"{path}/{child.tag}"
+            child_block = Block(child, rect, child.signature(child_path))
+            block.children.append(child_block)
+            stack.append((child_block, child_path))
+    return root
 
 
 def segment_page(root: Element, engine: LayoutEngine | None = None) -> BlockTree:

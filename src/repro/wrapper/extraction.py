@@ -165,7 +165,9 @@ def _extract_level(plan: _LevelPlan, nodes: list[Node], out: RecordValues) -> No
         units = out.iterators.setdefault(node.slot_id, [])
         unit_is_element = isinstance(node.unit, ElementTemplate)
         for unit_node in cell:
-            if not isinstance(unit_node, Element):
+            # An element run folds its text separators in; skip them.  A
+            # text unit's run holds only its units.
+            if unit_is_element and not isinstance(unit_node, Element):
                 continue
             unit_values = RecordValues()
             _extract_level(

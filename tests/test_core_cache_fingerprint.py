@@ -77,15 +77,15 @@ def cached_vote(cache, raw_pages):
 
 @pytest.fixture
 def count_fingerprints(monkeypatch):
-    """How many times the cache computed a fingerprint from a tree."""
+    """How many times the cache computed a fingerprint from a snapshot."""
     computed = []
-    real = cache_module.structural_fingerprint
+    real = cache_module.snapshot_fingerprint
 
-    def counting(page):
+    def counting(snapshot):
         computed.append(1)
-        return real(page)
+        return real(snapshot)
 
-    monkeypatch.setattr(cache_module, "structural_fingerprint", counting)
+    monkeypatch.setattr(cache_module, "snapshot_fingerprint", counting)
     return computed
 
 

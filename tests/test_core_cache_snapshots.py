@@ -6,11 +6,14 @@ filled: the garbage collector untracks them within two collections, no
 DOM node stays reachable from the cache, a miss serves the tree it just
 built (no deep copy), and a hit thaws a fresh tree the first time it is
 indexed, never one another context holds.
+The snapshots one ``clean_pages`` call stores share one object per
+distinct string, through a table that dies with the call.
 Every path that prepares a page — uncached, miss, hit — yields the same
 element paths, so a wrapper learned on one applies on the others.
 """
 
 import gc
+import tracemalloc
 
 import repro.core.cache as cache_module
 import repro.htmlkit.dom as dom_module
@@ -230,3 +233,58 @@ class TestSnapshot:
         for raw in _source_pages():
             tree = clean_tree(tidy(raw))
             assert freeze(thaw(freeze(tree))) == freeze(tree)
+
+
+def _unique_pages(count=40, items=150):
+    """Pages in which no text, class or link repeats, within or across pages."""
+    return [
+        "<html><body><ul>"
+        + "".join(
+            f"<li class='c{page}-{item}'><a href='/p/{page}/{item}'>"
+            f"text {page}-{item} {'x' * (item % 30)}</a></li>"
+            for item in range(items)
+        )
+        + "</ul></body></html>"
+        for page in range(count)
+    ]
+
+
+class TestSharedStrings:
+    def test_one_call_shares_equal_strings(self):
+        pages = _source_pages()
+        cache = PreprocessCache()
+        cache.clean_pages(pages)
+        by_value: dict[str, str] = {}
+        records = 0
+        for raw in pages:
+            snapshot = cache._entries[cache.key_for(raw)][0]
+            assert snapshot == freeze(clean_tree(tidy(raw)))
+            for record in snapshot:
+                if type(record) is str:
+                    records += 1
+                    assert by_value.setdefault(record, record) is record
+        # The pages repeat their template's strings.
+        assert len(by_value) * 2 < records
+
+    def test_a_cleared_cache_keeps_no_string(self):
+        # The string table dies with its call: once the entries go, the
+        # strings they held go too, however many distinct ones there were.
+        pages = _unique_pages()
+        cache = PreprocessCache()
+        cache.clean_pages(_unique_pages(count=1, items=3))
+        cache.clear()
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            cache.clean_pages(pages).pages.release()
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0] - before
+            cache.clear()
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(cache) == 0
+        assert held > 1_000_000
+        assert retained < held // 100

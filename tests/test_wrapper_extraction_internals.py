@@ -1,12 +1,20 @@
 """Tests for extraction internals: level walking, iterators, fallbacks."""
 
 from repro.annotation.annotator import annotate_page
+from repro.htmlkit.dom import Element, Text
 from repro.htmlkit.tidy import tidy
 from repro.recognizers.gazetteer import GazetteerRecognizer
 from repro.sod.dsl import parse_sod
 from repro.wrapper.alignment import TemplateBuilder
-from repro.wrapper.extraction import extract_record
-from repro.wrapper.generate import WrapperConfig, generate_wrapper
+from repro.wrapper.extraction import extract_objects, extract_record
+from repro.wrapper.generate import Wrapper, WrapperConfig, generate_wrapper
+from repro.wrapper.matching import MatchResult
+from repro.wrapper.template import (
+    ElementTemplate,
+    FieldSlot,
+    IteratorSlot,
+    Template,
+)
 
 
 def li_records(sources, recognizers=None):
@@ -132,3 +140,81 @@ class TestSegmentPageStyles:
             for record in wrapper.segment_page(page):
                 assert len(record) == 1
                 assert record[0].tag == "li"
+
+
+class TestTextUnitIterator:
+    """An iterator whose unit is a bare field slot, not an element.
+
+    Induction always builds element units, so only a hand-written wrapper
+    reaches these paths: the ``("iter", "text")`` template shape, and the
+    one-node unit level that reads a text run item by item.
+    """
+
+    @staticmethod
+    def wrapper():
+        # <li><b>title</b> tag tag ...</li>: the tags are a run of texts.
+        template = Template(
+            roots=[
+                ElementTemplate(
+                    "li",
+                    children=[
+                        ElementTemplate("b", children=[FieldSlot(0)]),
+                        IteratorSlot(1, unit=FieldSlot(2)),
+                    ],
+                )
+            ]
+        )
+        match = MatchResult(
+            entity_to_slots={"title": [0]},
+            set_to_iterator={"tags": 1},
+            set_inner_slots={"tags": {"tag": [2]}},
+            matched=True,
+        )
+        return Wrapper(
+            source="books",
+            sod=parse_sod("book(title, tags:{tag}*)"),
+            template=template,
+            match=match,
+            record_tag="li",
+            record_path="html/body/ul/li",
+            record_class_attr="",
+            record_single_element=True,
+            is_list_source=True,
+            support=3,
+        )
+
+    def test_each_text_of_the_run_is_a_unit(self):
+        tidied = tidy(
+            "<ul><li><b>Dune</b> science fiction</li><li><b>Emma</b></li></ul>"
+        )
+        # Tidying merges adjacent texts; a hand-built tree keeps them apart.
+        built = Element(
+            "html",
+            children=[
+                Element(
+                    "body",
+                    children=[
+                        Element(
+                            "ul",
+                            children=[
+                                Element(
+                                    "li",
+                                    children=[
+                                        Element("b", children=[Text("Ulysses")]),
+                                        Text("modernist"),
+                                        Text(" "),
+                                        Text("epic"),
+                                    ],
+                                )
+                            ],
+                        )
+                    ],
+                )
+            ],
+        )
+        objects = extract_objects(self.wrapper(), [tidied, built], "books")
+        assert [(item.page_index, item.values) for item in objects] == [
+            (0, {"title": "Dune", "tags": ["science fiction"]}),
+            (0, {"title": "Emma"}),
+            (1, {"title": "Ulysses", "tags": ["modernist", "epic"]}),
+        ]
