@@ -9,12 +9,8 @@ Every run is one serial walk over the scanned paths; ``--rules`` and
 path arguments narrow what is checked, and baseline entries outside that
 scope neither match nor expire.
 
-Schema snapshots: ``--schemas-out FILE`` additionally writes the
-machine-readable schema-contract snapshot of
-:mod:`repro.analysis.schemas` (the committed copy is ``schemas.json``;
-S502 and the CI diff check both compare against it).  Baseline
-deadlines: ``--today YYYY-MM-DD`` enforces the ``expires`` field of
-baseline entries — overdue entries fail the run.
+Baseline deadlines: ``--today YYYY-MM-DD`` enforces the ``expires``
+field of baseline entries — overdue entries fail the run.
 """
 
 from __future__ import annotations
@@ -52,7 +48,8 @@ def build_parser() -> argparse.ArgumentParser:
         prog="reprolint",
         description=(
             "AST-based static analysis enforcing determinism, stage "
-            "contracts and process-boundary safety across the repro codebase"
+            "contracts, exception contracts and the public API across the "
+            "repro codebase"
         ),
     )
     parser.add_argument(
@@ -110,12 +107,6 @@ def build_parser() -> argparse.ArgumentParser:
         "firing example) and exit",
     )
     parser.add_argument(
-        "--schemas-out",
-        metavar="FILE",
-        help="also write the schema-contract snapshot (writer keys, "
-        "reader contracts, versions per artifact family) to FILE",
-    )
-    parser.add_argument(
         "--today",
         metavar="YYYY-MM-DD",
         help="enforce baseline 'expires' deadlines against this date "
@@ -161,29 +152,6 @@ def _scope_prefixes(paths: list[Path], root: Path) -> list[str] | None:
     return prefixes
 
 
-def _write_schemas(out: str, report, paths: list[Path], root: Path) -> None:
-    """Write the schema-contract snapshot, reusing the run's graph.
-
-    A run whose rules needed the project graph already built it; a
-    rule-scoped run without graph rules builds one here from the same
-    collected file set, so the snapshot is identical either way.
-    """
-    from repro.analysis.engine import collect_files
-    from repro.analysis.graph import ProjectGraph
-    from repro.analysis.schemas import (
-        project_schemas,
-        render_snapshot,
-        schemas_snapshot,
-    )
-
-    graph = report.graph
-    if graph is None:
-        graph = ProjectGraph.build(root, collect_files(paths))
-    text = render_snapshot(schemas_snapshot(project_schemas(graph)))
-    Path(out).write_text(text, encoding="utf-8")
-    print(f"reprolint: schema snapshot written to {out}", file=sys.stderr)
-
-
 def main(argv: list[str] | None = None) -> int:
     """CLI entry point; returns the process exit code."""
     parser = build_parser()
@@ -225,8 +193,7 @@ def main(argv: list[str] | None = None) -> int:
         )
         return 2
 
-    # A bad baseline fails before the walk, and before --schemas-out
-    # writes anything.
+    # A bad baseline fails before the walk.
     baseline_path = Path(args.baseline)
     entries: list = []
     if not args.no_baseline:
@@ -237,9 +204,6 @@ def main(argv: list[str] | None = None) -> int:
             return 2
 
     report = analyze_paths(paths, root=root, rules=rules)
-
-    if args.schemas_out:
-        _write_schemas(args.schemas_out, report, paths, root)
 
     # A partial scan (subset paths, --rules) must leave baseline entries
     # it cannot see alone: they neither match nor expire.  Parse findings

@@ -286,9 +286,6 @@ class AnalysisReport:
     unjustified_baseline: list[dict] = field(default_factory=list)
     #: Baseline entries past their ``expires`` deadline (``--today``).
     overdue_baseline: list[dict] = field(default_factory=list)
-    #: The shared project graph, when a requires_graph rule forced its
-    #: construction this run (``--schemas-out`` reuses it).
-    graph: object = field(default=None, repr=False, compare=False)
 
     def by_status(self, status: str) -> list[Finding]:
         """The findings currently carrying the given status."""
@@ -326,7 +323,6 @@ def analyze_paths(
     files = collect_files(paths)
     for rule in rule_list:
         rule.prepare(root, files)
-    shared_graph = None
     if any(rule.requires_graph for rule in rule_list):
         from repro.analysis.graph import ProjectGraph
 
@@ -334,9 +330,7 @@ def analyze_paths(
         for rule in rule_list:
             if rule.requires_graph:
                 rule.prepare_graph(shared_graph)
-    report = AnalysisReport(
-        root=root, files_scanned=len(files), graph=shared_graph
-    )
+    report = AnalysisReport(root=root, files_scanned=len(files))
     for path in files:
         report.findings.extend(analyze_file(path, root, rule_list))
     return report

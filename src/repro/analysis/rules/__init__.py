@@ -13,17 +13,11 @@ Rule id    Check
 ``C202``   undeclared context access through helpers the stage calls
 ``E401``   exception-contract violation in stage-reachable code
 ``A501``   public-API drift (broken export / unreachable symbol)
-``S501``   writer/reader key drift in a serialized-artifact family
-``S502``   artifact shape changed without a schema-version bump
-``S503``   external-input reader can raise an untyped ``KeyError``
-``S504``   consumer requires a key older committed artifacts lack
 =========  ==============================================================
 
-D101–D105 are per-file; D106, C202, E401, A501 and the S-rules are
-whole-program rules built on the shared
-:class:`repro.analysis.graph.ProjectGraph` (D106 adds the taint pass
-of :mod:`repro.analysis.dataflow`; S501–S504 add the schema-contract
-pass of :mod:`repro.analysis.schemas`).
+D101–D105 are per-file; D106, C202, E401 and A501 are whole-program
+rules built on the shared :class:`repro.analysis.graph.ProjectGraph`
+(D106 adds the taint pass of :mod:`repro.analysis.dataflow`).
 The full catalog with rationale and examples lives in
 ``docs/ANALYSIS.md``.
 """
@@ -46,22 +40,12 @@ from repro.analysis.rules.determinism import (
     is_set_expr,
 )
 from repro.analysis.rules.exceptions import ExceptionContractRule
-from repro.analysis.rules.schema import (
-    ExternalInputRule,
-    HistoryToleranceRule,
-    SchemaDriftRule,
-    SchemaVersionRule,
-)
 from repro.analysis.rules.taint import TaintToArtifactRule
 
 __all__ = [
     "ALWAYS_ALLOWED",
     "ApiDriftRule",
     "ExceptionContractRule",
-    "ExternalInputRule",
-    "HistoryToleranceRule",
-    "SchemaDriftRule",
-    "SchemaVersionRule",
     "SetOrderRule",
     "StageContract",
     "StageContractRule",

@@ -15,16 +15,18 @@ registry writes travel as one exported
 :class:`~repro.registry.store.StagedWrites`, in-process and from a
 worker alike, and the merge folds the reports keyed by input position,
 so serial and pooled runs give byte-identical output whatever worker
-ran what.  A worker that dies becomes a typed
-``SourceFailure(stage="worker")`` for the item it had in flight.
+ran what.  A worker that dies, or whose report the parent cannot read,
+becomes a typed ``SourceFailure(stage="worker")`` for the item it had
+in flight.
 """
 
 from __future__ import annotations
 
 import gc
 import multiprocessing
-from concurrent.futures import Future, wait
+from concurrent.futures import Future, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import (
     TYPE_CHECKING,
@@ -32,6 +34,7 @@ from typing import (
     Callable,
     ContextManager,
     Iterable,
+    Iterator,
     Sequence,
 )
 
@@ -57,7 +60,8 @@ RunItem = Callable[[str, Any, "StagedRegistryView | None"], Any]
 Items = Sequence[tuple[str, Any]]
 
 #: ``dispatch(queue)``: a context manager running ``queue`` on a process
-#: pool and yielding the futures of its workers' calls.
+#: pool and yielding the futures of its workers' calls (see
+#: :func:`process_pool`).
 Dispatch = Callable[["WorkQueue"], ContextManager[list[Future]]]
 
 #: Seconds the parent waits for a report before it checks whether the
@@ -148,6 +152,10 @@ class WorkQueue:
         self._reader, self._writer = context.Pipe(duplex=False)
         #: Parent side: the reports received, by position.
         self.reports: dict[int, SourceReport] = {}
+        #: Parent side: the pool's processes (set by :func:`process_pool`).
+        self.processes: tuple[multiprocessing.process.BaseProcess, ...] = ()
+        #: Parent side: why a report could not be read, if one could not.
+        self.unreadable: Exception | None = None
 
     def tasks(self) -> list[ShardTask]:
         """One task per worker of the pool."""
@@ -186,8 +194,9 @@ class WorkQueue:
     def drain(self, calls: list[Future]) -> bool:
         """Take reports until every worker says it is done.
 
-        Returns False when some worker never did: it died, or its call
-        raised.  The reports streamed before that are kept either way.
+        Returns False when some worker never did: it died, its call
+        raised, or it sent a report the parent cannot read.  The reports
+        streamed before that are kept either way.
         """
         # Only the workers hold the write end now, so a read past the
         # last byte of a dead pool ends in EOFError instead of blocking.
@@ -205,6 +214,15 @@ class WorkQueue:
             try:
                 report = self._reader.recv()
             except EOFError:
+                break
+            except Exception as exc:
+                # An unreadable report (it does not unpickle): the workers
+                # still sending would block on a pipe nobody reads, and
+                # joining them would hang.  Terminate them instead; the
+                # positions they never delivered go a dead worker's way.
+                self.unreadable = exc
+                for process in self.processes:
+                    process.terminate()
                 break
             if report is None:
                 ended += 1
@@ -251,6 +269,26 @@ def attach_queue(queue: WorkQueue) -> None:
     """Pool initializer: remember the queue this worker process serves."""
     global _ATTACHED
     _ATTACHED = queue
+
+
+@contextmanager
+def process_pool(
+    queue: WorkQueue, entry: Callable[[ShardTask], ShardResult]
+) -> Iterator[list[Future]]:
+    """Serve ``queue`` on a process pool and yield the futures of its
+    workers' calls, one long call of ``entry`` each (a :data:`Dispatch`).
+
+    The queue keeps the pool's processes, so :meth:`WorkQueue.drain`
+    can terminate them when it cannot read a report.
+    """
+    with ProcessPoolExecutor(
+        max_workers=queue.width, initializer=attach_queue, initargs=(queue,)
+    ) as pool:
+        calls = [pool.submit(entry, task) for task in queue.tasks()]
+        # Every process has started once each call is submitted.  The
+        # pool keeps them private (Python 3.14 adds terminate_workers).
+        queue.processes = tuple(pool._processes.values())
+        yield calls
 
 
 def _run_one(
@@ -403,7 +441,10 @@ def _fan_out(
                 shards.extend(alone.results(calls))
             reports[position] = alone.reports.get(
                 position,
-                SourceReport(position, _worker_failure(items[position][0])),
+                SourceReport(
+                    position,
+                    _worker_failure(items[position][0], alone.unreadable),
+                ),
             )
         if fail_fast and _first_failure(reports) is not None:
             break
@@ -411,11 +452,21 @@ def _fan_out(
     return merge(reports), shards
 
 
-def _worker_failure(key: str) -> SourceFailure:
-    """The failure of an item whose worker process died running it."""
-    exc = BrokenProcessPool(
-        "the worker process died while running this source"
-    )
+def _worker_failure(
+    key: str, unreadable: Exception | None = None
+) -> SourceFailure:
+    """The failure of an item whose worker process died running it, or
+    whose report the parent could not read (``unreadable`` says why)."""
+    if unreadable is None:
+        exc = BrokenProcessPool(
+            "the worker process died while running this source"
+        )
+    else:
+        exc = BrokenProcessPool(
+            "the parent could not read this source's report: "
+            f"{type(unreadable).__name__}: {unreadable}"
+        )
+        exc.__cause__ = unreadable
     return SourceFailure(
         source=key,
         stage="worker",
@@ -444,10 +495,8 @@ def run_batch(
     in-process.  The :class:`MetricsObserver` ones among ``observers``
     adopt what workers ship home.  A fan-out needs ``worker``, called
     once for the picklable worker spec, and ``dispatch``: given a
-    :class:`WorkQueue`, a context manager that starts a process pool
-    with :func:`attach_queue` as its initializer, submits one call of
-    the caller's worker entry per :meth:`WorkQueue.tasks` task and
-    yields the futures.
+    :class:`WorkQueue`, a context manager that serves it on a process
+    pool with :func:`process_pool` and the caller's worker entry.
 
     The heap the batch starts on stays frozen (``gc.freeze``) until it
     ends, on either path and also when it raises: the collections the

@@ -23,9 +23,8 @@ and counters of every run.
 
 from __future__ import annotations
 
-from concurrent.futures import Future, ProcessPoolExecutor
-from contextlib import contextmanager
-from typing import Iterable, Iterator
+from concurrent.futures import Future
+from typing import ContextManager, Iterable
 
 from repro.baselines.interface import SystemOutput
 from repro.core.cache import LazyPages, PreprocessCache
@@ -39,8 +38,8 @@ from repro.core.executor import (
     ShardResult,
     ShardTask,
     WorkQueue,
-    attach_queue,
     pool_outcomes,
+    process_pool,
     run_batch,
     run_worker_shard,
 )
@@ -96,13 +95,9 @@ def _run_process_shard(task: ShardTask) -> ShardResult:
     return run_worker_shard(task, runner._run_item, observer, registry)
 
 
-@contextmanager
-def _dispatch_shards(queue: WorkQueue) -> Iterator[list[Future]]:
+def _dispatch_shards(queue: WorkQueue) -> ContextManager[list[Future]]:
     """Serve a work queue on a process pool: one long call per worker."""
-    with ProcessPoolExecutor(
-        max_workers=queue.width, initializer=attach_queue, initargs=(queue,)
-    ) as pool:
-        yield [pool.submit(_run_process_shard, task) for task in queue.tasks()]
+    return process_pool(queue, _run_process_shard)
 
 
 class ObjectRunner:

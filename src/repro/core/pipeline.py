@@ -107,10 +107,9 @@ class PipelineEvent:
     def to_json(self) -> dict[str, Any]:
         """The event as a JSON-serializable dict (empty fields dropped).
 
-        This is the writer of the ``trace_event`` artifact family in
-        :mod:`repro.analysis.schemas` — the key set emitted here is
-        pinned by the committed ``schemas.json`` snapshot, so renames
-        show up in review instead of silently breaking trace consumers.
+        The key set of each event kind is pinned by
+        ``tests/test_artifact_contracts.py``, so renames show up in
+        review instead of silently breaking trace consumers.
         """
         data: dict[str, Any] = {"event": self.kind, "source": self.source}
         if self.stage:

@@ -28,11 +28,10 @@ import os
 import platform
 import sys
 import threading
-from concurrent.futures import Future, ProcessPoolExecutor
-from contextlib import contextmanager
+from concurrent.futures import Future
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, ContextManager, Iterable, Sequence
 
 from repro.baselines import ExAlgSystem, RoadRunnerSystem
 from repro.core.cache import LazyPages, PreprocessCache
@@ -40,7 +39,7 @@ from repro.core.executor import (
     ShardResult,
     ShardTask,
     WorkQueue,
-    attach_queue,
+    process_pool,
     run_batch,
     run_worker_shard,
 )
@@ -363,12 +362,12 @@ class BenchSession:
     def capture(self) -> dict:
         """Run every configured system and build the BENCH document.
 
-        The document's top-level shape is the ``bench`` artifact family
-        statically tracked by :mod:`repro.analysis.schemas`: adding or
-        renaming a key here without bumping ``BENCH_SCHEMA_VERSION``
-        fails reprolint S502 against the committed ``schemas.json``, and
-        S504 checks :func:`compare_documents` stays tolerant of every
-        committed ``BENCH_*.json``.
+        The document's top-level keys are pinned under
+        ``BENCH_SCHEMA_VERSION`` by ``tests/test_artifact_contracts.py``,
+        which also runs :func:`compare_documents` on every ordered pair
+        of the committed ``BENCH_*.json``: a renamed or added key fails
+        there until the pin (and, for a breaking change, the version)
+        moves with it.
         """
         systems_doc: dict[str, dict] = {}
         for system_name in self.config.systems:
@@ -493,13 +492,9 @@ def _bench_shard_worker(task: ShardTask) -> ShardResult:
     )
 
 
-@contextmanager
-def _dispatch_bench_shards(queue: WorkQueue) -> Iterator[list[Future]]:
+def _dispatch_bench_shards(queue: WorkQueue) -> ContextManager[list[Future]]:
     """Serve the sweep's work queue on a process pool, one call per worker."""
-    with ProcessPoolExecutor(
-        max_workers=queue.width, initializer=attach_queue, initargs=(queue,)
-    ) as pool:
-        yield [pool.submit(_bench_shard_worker, task) for task in queue.tasks()]
+    return process_pool(queue, _bench_shard_worker)
 
 
 # -- artifact files -------------------------------------------------------

@@ -38,9 +38,8 @@ from repro.wrapper.generate import Wrapper
 from repro.wrapper.serialize import wrapper_from_dict, wrapper_to_dict
 
 #: Version of the on-disk entry/index layout; bumped on breaking change.
-#: The entry and index shapes are the ``registry_entry``/
-#: ``registry_index`` artifact families of :mod:`repro.analysis.schemas`;
-#: reprolint S502 demands a bump here when either shape changes.
+#: ``tests/test_artifact_contracts.py`` pins the entry and index keys
+#: under this version and feeds both readers malformed payloads.
 #: v2: entries carry a ``kind`` ("wrapper" or "discard") and discard
 #: tombstones (nullable ``wrapper``, ``discard`` stage/reason block), so
 #: a source whose induction ended in a principled discard is *remembered*

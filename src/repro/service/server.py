@@ -23,10 +23,10 @@ that is not an object, or a request carrying keys outside
 :data:`KNOWN_REQUEST_KEYS` — gets a typed ``ok: false`` response and
 never takes the loop down.
 
-The request key set read here and the response shapes built here are
-the ``serve_request``/``serve_response`` artifact families statically
-tracked by :mod:`repro.analysis.schemas` (rules S501/S503 and the
-committed ``schemas.json`` snapshot).
+``tests/test_artifact_contracts.py`` pins the keys of every response
+kind built here, and feeds :meth:`ExtractionService.handle` requests
+with a key dropped or a value of the wrong type: each must come back
+as its validation message, never as a ``KeyError`` text.
 """
 
 from __future__ import annotations

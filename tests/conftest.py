@@ -125,3 +125,15 @@ def albums_clean():
 def albums_knowledge():
     """Domain knowledge for albums at the paper's 20% coverage."""
     return build_knowledge(domain_spec("albums"), coverage=0.2)
+
+
+@pytest.fixture(scope="session")
+def tiny_capture():
+    """One real (tiny) BENCH capture: ObjectRunner and RoadRunner over
+    the catalog (session-cached; tests only read it)."""
+    from repro.metrics.bench import BenchConfig, BenchSession
+
+    session = BenchSession(
+        BenchConfig(scale=0.01, systems=("objectrunner", "roadrunner"))
+    )
+    return session.capture()

@@ -161,13 +161,12 @@ class TestBaselineWorkflow:
         self, tmp_path, capsys, monkeypatch
     ):
         # The baseline is checked first: a bad one costs no walk of the
-        # tree and leaves no --schemas-out snapshot behind.
+        # tree.
         def no_walk(*args, **kwargs):
             raise AssertionError("analyze_paths ran before the baseline")
 
         monkeypatch.setattr("repro.analysis.cli.analyze_paths", no_walk)
         src = project(tmp_path, CLEAN)
-        snapshot = tmp_path / "schemas.json"
         (tmp_path / "bl.json").write_text(
             json.dumps(
                 {
@@ -184,9 +183,8 @@ class TestBaselineWorkflow:
             ),
             encoding="utf-8",
         )
-        assert run(tmp_path, src, "--schemas-out", str(snapshot)) == 2
+        assert run(tmp_path, src) == 2
         assert "unknown rule(s) X999" in capsys.readouterr().err
-        assert not snapshot.exists()
 
     def test_parse_error_entry_matches_and_expires(self, tmp_path, capsys):
         # E001 comes from the engine, not a registered rule; its entries

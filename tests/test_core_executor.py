@@ -2,8 +2,6 @@
 processes, and the merge that folds what the workers send home."""
 
 import gc
-from concurrent.futures import ProcessPoolExecutor
-from contextlib import contextmanager
 from functools import partial
 from pathlib import Path
 
@@ -12,7 +10,7 @@ import pytest
 from repro.core.executor import (
     SourceReport,
     _merge,
-    attach_queue,
+    process_pool,
     run_batch,
     run_worker_shard,
 )
@@ -58,13 +56,9 @@ def _freeze_count_entry(task):
     return run_worker_shard(task, _freeze_count, MetricsObserver(), None)
 
 
-@contextmanager
 def _dispatch(queue, entry=_entry):
     """Serve the queue on a process pool, one long call per worker."""
-    with ProcessPoolExecutor(
-        max_workers=queue.width, initializer=attach_queue, initargs=(queue,)
-    ) as pool:
-        yield [pool.submit(entry, task) for task in queue.tasks()]
+    return process_pool(queue, entry)
 
 
 def run(items, tmp_path, workers=2, fail_fast=True):

@@ -4,11 +4,15 @@ import io
 import json
 import os
 import pickle
+import signal
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from repro.core import ObjectRunner, RunParams, ShardSpec
-from repro.core import objectrunner as objectrunner_module
+from repro.core import executor as executor_module
 from repro.core.faults import FaultInjector, FaultSpec, SourceFailure
 from repro.core.pipeline import TraceObserver
 from repro.core.stages.wrap import WrapperGenerationStage
@@ -20,9 +24,10 @@ from repro.metrics.observer import peak_rss_bytes
 from repro.registry import store as store_module
 from repro.registry.store import WrapperRegistry
 
+REPO_ROOT = Path(__file__).resolve().parents[1]
 
-@pytest.fixture(scope="module")
-def four_sources():
+
+def build_four_sources():
     """Four independent album sites of the same domain."""
     domain = domain_spec("albums")
     knowledge = build_knowledge(domain, coverage=0.25)
@@ -37,6 +42,11 @@ def four_sources():
         )
         sources[spec.name] = generate_source(spec, domain).pages
     return domain, knowledge, sources
+
+
+@pytest.fixture(scope="module")
+def four_sources():
+    return build_four_sources()
 
 
 @pytest.fixture(scope="module")
@@ -122,6 +132,110 @@ def metrics_view(observer):
         },
         sort_keys=True,
     )
+
+
+def worker_count_outputs(four_sources, root):
+    """Objects, metrics and index bytes of the batch at 3, 2 and 1 workers.
+
+    The pooled legs run first: a worker forked after the serial leg
+    would inherit any module global that leg filled.
+    """
+    domain, knowledge, sources = four_sources
+    seen = {}
+    for workers in (3, 2, 1):
+        observer = MetricsObserver()
+        registry_root = Path(root) / f"w{workers}"
+        outcome = make_runner(
+            domain, knowledge, registry_root=registry_root,
+            observers=(observer,), max_workers=workers,
+        ).run_sources(sources)
+        seen[workers] = (
+            as_bytes(outcome),
+            metrics_view(observer),
+            (registry_root / "index.json").read_bytes(),
+        )
+    return seen
+
+
+def run_fresh(script, timeout=120):
+    """Run ``script`` in a fresh interpreter and return its stdout.
+
+    A fresh interpreter inherits no module global that earlier tests
+    filled, and neither do the workers it forks.  The script's whole
+    process group is killed if it outlives ``timeout``, so a hung pool
+    fails the test instead of hanging the suite.
+    """
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join([str(REPO_ROOT / "src"), str(REPO_ROOT)])
+    proc = subprocess.Popen(
+        [sys.executable, "-c", script],
+        cwd=REPO_ROOT,
+        env=env,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+        start_new_session=True,
+    )
+    try:
+        out, err = proc.communicate(timeout=timeout)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.communicate()
+        pytest.fail(f"the script did not finish within {timeout} s")
+    assert proc.returncode == 0, err
+    return out
+
+
+FRESH_WORKER_COUNTS_SCRIPT = """
+import tempfile
+
+from tests.test_core_process_backend import (
+    build_four_sources,
+    worker_count_outputs,
+)
+
+with tempfile.TemporaryDirectory() as root:
+    seen = worker_count_outputs(build_four_sources(), root)
+print(seen[3] == seen[1], seen[2] == seen[1])
+"""
+
+
+UNREADABLE_REPORT_SCRIPT = """
+import json
+import time
+
+from repro.errors import MultiSourceError
+from repro.metrics import MetricsRegistry
+from tests.test_core_process_backend import build_four_sources, make_runner
+
+domain, knowledge, sources = build_four_sources()
+
+
+def refuse(registry, state):
+    raise RuntimeError("this report cannot be read")
+
+
+# Every report carries a metrics registry, and only the parent
+# unpickles reports.
+MetricsRegistry.__setstate__ = refuse
+for policy in ("isolate", "fail_fast"):
+    start = time.monotonic()
+    runner = make_runner(
+        domain, knowledge, max_workers=2, failure_policy=policy
+    )
+    try:
+        outcome = runner.run_sources(sources)
+        failures = outcome.failures
+        assert not outcome.results
+    except MultiSourceError as exc:
+        failures = {exc.failure.source: exc.failure}
+        assert not exc.partial.results
+    print(json.dumps({
+        "policy": policy,
+        "failures": {name: [f.stage, f.error] for name, f in failures.items()},
+        "seconds": time.monotonic() - start,
+    }))
+"""
 
 
 def failing_sources(sources):
@@ -289,24 +403,16 @@ class TestProcessFailurePolicies:
 
 class TestWorkQueue:
     def test_worker_counts_give_equal_bytes(self, four_sources, tmp_path):
-        domain, knowledge, sources = four_sources
-        seen = {}
-        # Pooled legs first: a worker forked after the serial leg would
-        # inherit any module global that leg filled.
-        for workers in (3, 2, 1):
-            observer = MetricsObserver()
-            root = tmp_path / f"w{workers}"
-            outcome = make_runner(
-                domain, knowledge, registry_root=root,
-                observers=(observer,), max_workers=workers,
-            ).run_sources(sources)
-            seen[workers] = (
-                as_bytes(outcome),
-                metrics_view(observer),
-                (root / "index.json").read_bytes(),
-            )
+        seen = worker_count_outputs(four_sources, tmp_path)
         assert seen[2] == seen[1]
         assert seen[3] == seen[1]
+
+    def test_worker_counts_give_equal_bytes_in_a_fresh_interpreter(self):
+        # Earlier tests filled this interpreter's module globals, and a
+        # forked worker inherits them; a fresh one starts from none.
+        assert run_fresh(FRESH_WORKER_COUNTS_SCRIPT).split() == [
+            "True", "True",
+        ]
 
     def test_merge_writes_the_index_once(
         self, twenty_sources, tmp_path, monkeypatch
@@ -427,6 +533,28 @@ class TestWorkerDeath:
         ]
 
 
+class TestUnreadableReport:
+    """A report the parent cannot unpickle is a worker failure, in
+    bounded time: the pool is terminated, not joined, because its
+    workers may be blocked sending into a pipe nobody reads."""
+
+    def test_both_policies_end_typed_and_quickly(self):
+        runs = [
+            json.loads(line)
+            for line in run_fresh(UNREADABLE_REPORT_SCRIPT).splitlines()
+        ]
+        assert [run["policy"] for run in runs] == ["isolate", "fail_fast"]
+        isolate, fail_fast = runs
+        assert sorted(isolate["failures"]) == [f"proc-{i}" for i in range(4)]
+        assert sorted(fail_fast["failures"]) == ["proc-0"]
+        for run in runs:
+            assert run["seconds"] < 10
+            for stage, error in run["failures"].values():
+                assert stage == "worker"
+                assert "could not read this source's report" in error
+                assert "this report cannot be read" in error
+
+
 class TestProcessBackendSupport:
     # Rejection happens at *construction* time — before any worker
     # spawns — with a typed ProcessBackendConfigError naming the
@@ -502,7 +630,7 @@ class TestProcessBackendSupport:
         domain, knowledge, sources = four_sources
         first = next(iter(sources))
         monkeypatch.setattr(
-            objectrunner_module,
+            executor_module,
             "ProcessPoolExecutor",
             lambda *a, **k: pytest.fail("process fan-out on a small batch"),
         )

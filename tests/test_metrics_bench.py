@@ -269,14 +269,6 @@ class TestCli:
 
 
 class TestCapture:
-    @pytest.fixture(scope="class")
-    def tiny_capture(self, tmp_path_factory):
-        """One real (tiny) capture: ObjectRunner over the catalog."""
-        session = BenchSession(
-            BenchConfig(scale=0.01, systems=("objectrunner", "roadrunner"))
-        )
-        return session.capture()
-
     def test_document_schema(self, tiny_capture):
         document = tiny_capture
         assert document["schema_version"] == BENCH_SCHEMA_VERSION
