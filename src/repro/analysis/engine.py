@@ -4,9 +4,8 @@ A :class:`Rule` inspects one parsed file (:class:`FileContext`) and yields
 :class:`Finding` objects.  The engine owns everything around that:
 collecting the Python files of a scan root, parsing each once, dispatching
 every registered rule over the tree (one serial walk in sorted file
-order), honouring ``# repro: ignore[RULE-ID]`` suppression comments, and
-folding in the committed baseline of grandfathered findings
-(:mod:`repro.analysis.baseline`).
+order), and honouring ``# repro: ignore[RULE-ID]`` suppression comments,
+the one way to accept a finding.
 
 Rules register themselves with :func:`register_rule`, mirroring the stage
 registry of :mod:`repro.core.pipeline`; importing
@@ -25,10 +24,9 @@ from typing import Iterable, Iterator
 PARSE_RULE_ID = "E001"
 
 #: Status values a finding moves through while the engine applies
-#: suppressions and the baseline.
+#: suppressions.
 STATUS_OPEN = "open"
 STATUS_SUPPRESSED = "suppressed"
-STATUS_BASELINED = "baselined"
 
 _SUPPRESS_RE = re.compile(r"#\s*repro:\s*ignore\[([A-Za-z0-9_,\-\s]+)\]")
 
@@ -42,8 +40,7 @@ class Finding:
     line: int  # 1-based
     col: int  # 0-based
     message: str
-    #: The stripped source line, used for baseline fingerprinting (stable
-    #: across unrelated edits that only move the line).
+    #: The stripped source line, reported next to the location.
     snippet: str = ""
     status: str = STATUS_OPEN
     #: 1-based (first, last) physical lines a suppression comment may sit
@@ -105,9 +102,9 @@ class FileContext:
 class Rule:
     """One named check; subclass, set the metadata, implement check_file.
 
-    ``rule_id`` is the suppression/baseline key (``# repro:
-    ignore[RULE-ID]``); ``title`` and ``rationale`` feed ``--list-rules``
-    and the rule catalog in ``docs/ANALYSIS.md``.
+    ``rule_id`` is the suppression key (``# repro: ignore[RULE-ID]``);
+    ``title`` and ``rationale`` feed ``--list-rules`` and the rule
+    catalog in ``docs/ANALYSIS.md``.
     """
 
     rule_id: str = ""
@@ -279,13 +276,6 @@ class AnalysisReport:
     root: Path
     files_scanned: int = 0
     findings: list[Finding] = field(default_factory=list)
-    #: Baseline entries that matched no current finding (stale grandfathers
-    #: that must be removed from the baseline file).
-    expired_baseline: list[dict] = field(default_factory=list)
-    #: Baseline entries without a meaningful justification.
-    unjustified_baseline: list[dict] = field(default_factory=list)
-    #: Baseline entries past their ``expires`` deadline (``--today``).
-    overdue_baseline: list[dict] = field(default_factory=list)
 
     def by_status(self, status: str) -> list[Finding]:
         """The findings currently carrying the given status."""
@@ -297,13 +287,8 @@ class AnalysisReport:
 
     @property
     def clean(self) -> bool:
-        """True when nothing requires attention (exit code 0)."""
-        return (
-            not self.open_findings
-            and not self.expired_baseline
-            and not self.unjustified_baseline
-            and not self.overdue_baseline
-        )
+        """True when no finding is open (exit code 0)."""
+        return not self.open_findings
 
 
 def analyze_paths(

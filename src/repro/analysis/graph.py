@@ -1,13 +1,12 @@
-"""Project-wide symbol table, import graph, and conservative call graph.
+"""Project-wide symbol table and conservative call graph.
 
 The per-file rules of :mod:`repro.analysis.rules` see one tree at a
-time; the whole-program rules (D106 taint-to-artifact, E401 exception
-contracts, C202 transitive stage contracts, A501 public-API drift) need
-to follow values and calls across module boundaries.
-:class:`ProjectGraph` is that substrate: it parses every file of the
-scan once, records each module's top-level symbols and import aliases,
-links the modules into an import graph, and resolves call expressions to
-the :class:`FunctionInfo` they name.
+time; the whole-program rules (E401 exception contracts, C202
+transitive stage contracts, A501 public-API drift) need to follow
+calls and names across module boundaries.  :class:`ProjectGraph` is
+that substrate: it parses every file of the scan once, records each
+module's top-level symbols and import aliases, and resolves call
+expressions to the :class:`FunctionInfo` they name.
 
 Resolution is deliberately conservative.  Only the statically obvious
 shapes resolve: a plain name bound by a local ``def`` or an import
@@ -15,10 +14,7 @@ alias, an alias-qualified dotted chain (``bench.write_bench``), a
 ``self.``/``cls.`` method call (searched through statically-resolvable
 base classes), ``Class.method``, and ``Class(...)`` as a call of
 ``Class.__init__``.  Anything dynamic — ``getattr``, callables passed as
-values, monkey-patching — stays unresolved and is simply not followed;
-rules built on the graph over-approximate elsewhere (e.g. unresolved
-calls propagate taint from every argument) so the conservatism loses
-precision, never soundness.
+values, monkey-patching — stays unresolved and is simply not followed.
 
 All iteration orders that can influence rule output are sorted, so the
 graph meets the determinism bar the rules enforce.
@@ -62,32 +58,6 @@ def module_name(path: Path, root: Path) -> str:
     return ".".join(parts)
 
 
-def imported_modules(tree: ast.Module, module: str, known: set[str]) -> set[str]:
-    """Known modules this module's code can load (incl. nested imports)."""
-    package = module.rsplit(".", 1)[0] if "." in module else ""
-    edges: set[str] = set()
-
-    def add_known(candidate: str) -> None:
-        # Walk up the dotted chain so `import a.b.c` links a, a.b and a.b.c.
-        while candidate:
-            if candidate in known:
-                edges.add(candidate)
-            candidate = candidate.rsplit(".", 1)[0] if "." in candidate else ""
-
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            for alias in node.names:
-                add_known(alias.name)
-        elif isinstance(node, ast.ImportFrom):
-            base = _resolve_relative(node, module, package)
-            add_known(base)
-            for alias in node.names:
-                if base:
-                    add_known(f"{base}.{alias.name}")
-    edges.discard(module)
-    return edges
-
-
 def _resolve_relative(node: ast.ImportFrom, module: str, package: str) -> str:
     """The absolute dotted base of an ImportFrom (handles ``from . import``)."""
     base = node.module or ""
@@ -108,7 +78,6 @@ class FunctionInfo:
     cls_name: str = ""  #: enclosing class name ('' for module-level defs)
     node: ast.FunctionDef | ast.AsyncFunctionDef | None = None
     params: tuple[str, ...] = ()
-    relpath: str = ""
 
 
 @dataclass
@@ -127,8 +96,6 @@ class CallSite:
     """One ``ast.Call`` inside a function, with its resolution."""
 
     node: ast.Call
-    dotted: str  #: the call target as written (``''`` if not a name chain)
-    expanded: str  #: ``dotted`` with the leading import alias substituted
     callee: str | None  #: resolved qualname, or None for dynamic/external
 
 
@@ -148,8 +115,6 @@ class ModuleInfo:
     assigns: set[str] = field(default_factory=set)
     #: literal ``__all__`` entries, or None when absent / not a literal.
     exports: list[str] | None = None
-    #: project modules this module imports (module-level edge set).
-    imports: set[str] = field(default_factory=set)
 
     def defines(self, symbol: str) -> bool:
         """True when ``symbol`` is bound at this module's top level."""
@@ -162,7 +127,7 @@ class ModuleInfo:
 
 
 class ProjectGraph:
-    """Symbols, imports, and calls across one scanned file set."""
+    """Symbols and calls across one scanned file set."""
 
     def __init__(self, root: Path) -> None:
         self.root = root
@@ -178,14 +143,11 @@ class ProjectGraph:
 
     @classmethod
     def build(cls, root: Path, files: Iterable[Path]) -> "ProjectGraph":
-        """Parse the files and build symbols, imports, and the call graph."""
+        """Parse the files and build symbols and the call graph."""
         graph = cls(root.resolve())
         ordered = sorted({Path(f).resolve() for f in files})
         for path in ordered:
             graph._add_module(path)
-        known = set(graph.modules)
-        for info in graph.modules.values():
-            info.imports = imported_modules(info.tree, info.name, known)
         for qualname in sorted(graph.functions):
             graph.calls[qualname] = graph._collect_calls(
                 graph.functions[qualname]
@@ -277,7 +239,6 @@ class ProjectGraph:
             cls_name=cls_name,
             node=node,
             params=params,
-            relpath=info.relpath,
         )
 
     def _collect_calls(self, fn: FunctionInfo) -> list[CallSite]:
@@ -287,13 +248,9 @@ class ProjectGraph:
         sites = []
         for node in ast.walk(fn.node):
             if isinstance(node, ast.Call):
-                dotted = dotted_name(node.func)
                 sites.append(
                     CallSite(
-                        node=node,
-                        dotted=dotted,
-                        expanded=self.expand_alias(module, dotted),
-                        callee=self.resolve_call(module, fn, node),
+                        node=node, callee=self.resolve_call(module, fn, node)
                     )
                 )
         sites.sort(key=lambda s: (s.node.lineno, s.node.col_offset))
@@ -306,8 +263,8 @@ class ProjectGraph:
         """``dotted`` with its leading name replaced by the import target.
 
         ``from time import time`` makes a bare ``time()`` expand to
-        ``time.time``, so source/sink patterns can match one canonical
-        spelling regardless of import style.
+        ``time.time``, so a name resolves to one canonical spelling
+        regardless of import style.
         """
         if not dotted:
             return ""

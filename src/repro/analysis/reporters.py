@@ -5,15 +5,11 @@ from __future__ import annotations
 import json
 from collections import Counter
 
-from repro.analysis.engine import (
-    STATUS_BASELINED,
-    STATUS_SUPPRESSED,
-    AnalysisReport,
-)
+from repro.analysis.engine import STATUS_SUPPRESSED, AnalysisReport
 
 #: Version of the JSON report schema (bumped on breaking changes).
-#: v2 added the ``overdue_baseline`` list and summary count.
-JSON_SCHEMA_VERSION = 2
+#: v3 dropped the baseline lists and their summary counts.
+JSON_SCHEMA_VERSION = 3
 
 
 def summarize(report: AnalysisReport) -> dict:
@@ -23,10 +19,6 @@ def summarize(report: AnalysisReport) -> dict:
         "files_scanned": report.files_scanned,
         "open": len(report.open_findings),
         "suppressed": len(report.by_status(STATUS_SUPPRESSED)),
-        "baselined": len(report.by_status(STATUS_BASELINED)),
-        "expired_baseline": len(report.expired_baseline),
-        "unjustified_baseline": len(report.unjustified_baseline),
-        "overdue_baseline": len(report.overdue_baseline),
         "open_by_rule": {rule: open_by_rule[rule] for rule in sorted(open_by_rule)},
         "clean": report.clean,
     }
@@ -42,47 +34,21 @@ def render_text(report: AnalysisReport, verbose: bool = False) -> str:
         lines.append(
             f"{finding.location()}: {finding.rule}: {finding.message}{marker}"
         )
-    for entry in report.expired_baseline:
-        lines.append(
-            f"{entry['path']}: {entry['rule']}: baseline entry no longer "
-            f"matches any finding — remove it (snippet: {entry['snippet']!r})"
-        )
-    for entry in report.unjustified_baseline:
-        lines.append(
-            f"{entry['path']}: {entry['rule']}: baseline entry needs a real "
-            f"one-line reason (currently {entry['reason']!r})"
-        )
-    for entry in report.overdue_baseline:
-        lines.append(
-            f"{entry['path']}: {entry['rule']}: baseline entry is past its "
-            f"expiry ({entry.get('expires', '')}) — fix the finding or "
-            "extend the deadline"
-        )
     summary = summarize(report)
     lines.append(
         f"reprolint: {summary['files_scanned']} files, "
-        f"{summary['open']} open, {summary['suppressed']} suppressed, "
-        f"{summary['baselined']} baselined"
-        + (
-            f", {summary['expired_baseline']} expired baseline"
-            if summary["expired_baseline"]
-            else ""
-        )
+        f"{summary['open']} open, {summary['suppressed']} suppressed"
         + (" — clean" if report.clean else "")
     )
     return "\n".join(lines)
 
 
-def _entry_key(entry: dict) -> tuple:
-    return (entry.get("path", ""), entry.get("rule", ""), entry.get("snippet", ""))
-
-
 def render_json(report: AnalysisReport) -> str:
     """Machine-readable report (schema: see docs/ANALYSIS.md).
 
-    Findings and stale-baseline lists are explicitly sorted, so the
-    document is stable under any engine-internal ordering change —
-    consumers may diff two reports textually.
+    Findings are explicitly sorted, so the document is stable under any
+    engine-internal ordering change — consumers may diff two reports
+    textually.
     """
     findings = sorted(
         report.findings,
@@ -93,11 +59,6 @@ def render_json(report: AnalysisReport) -> str:
         "root": str(report.root),
         "summary": summarize(report),
         "findings": [finding.to_json() for finding in findings],
-        "expired_baseline": sorted(report.expired_baseline, key=_entry_key),
-        "unjustified_baseline": sorted(
-            report.unjustified_baseline, key=_entry_key
-        ),
-        "overdue_baseline": sorted(report.overdue_baseline, key=_entry_key),
     }
     return json.dumps(payload, indent=2, sort_keys=True)
 
@@ -113,11 +74,10 @@ _SARIF_SCHEMA = (
 def render_sarif(report: AnalysisReport) -> str:
     """The report as a SARIF 2.1.0 document (GitHub code scanning).
 
-    Only *open* findings become SARIF results — suppressed and baselined
-    findings are accepted states, and stale-baseline problems are lint
-    bookkeeping, not source annotations (the text/JSON reporters and the
-    exit code still surface them).  Rules and results are sorted, so the
-    document is byte-stable for a given report.
+    Only *open* findings become SARIF results — a suppressed finding is
+    an accepted state, not a source annotation (the text/JSON reporters
+    still list it).  Rules and results are sorted, so the document is
+    byte-stable for a given report.
     """
     from repro.analysis.engine import rule_registry
 

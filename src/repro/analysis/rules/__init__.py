@@ -8,16 +8,16 @@ Rule id    Check
 ``D103``   bare-set iteration feeding an ordering-sensitive sink
 ``D104``   unsorted filesystem listings
 ``D105``   ``time.sleep`` outside ``core/faults.py``
-``D106``   tainted (clock/RNG/env/set-order) value reaching an artifact
 ``C201``   stage context access outside the declared reads/writes
 ``C202``   undeclared context access through helpers the stage calls
 ``E401``   exception-contract violation in stage-reachable code
 ``A501``   public-API drift (broken export / unreachable symbol)
 =========  ==============================================================
 
-D101–D105 are per-file; D106, C202, E401 and A501 are whole-program
-rules built on the shared :class:`repro.analysis.graph.ProjectGraph`
-(D106 adds the taint pass of :mod:`repro.analysis.dataflow`).
+D101–D105 and C201 are per-file; C202, E401 and A501 are whole-program
+rules built on the shared :class:`repro.analysis.graph.ProjectGraph`.
+A clock or environment value that reaches an artifact has no static
+rule: ``tests/test_determinism_ambient.py`` catches it at run time.
 The full catalog with rationale and examples lives in
 ``docs/ANALYSIS.md``.
 """
@@ -40,7 +40,6 @@ from repro.analysis.rules.determinism import (
     is_set_expr,
 )
 from repro.analysis.rules.exceptions import ExceptionContractRule
-from repro.analysis.rules.taint import TaintToArtifactRule
 
 __all__ = [
     "ALWAYS_ALLOWED",
@@ -49,7 +48,6 @@ __all__ = [
     "SetOrderRule",
     "StageContract",
     "StageContractRule",
-    "TaintToArtifactRule",
     "TransitiveStageContractRule",
     "UnseededRandomRule",
     "UnsortedListingRule",

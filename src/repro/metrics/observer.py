@@ -47,9 +47,12 @@ def wall_timestamp() -> str:
 
     Lives in the observer layer so persisted benchmark artifacts can say
     when they were captured without any pipeline data ever depending on
-    the wall clock.
+    the wall clock.  Reads ``time.time`` like every other clock read of
+    the package, so one patch of the ``time`` module shifts them all.
     """
-    return datetime.now(timezone.utc).isoformat(timespec="seconds")
+    return datetime.fromtimestamp(time.time(), timezone.utc).isoformat(
+        timespec="seconds"
+    )
 
 
 def monotonic_seconds() -> float:

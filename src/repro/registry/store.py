@@ -259,6 +259,11 @@ class WrapperRegistry:
         entries = data.get("entries")
         if not isinstance(entries, dict):
             raise RegistryError(f"{self.index_path}: missing 'entries' object")
+        for sig, row in entries.items():
+            if not isinstance(row, dict):
+                raise RegistryError(
+                    f"{self.index_path}: index row {sig!r} is not an object"
+                )
         return {sig: dict(row) for sig, row in sorted(entries.items())}
 
     def _write_index(self) -> None:

@@ -14,7 +14,7 @@ from __future__ import annotations
 import hashlib
 import json
 from collections import Counter
-from typing import Any
+from typing import Any, NoReturn
 
 from repro.errors import WrapperSchemaError
 from repro.sod.dsl import format_sod, parse_sod
@@ -31,75 +31,98 @@ from repro.wrapper.template import (
 
 FORMAT_VERSION = 1
 
-#: Known top-level keys of a serialized wrapper (the persistence layer
-#: adds ``fingerprint`` and strips it before deserialization).
-_WRAPPER_KEYS = frozenset(
-    {
-        "version",
-        "source",
-        "sod",
-        "template",
-        "match",
-        "record",
-        "support",
-        "conflicts",
-        "annotation_types_seen",
-    }
-)
-_TEMPLATE_KEYS = frozenset({"roots", "conflicts", "sample_records"})
-_MATCH_KEYS = frozenset(
-    {
-        "entity_to_slots",
-        "set_to_iterator",
-        "set_inner_slots",
-        "set_fallback_slots",
-        "missing",
-        "matched",
-    }
-)
-_RECORD_KEYS = frozenset(
-    {"tag", "path", "class", "single_element", "is_list_source"}
-)
-_NODE_KEYS = {
-    "field": frozenset(
-        {
-            "kind",
-            "slot_id",
-            "annotation_counts",
-            "occurrences",
-            "optional",
-            "examples",
-            "strip_prefix",
-            "strip_suffix",
-        }
-    ),
-    "static": frozenset({"kind", "text"}),
-    "iterator": frozenset(
-        {"kind", "slot_id", "unit", "min_repeats", "max_repeats"}
-    ),
-    "element": frozenset(
-        {"kind", "tag", "attr_class", "optional", "annotation_counts",
-         "children"}
-    ),
+#: The keys of each level of a serialized wrapper, with the JSON type
+#: each value must have.  The persistence layer adds ``fingerprint`` to
+#: the top level and strips it before deserialization.
+_WRAPPER_TYPES: dict[str, type] = {
+    "version": int,
+    "source": str,
+    "sod": str,
+    "template": dict,
+    "match": dict,
+    "record": dict,
+    "support": int,
+    "conflicts": int,
+    "annotation_types_seen": list,
+}
+_TEMPLATE_TYPES: dict[str, type] = {
+    "roots": list,
+    "conflicts": int,
+    "sample_records": int,
+}
+_MATCH_TYPES: dict[str, type] = {
+    "entity_to_slots": dict,
+    "set_to_iterator": dict,
+    "set_inner_slots": dict,
+    "set_fallback_slots": dict,
+    "missing": list,
+    "matched": bool,
+}
+_RECORD_TYPES: dict[str, type] = {
+    "tag": str,
+    "path": str,
+    "class": str,
+    "single_element": bool,
+    "is_list_source": bool,
+}
+_NODE_TYPES: dict[str, dict[str, type]] = {
+    "field": {
+        "kind": str,
+        "slot_id": int,
+        "annotation_counts": dict,
+        "occurrences": int,
+        "optional": bool,
+        "examples": list,
+        "strip_prefix": int,
+        "strip_suffix": int,
+    },
+    "static": {"kind": str, "text": str},
+    "iterator": {
+        "kind": str,
+        "slot_id": int,
+        "unit": dict,
+        "min_repeats": int,
+        "max_repeats": int,
+    },
+    "element": {
+        "kind": str,
+        "tag": str,
+        "attr_class": str,
+        "optional": bool,
+        "annotation_counts": dict,
+        "children": list,
+    },
 }
 
 
-def _reject_unknown(
-    data: dict[str, Any], known: frozenset[str], where: str
+def _check_level(
+    data: dict[str, Any], types: dict[str, type], where: str
 ) -> None:
-    """Raise a typed error naming every unknown key of one payload level.
+    """Raise a typed error on an unknown key or a wrong-typed value.
 
     Silently dropping unrecognized keys makes forward-schema drift (a
-    newer writer, a typo, a half-renamed field) undiagnosable; naming
-    them all at once turns it into a one-line fix.
+    newer writer, a typo, a half-renamed field) undiagnosable, so every
+    unknown key of the level is named at once.  A value of the wrong
+    JSON type is named with the type it should have, before any
+    constructor can fail on it with an untyped error.
     """
-    unknown = sorted(set(data) - known)
-    if unknown:
-        names = ", ".join(repr(key) for key in unknown)
-        raise WrapperSchemaError(
-            f"malformed wrapper data: unknown {where} key(s) {names} "
-            f"(known: {', '.join(sorted(known))})"
-        )
+    for key, value in data.items():
+        expected = types.get(key)
+        if expected is None:
+            unknown = ", ".join(repr(k) for k in sorted(set(data) - set(types)))
+            raise WrapperSchemaError(
+                f"malformed wrapper data: unknown {where} key(s) {unknown} "
+                f"(known: {', '.join(sorted(types))})"
+            )
+        if not isinstance(value, expected):
+            _wrong_type(f"{where}[{key!r}]", value, expected)
+
+
+def _wrong_type(what: str, value: Any, expected: type) -> NoReturn:
+    raise WrapperSchemaError(
+        f"malformed wrapper data: {what} is {type(value).__name__}, "
+        f"expected {expected.__name__}"
+    )
 
 
 def _node_to_dict(node: TemplateNode) -> dict[str, Any]:
@@ -142,8 +165,10 @@ def _node_from_dict(data: dict[str, Any]) -> TemplateNode:
             f"({type(data).__name__})"
         )
     kind = data.get("kind")
-    if kind in _NODE_KEYS:
-        _reject_unknown(data, _NODE_KEYS[kind], f"{kind} node")
+    types = _NODE_TYPES.get(kind) if isinstance(kind, str) else None
+    if types is None:
+        raise WrapperSchemaError(f"unknown template node kind {kind!r}")
+    _check_level(data, types, f"{kind} node")
     if kind == "field":
         slot = FieldSlot(slot_id=_require(data, "slot_id", "field node"))
         slot.annotation_counts = Counter(data.get("annotation_counts", {}))
@@ -162,15 +187,13 @@ def _node_from_dict(data: dict[str, Any]) -> TemplateNode:
             min_repeats=data.get("min_repeats", 0),
             max_repeats=data.get("max_repeats", 0),
         )
-    if kind == "element":
-        return ElementTemplate(
-            tag=_require(data, "tag", "element node"),
-            attr_class=data.get("attr_class", ""),
-            optional=data.get("optional", False),
-            annotation_counts=Counter(data.get("annotation_counts", {})),
-            children=[_node_from_dict(child) for child in data.get("children", [])],
-        )
-    raise WrapperSchemaError(f"unknown template node kind {kind!r}")
+    return ElementTemplate(
+        tag=_require(data, "tag", "element node"),
+        attr_class=data.get("attr_class", ""),
+        optional=data.get("optional", False),
+        annotation_counts=Counter(data.get("annotation_counts", {})),
+        children=[_node_from_dict(child) for child in data.get("children", [])],
+    )
 
 
 def wrapper_to_dict(wrapper: Wrapper) -> dict[str, Any]:
@@ -230,6 +253,27 @@ def _require(data: dict[str, Any], key: str, where: str) -> Any:
         ) from None
 
 
+def _slot_lists(data: dict[str, Any], where: str) -> dict[str, list[int]]:
+    """Copy a ``{name: [slot ids]}`` map, checking each value is a list."""
+    for key, slots in data.items():
+        if not isinstance(slots, list):
+            _wrong_type(f"{where}[{key!r}]", slots, list)
+    return {key: list(slots) for key, slots in data.items()}
+
+
+def _nested_slot_lists(
+    data: dict[str, Any], where: str
+) -> dict[str, dict[str, list[int]]]:
+    """Copy a ``{set: {name: [slot ids]}}`` map, checking each level."""
+    for key, inner in data.items():
+        if not isinstance(inner, dict):
+            _wrong_type(f"{where}[{key!r}]", inner, dict)
+    return {
+        key: _slot_lists(inner, f"{where}[{key!r}]")
+        for key, inner in data.items()
+    }
+
+
 def wrapper_from_dict(data: dict[str, Any]) -> Wrapper:
     """Rebuild a wrapper from :func:`wrapper_to_dict` output.
 
@@ -237,7 +281,9 @@ def wrapper_from_dict(data: dict[str, Any]) -> Wrapper:
     :class:`~repro.errors.WrapperSchemaError` naming the missing field,
     never a bare ``KeyError``.  Unknown keys — forward drift from a newer
     writer, or a rename only one side picked up — are rejected the same
-    way, naming every unrecognized key at that payload level.
+    way, naming every unrecognized key at that payload level, and so is
+    a value of the wrong JSON type, never a ``TypeError`` or
+    ``AttributeError`` from the constructors it feeds.
     """
     if not isinstance(data, dict):
         raise WrapperSchemaError(
@@ -250,13 +296,9 @@ def wrapper_from_dict(data: dict[str, Any]) -> Wrapper:
             f"unsupported wrapper format version {version!r} "
             f"(expected {FORMAT_VERSION})"
         )
-    _reject_unknown(data, _WRAPPER_KEYS, "wrapper")
+    _check_level(data, _WRAPPER_TYPES, "wrapper")
     template_data = _require(data, "template", "wrapper")
-    if not isinstance(template_data, dict):
-        raise WrapperSchemaError(
-            "malformed wrapper data: wrapper['template'] is not an object"
-        )
-    _reject_unknown(template_data, _TEMPLATE_KEYS, "template")
+    _check_level(template_data, _TEMPLATE_TYPES, "template")
     template = Template(
         roots=[
             _node_from_dict(node)
@@ -266,40 +308,30 @@ def wrapper_from_dict(data: dict[str, Any]) -> Wrapper:
         sample_records=template_data.get("sample_records", 0),
     )
     match_data = _require(data, "match", "wrapper")
-    if not isinstance(match_data, dict):
-        raise WrapperSchemaError(
-            "malformed wrapper data: wrapper['match'] is not an object"
-        )
-    _reject_unknown(match_data, _MATCH_KEYS, "match")
+    _check_level(match_data, _MATCH_TYPES, "match")
     match = MatchResult(
-        entity_to_slots={
-            key: list(value)
-            for key, value in _require(
-                match_data, "entity_to_slots", "match"
-            ).items()
-        },
+        entity_to_slots=_slot_lists(
+            _require(match_data, "entity_to_slots", "match"),
+            "match['entity_to_slots']",
+        ),
         set_to_iterator=dict(_require(match_data, "set_to_iterator", "match")),
-        set_inner_slots={
-            key: {k: list(v) for k, v in value.items()}
-            for key, value in _require(
-                match_data, "set_inner_slots", "match"
-            ).items()
-        },
-        set_fallback_slots={
-            key: {k: list(v) for k, v in value.items()}
-            for key, value in _require(
-                match_data, "set_fallback_slots", "match"
-            ).items()
-        },
+        set_inner_slots=_nested_slot_lists(
+            _require(match_data, "set_inner_slots", "match"),
+            "match['set_inner_slots']",
+        ),
+        set_fallback_slots=_nested_slot_lists(
+            _require(match_data, "set_fallback_slots", "match"),
+            "match['set_fallback_slots']",
+        ),
         missing=list(match_data.get("missing", [])),
         matched=match_data.get("matched", False),
     )
     record = _require(data, "record", "wrapper")
-    if not isinstance(record, dict):
-        raise WrapperSchemaError(
-            "malformed wrapper data: wrapper['record'] is not an object"
-        )
-    _reject_unknown(record, _RECORD_KEYS, "record")
+    _check_level(record, _RECORD_TYPES, "record")
+    types_seen = data.get("annotation_types_seen", [])
+    for name in types_seen:
+        if not isinstance(name, str):
+            _wrong_type("wrapper['annotation_types_seen'] item", name, str)
     return Wrapper(
         source=_require(data, "source", "wrapper"),
         sod=parse_sod(_require(data, "sod", "wrapper")),
@@ -312,5 +344,5 @@ def wrapper_from_dict(data: dict[str, Any]) -> Wrapper:
         is_list_source=_require(record, "is_list_source", "record"),
         support=data.get("support", 3),
         conflicts=data.get("conflicts", 0),
-        annotation_types_seen=set(data.get("annotation_types_seen", [])),
+        annotation_types_seen=set(types_seen),
     )

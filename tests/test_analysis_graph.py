@@ -1,4 +1,4 @@
-"""The project graph: symbol tables, imports, and call resolution."""
+"""The project graph: symbol tables, import aliases, and call resolution."""
 
 import textwrap
 
@@ -76,11 +76,6 @@ class TestSymbolTable:
         core = graph.modules["pkg.core"]
         assert core.aliases["u"] == "pkg.util"
         assert core.aliases["helper"] == "pkg.util.helper"
-
-    def test_import_edges(self, tmp_path):
-        graph = build_graph(tmp_path)
-        assert "pkg.util" in graph.modules["pkg.core"].imports
-        assert "pkg.core" in graph.modules["pkg"].imports
 
 
 class TestCallResolution:

@@ -240,80 +240,6 @@ def analyze_tree(tmp_path, rule_id, files, scan=None):
     return [f for f in report.findings if f.rule == rule_id]
 
 
-class TestTaintToArtifactD106:
-    def test_helper_laundered_clock_reaches_json_dump(self, tmp_path):
-        """The seeded regression: time.time() laundered through a helper."""
-        findings = analyze_tree(
-            tmp_path,
-            "D106",
-            {
-                "app.py": """
-                    import json
-                    import time
-
-                    def persist(obj, fh):
-                        json.dump(obj, fh)
-
-                    def emit(fh):
-                        stamp = time.time()
-                        persist(stamp, fh)
-                """,
-            },
-        )
-        assert len(findings) == 1
-        assert "CLOCK" in findings[0].message
-        assert "persist()" in findings[0].message
-        assert "persist(stamp, fh)" in findings[0].snippet
-
-    def test_direct_env_taint_flagged(self, tmp_path):
-        findings = analyze_tree(
-            tmp_path,
-            "D106",
-            {
-                "app.py": """
-                    import json
-                    import os
-
-                    def emit(fh):
-                        json.dump(os.environ.get("HOME", ""), fh)
-                """,
-            },
-        )
-        assert len(findings) == 1
-        assert "ENV" in findings[0].message
-
-    def test_set_order_into_dump_flagged_and_sorted_is_clean(self, tmp_path):
-        findings = analyze_tree(
-            tmp_path,
-            "D106",
-            {
-                "app.py": """
-                    import json
-
-                    def bad(items, fh):
-                        json.dump(list(set(items)), fh)
-
-                    def good(items, fh):
-                        json.dump(sorted(set(items)), fh)
-                """,
-            },
-        )
-        assert len(findings) == 1
-        assert "SET_ORDER" in findings[0].message
-
-    def test_deterministic_payload_clean(self, tmp_path):
-        assert not analyze_tree(
-            tmp_path,
-            "D106",
-            {
-                "app.py": (
-                    "import json\n\ndef emit(fh):\n"
-                    "    json.dump({'n': 1}, fh)\n"
-                ),
-            },
-        )
-
-
 class TestExceptionContractE401:
     STAGE = """
         from errors import StageError

@@ -12,9 +12,9 @@ real objects:
   edited, and the edit shows whether the version was bumped with it.
 - **Malformed input.**  Every external reader gets each payload with
   one key dropped or one value swapped for a wrong type.  A missing
-  required key must raise the reader's typed error; nothing may escape
-  as an untyped exception beyond the open cases in
-  :data:`KNOWN_UNTYPED`.
+  required key must raise the reader's typed error, and nothing may
+  escape as an untyped exception.  The wrapper and index readers also
+  reject every wrong-typed value.
 - **History.**  :func:`~repro.metrics.bench.compare_documents` reads
   every ordered pair of the committed ``BENCH_*.json`` documents, so
   the comparison never requires a key older captures lack.
@@ -127,30 +127,6 @@ SHAPES: dict[str, dict[int | None, list[str]]] = {
         "attempt", "counters", "discard_reason", "discard_stage",
         "discarded", "elapsed_s", "error", "event", "pass", "source", "stage",
     ]},
-}
-
-#: One-edit payloads on which a reader raises an untyped error today,
-#: as ``(edit, location, key): exception name``.  Each is an open
-#: defect: the reader should raise its typed error instead, and the
-#: fix deletes the line here.
-KNOWN_UNTYPED: dict[str, dict[tuple[str, str, str], str]] = {
-    "wrapper_from_dict": {
-        ("swap", "wrapper", "sod"): "TypeError",
-        ("swap", "match", "entity_to_slots"): "AttributeError",
-        ("swap", "match", "set_to_iterator"): "TypeError",
-        ("swap", "match", "set_inner_slots"): "AttributeError",
-        ("swap", "match", "set_fallback_slots"): "AttributeError",
-        ("swap", "element node", "annotation_counts"): "TypeError",
-        ("swap", "element node", "children"): "TypeError",
-        ("swap", "field node", "annotation_counts"): "TypeError",
-        ("swap", "field node", "examples"): "TypeError",
-        ("swap", "template", "roots"): "TypeError",
-        ("swap", "wrapper", "annotation_types_seen"): "TypeError",
-        ("swap", "match", "missing"): "TypeError",
-    },
-    "WrapperRegistry._load_index": {
-        ("swap", "entries", "<signature>"): "TypeError",
-    },
 }
 
 SOD_TEXT = (
@@ -412,13 +388,12 @@ def typed_or_not(
 
 
 def check_reader(
-    name: str,
     outcome: Callable[[Any], str],
     cases: list[tuple[tuple[str, str, str], dict]],
     required: dict[str, set[str]],
-) -> None:
+) -> dict[tuple[str, str, str], str]:
     """Drops of required keys are rejected, other drops accepted, and
-    only the :data:`KNOWN_UNTYPED` edits raise untyped errors."""
+    no edit raises an untyped error.  Returns each case's outcome."""
     seen = {case: outcome(payload) for case, payload in cases}
     drops = {case: result for case, result in seen.items() if case[0] == "drop"}
     assert drops == {
@@ -430,7 +405,14 @@ def check_reader(
         for case, result in seen.items()
         if result not in ("accepted", "rejected")
     }
-    assert untyped == KNOWN_UNTYPED.get(name, {})
+    assert untyped == {}
+    return seen
+
+
+def assert_swaps_rejected(seen: dict[tuple[str, str, str], str]) -> None:
+    """Every wrong-typed value raised the reader's typed error."""
+    swaps = {case: result for case, result in seen.items() if case[0] == "swap"}
+    assert swaps and swaps == dict.fromkeys(swaps, "rejected")
 
 
 class TestMalformedInput:
@@ -445,8 +427,7 @@ class TestMalformedInput:
         locations.update(
             {f"{kind} node": path for kind, path in node_paths(data).items()}
         )
-        check_reader(
-            "wrapper_from_dict",
+        seen = check_reader(
             typed_or_not(wrapper_from_dict, WrapperSchemaError),
             one_edit_payloads(data, locations),
             {
@@ -465,6 +446,7 @@ class TestMalformedInput:
                 "static node": {"kind", "text"},
             },
         )
+        assert_swaps_rejected(seen)
 
     @pytest.mark.parametrize("kind", ["wrapper", "discard"])
     def test_registry_entry_from_dict(self, kind):
@@ -483,7 +465,6 @@ class TestMalformedInput:
             # that has no wrapper.
             required |= {"kind", "discard"}
         check_reader(
-            "RegistryEntry.from_dict",
             typed_or_not(RegistryEntry.from_dict, RegistryError),
             one_edit_payloads(data, {"entry": ()}),
             {"entry": required},
@@ -500,12 +481,12 @@ class TestMalformedInput:
             )
             return WrapperRegistry(tmp_path)
 
-        check_reader(
-            "WrapperRegistry._load_index",
+        seen = check_reader(
             typed_or_not(load, RegistryError),
             one_edit_payloads(index, {"index": (), "entries": ("entries",)}),
             {"index": {"schema_version", "entries"}, "entries": set()},
         )
+        assert_swaps_rejected(seen)
 
     def test_service_handle(self, tmp_path):
         service = ExtractionService(WrapperRegistry(tmp_path))
@@ -528,7 +509,6 @@ class TestMalformedInput:
         }
         control = {"id": 2, "cmd": "stats"}
         check_reader(
-            "ExtractionService.handle",
             outcome,
             one_edit_payloads(extract, {"extract": ()})
             + one_edit_payloads(control, {"control": ()}),

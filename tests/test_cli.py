@@ -169,6 +169,32 @@ class TestWrapperPersistenceFlags:
         assert "error:" in capsys.readouterr().err
 
 
+    def test_load_wrapper_wrong_typed_value(
+        self, figure3_files, capsys, tmp_path
+    ):
+        pages, artists, theaters = figure3_files
+        path = tmp_path / "wrapper.json"
+        code = main(
+            [
+                "extract",
+                "--sod", SOD,
+                "--dict", f"artist={artists}",
+                "--dict", f"theater={theaters}",
+                "--save-wrapper", str(path),
+                *pages,
+            ]
+        )
+        assert code == 0
+        capsys.readouterr()
+        saved = json.loads(path.read_text(encoding="utf-8"))
+        saved["sod"] = 7
+        path.write_text(json.dumps(saved), encoding="utf-8")
+        code = main(["extract", "--load-wrapper", str(path), *pages])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "error: malformed wrapper data: wrapper['sod'] is int" in err
+
+
 class TestTraceFlag:
     def test_trace_writes_stage_events(self, figure3_files, capsys, tmp_path):
         pages, artists, theaters = figure3_files

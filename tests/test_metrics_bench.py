@@ -340,7 +340,7 @@ class TestCapture:
 
 
 class TestProvenanceIsolation:
-    """The D106 baseline's justification, kept honest by a test.
+    """BENCH provenance never reaches a comparison.
 
     ``generated_at`` and ``config.seed.pythonhashseed`` are wall-clock /
     environment provenance recorded in every BENCH document; the

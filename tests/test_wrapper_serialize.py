@@ -1,6 +1,7 @@
 """Tests for wrapper JSON persistence."""
 
 import json
+import re
 
 import pytest
 
@@ -115,6 +116,27 @@ class TestMalformedInput:
         data = wrapper_to_dict(wrapper)
         data["template"]["roots"][0] = "not a node"
         with pytest.raises(WrapperSchemaError):
+            wrapper_from_dict(data)
+
+    @pytest.mark.parametrize(
+        "edit,named",
+        [
+            (lambda d: d["match"]["entity_to_slots"].update(x=7),
+             "match['entity_to_slots']['x'] is int"),
+            (lambda d: d["match"]["set_inner_slots"].update(x=[1]),
+             "match['set_inner_slots']['x'] is list"),
+            (lambda d: d["match"]["set_fallback_slots"].update(x={"y": "1"}),
+             "match['set_fallback_slots']['x']['y'] is str"),
+            (lambda d: d["annotation_types_seen"].append(["date"]),
+             "wrapper['annotation_types_seen'] item is list"),
+        ],
+        ids=["slot-list", "inner-map", "inner-slot-list", "type-name"],
+    )
+    def test_nested_wrong_type_is_schema_error(self, wrapped, edit, named):
+        wrapper, __ = wrapped
+        data = wrapper_to_dict(wrapper)
+        edit(data)
+        with pytest.raises(WrapperSchemaError, match=re.escape(named)):
             wrapper_from_dict(data)
 
     def test_schema_error_is_a_wrapper_error(self):
