@@ -21,9 +21,10 @@ resilience layer the multi-source executor and the pipeline build on:
   derived from an explicit seed.
 
 Sleeping is owned by this module: :func:`wall_sleep` is the only place
-in the library allowed to call ``time.sleep`` (reprolint rule ``D105``),
-and everything that might wait accepts an injectable sleep callable so
-tests never wall-sleep.
+in the library that calls ``time.sleep``, and everything that might wait
+accepts an injectable sleep callable so tests never wall-sleep.  The
+sleep guard in ``tests/conftest.py`` fails any test in which package or
+test code calls ``time.sleep`` anywhere else.
 """
 
 from __future__ import annotations
@@ -55,8 +56,8 @@ def wall_sleep(seconds: float) -> None:
 
     Everything that waits (retry backoff, injected delay faults) takes an
     injectable :data:`SleepFn` defaulting to this function, so tests swap
-    in a recording fake and never spend wall-clock time (enforced by
-    reprolint rule ``D105``).
+    in a recording fake and never spend wall-clock time (the sleep guard
+    in ``tests/conftest.py`` fails any other ``time.sleep`` call).
     """
     if seconds > 0:
         time.sleep(seconds)

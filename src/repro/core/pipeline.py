@@ -326,17 +326,20 @@ class Stage:
     skipped stages emit no events.
 
     ``reads``/``writes`` declare the stage's *context contract*: the
-    :class:`PipelineContext` fields its methods may load and store.  The
-    reprolint stage-contract rule (``C201``, see ``docs/ANALYSIS.md``)
-    statically verifies every registered stage's body against its
-    declaration, so inter-stage dataflow stays visible in one place.  The
-    counter/scratch APIs (``count``/``counters``/``gazetteers``/
+    :class:`PipelineContext` fields it may load and store, itself or
+    through any helper it hands ``ctx`` to.
+    ``tests/test_stage_contracts.py`` runs real sources with a context
+    that charges every field access to the running stage and fails on
+    any undeclared one, writes through a field (``ctx.result.objects =
+    ...``) included, so inter-stage dataflow stays visible in one place.
+    The counter/scratch APIs (``count``/``counters``/``gazetteers``/
     ``artifacts``) never need declaring.
     """
 
     name: str = ""
     timing_field: str = ""
-    #: PipelineContext fields this stage may load (enforced by reprolint).
+    #: PipelineContext fields this stage may load (checked at run time by
+    #: tests/test_stage_contracts.py).
     reads: tuple[str, ...] = ()
     #: PipelineContext fields this stage may store or mutate through.
     writes: tuple[str, ...] = ()

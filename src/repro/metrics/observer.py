@@ -20,9 +20,9 @@ fanning out), falling back to sorted source names for stragglers — so a
 parallel multi-source run snapshots byte-identically to a serial one fed
 the same observations.
 
-This module is part of the observer layer, the only code allowed to read
-clocks (reprolint ``D102``): :func:`wall_timestamp` is the single place a
-wall-clock timestamp enters a persisted artifact, and
+This module is part of the observer layer, where the package reads its
+clocks: :func:`wall_timestamp` is the single place a wall-clock
+timestamp enters a persisted artifact (BENCH provenance), and
 :func:`peak_rss_bytes` reads the process's high-water memory mark.
 """
 
@@ -60,8 +60,9 @@ def monotonic_seconds() -> float:
 
     Callers outside the observer layer (for example the bench session's
     per-shard wall timings) subtract two readings; the absolute value is
-    meaningless.  Lives here so clock reads stay confined to this module
-    (reprolint ``D102``).
+    meaningless.  Lives here so clock reads stay in this module; the clock
+    leg of ``tests/test_determinism_ambient.py`` shifts every clock and
+    checks that no wrapper, object or registry byte moves.
     """
     return time.monotonic()
 

@@ -4,8 +4,9 @@ The registry is a passive accumulator: it never reads a clock and never
 inspects the process, so two registries fed the same observations are
 equal no matter when, where or on how many threads they were filled.
 Wall-clock measurement stays in the observer layer
-(:mod:`repro.metrics.observer`), which hands finished durations in — the
-split the reprolint ``D102`` rule enforces.
+(:mod:`repro.metrics.observer`), which hands finished durations in.
+``tests/test_metrics_registry.py`` fills registries serially and in
+parallel and compares their snapshots byte for byte.
 
 Merging is explicit and ordered: :meth:`MetricsRegistry.merge` folds
 another registry in, and :meth:`MetricsRegistry.merged` folds a sequence

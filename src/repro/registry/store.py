@@ -30,9 +30,9 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Iterable, Sequence
 
-from repro.errors import RegistryError
+from repro.errors import RegistryError, SodError
 from repro.sod.canonical import canonicalize
-from repro.sod.dsl import format_sod
+from repro.sod.dsl import format_sod, parse_sod
 from repro.sod.types import SodType
 from repro.wrapper.generate import Wrapper
 from repro.wrapper.serialize import wrapper_from_dict, wrapper_to_dict
@@ -138,6 +138,14 @@ def write_json_atomic(path: Path, document: dict[str, Any]) -> None:
     os.replace(tmp, path)
 
 
+def _expect_type(value: Any, expected: type, what: str) -> None:
+    """Raise :class:`RegistryError` unless ``value`` is an ``expected``."""
+    if not isinstance(value, expected):
+        raise RegistryError(
+            f"{what} is {type(value).__name__}, expected {expected.__name__}"
+        )
+
+
 @dataclass
 class RegistryEntry:
     """One stored wrapper — or discard tombstone — with its keying identity."""
@@ -191,10 +199,24 @@ class RegistryEntry:
             )
         except KeyError as exc:
             raise RegistryError(f"{where}: missing field {exc}") from exc
-        if entry.kind == KIND_WRAPPER and entry.wrapper is None:
-            raise RegistryError(f"{where}: wrapper entry has no wrapper")
-        if entry.kind == KIND_DISCARD and not isinstance(entry.discard, dict):
-            raise RegistryError(f"{where}: discard entry has no discard block")
+        for key in ("signature", "sod", "fingerprint", "source"):
+            _expect_type(getattr(entry, key), str, f"{where}: {key!r}")
+        if kind == KIND_WRAPPER:
+            if entry.wrapper is None:
+                raise RegistryError(f"{where}: wrapper entry has no wrapper")
+            _expect_type(entry.wrapper, dict, f"{where}: 'wrapper'")
+            _expect_type(entry.discard, type(None), f"{where}: 'discard'")
+        else:
+            if not isinstance(entry.discard, dict):
+                raise RegistryError(
+                    f"{where}: discard entry has no discard block"
+                )
+            _expect_type(entry.wrapper, type(None), f"{where}: 'wrapper'")
+            for key in ("stage", "reason"):
+                if key in entry.discard:
+                    _expect_type(
+                        entry.discard[key], str, f"{where}: discard {key!r}"
+                    )
         return entry
 
     def stored_discard(self) -> StoredDiscard:
@@ -202,8 +224,8 @@ class RegistryEntry:
         assert self.discard is not None
         return StoredDiscard(
             source=self.source,
-            stage=str(self.discard.get("stage", "")),
-            reason=str(self.discard.get("reason", "")),
+            stage=self.discard.get("stage", ""),
+            reason=self.discard.get("reason", ""),
         )
 
 
@@ -476,7 +498,9 @@ class WrapperRegistry:
 
         Detects index rows without an entry file, unreadable or
         schema-incompatible entries, entries whose stored identity does
-        not reproduce their address, and orphan entry files.
+        not reproduce their address (the stored ``signature``, or the
+        signature recomputed from the stored ``sod`` and ``fingerprint``,
+        differs from the file's name), and orphan entry files.
         """
         problems = []
         with self._lock:
@@ -495,6 +519,19 @@ class WrapperRegistry:
                 problems.append(
                     f"{signature}: entry file claims signature "
                     f"{entry.signature!r}"
+                )
+                continue
+            try:
+                recomputed = signature_for(
+                    parse_sod(entry.sod), entry.fingerprint
+                )
+            except SodError as exc:
+                problems.append(f"{signature}: stored sod does not parse: {exc}")
+                continue
+            if recomputed != signature:
+                problems.append(
+                    f"{signature}: stored sod and fingerprint hash to "
+                    f"{recomputed!r}"
                 )
         for path in sorted(self._wrappers_dir.glob("*.json")):
             if path.stem not in index:

@@ -1,9 +1,58 @@
-"""Shared fixtures: the paper's Figure 3 pages and small generated sources."""
+"""Shared fixtures: the paper's Figure 3 pages and small generated sources.
+
+Also the sleep guard.  Every wait of the package goes through the
+injectable sleep of :mod:`repro.core.faults`, whose ``wall_sleep`` is
+the one real ``time.sleep`` call, so tests fake time and never pay for
+a backoff.  The guard replaces ``time.sleep`` before any ``repro``
+module is imported (so ``from time import sleep`` binds it too) and
+fails a sleep called directly from package, test or benchmark code
+anywhere but ``wall_sleep``; sleeps the standard library makes for
+itself pass through.  It raises where the sleep happens, which also
+fails a forked worker's source, and the autouse fixture fails the test
+when the error was swallowed.
+"""
 
 from __future__ import annotations
 
+import sys
+import time
+
 import pytest
 
+_real_sleep = time.sleep
+#: ``module.function`` of each guarded sleep in the running test.
+STRAY_SLEEPS: list[str] = []
+
+
+def _guarded_sleep(seconds: float) -> None:
+    caller = sys._getframe(1)
+    module = str(caller.f_globals.get("__name__"))
+    where = f"{module}.{caller.f_code.co_name}"
+    if where != "repro.core.faults.wall_sleep" and module.split(".")[0] in (
+        "repro",
+        "tests",
+        "benchmarks",
+    ):
+        STRAY_SLEEPS.append(where)
+        raise AssertionError(
+            f"{where} calls time.sleep; take a SleepFn defaulting to "
+            "repro.core.faults.wall_sleep"
+        )
+    _real_sleep(seconds)
+
+
+time.sleep = _guarded_sleep
+
+
+@pytest.fixture(autouse=True)
+def no_stray_sleep():
+    """Fail the test if package or test code slept outside wall_sleep."""
+    STRAY_SLEEPS.clear()
+    yield
+    assert STRAY_SLEEPS == []
+
+
+# The package is imported only now, with the guard in place.
 from repro.datasets import build_knowledge, domain_spec, generate_source
 from repro.datasets.sites import SiteSpec
 from repro.htmlkit import clean_tree, tidy

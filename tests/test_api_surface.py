@@ -1,8 +1,18 @@
 """The public API surface: every documented entry point imports and exists."""
 
 import importlib
+from pathlib import Path
 
 import pytest
+
+SRC_ROOT = Path(__file__).resolve().parents[1] / "src"
+#: Every module of the package, packages by their dotted name.
+ALL_MODULES = sorted(
+    ".".join(path.relative_to(SRC_ROOT).with_suffix("").parts).removesuffix(
+        ".__init__"
+    )
+    for path in (SRC_ROOT / "repro").rglob("*.py")
+)
 
 PUBLIC_MODULES = [
     "repro",
@@ -32,11 +42,13 @@ class TestImports:
     def test_module_imports(self, module_name):
         importlib.import_module(module_name)
 
-    @pytest.mark.parametrize("module_name", PUBLIC_MODULES)
+    @pytest.mark.parametrize("module_name", ALL_MODULES)
     def test_all_names_resolve(self, module_name):
         module = importlib.import_module(module_name)
+        namespace: dict = {}
+        exec(f"from {module_name} import *", namespace)
         for name in getattr(module, "__all__", []):
-            assert hasattr(module, name), f"{module_name}.{name}"
+            assert name in namespace, f"{module_name}.{name}"
 
     @pytest.mark.parametrize("module_name", PUBLIC_MODULES)
     def test_module_has_docstring(self, module_name):

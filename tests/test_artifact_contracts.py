@@ -13,8 +13,8 @@ real objects:
 - **Malformed input.**  Every external reader gets each payload with
   one key dropped or one value swapped for a wrong type.  A missing
   required key must raise the reader's typed error, and nothing may
-  escape as an untyped exception.  The wrapper and index readers also
-  reject every wrong-typed value.
+  escape as an untyped exception.  The wrapper, registry entry and index
+  readers also reject every wrong-typed value.
 - **History.**  :func:`~repro.metrics.bench.compare_documents` reads
   every ordered pair of the committed ``BENCH_*.json`` documents, so
   the comparison never requires a key older captures lack.
@@ -460,15 +460,18 @@ class TestMalformedInput:
             "schema_version", "signature", "sod", "fingerprint", "source",
             "wrapper",
         }
+        locations = {"entry": ()}
         if kind == "discard":
             # Without its kind, a tombstone reads as a wrapper entry
             # that has no wrapper.
             required |= {"kind", "discard"}
-        check_reader(
+            locations["discard"] = ("discard",)
+        seen = check_reader(
             typed_or_not(RegistryEntry.from_dict, RegistryError),
-            one_edit_payloads(data, {"entry": ()}),
-            {"entry": required},
+            one_edit_payloads(data, locations),
+            {"entry": required, "discard": set()},
         )
+        assert_swaps_rejected(seen)
 
     def test_registry_load_index(self, tmp_path):
         registry = WrapperRegistry(tmp_path)

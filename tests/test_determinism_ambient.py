@@ -6,21 +6,28 @@ seeds and worker counts.  A value read from the process's surroundings
 that reaches an artifact breaks that silently, and only on the day the
 surroundings differ.  Each test here makes them differ on purpose:
 
-- **Clock.**  One catalog source runs cold twice in one process; the
-  second run sees every ``time`` clock shifted by a large, non-integral
-  offset.  Every clock read of the package goes through the ``time``
-  module (``metrics/observer.py`` included), so patching its attributes
-  reaches them all.
+- **Clock.**  One catalog source runs cold twice in one process, and
+  so does a run whose wrapping stage fails transiently twice; the second
+  runs see every ``time`` clock shifted by a large, non-integral offset.
+  Artifacts and retry backoffs must not move.  Every clock read of the
+  package goes through the ``time`` module (``metrics/observer.py``
+  included), so patching its attributes reaches them all.
 - **Environment.**  A batch, a saved wrapper, a registry and a tiny
   BENCH capture run with ``os.environ`` replaced by a mapping that
   records each key a ``repro`` frame reads.  Only the declared
   variables may appear.
 - **Hash seed.**  The same cold run in two fresh interpreters with
   different ``PYTHONHASHSEED`` values.
+- **Directory order.**  The registry's ``verify`` and ``gc`` and the
+  BENCH artifact discovery run twice over the same files; the second
+  time every listing primitive (``os.listdir``, ``os.scandir``,
+  ``glob.glob``/``iglob``, ``Path.glob``/``rglob``/``iterdir``) yields
+  its entries in reverse.
 """
 
 from __future__ import annotations
 
+import glob
 import json
 import os
 import subprocess
@@ -31,7 +38,9 @@ from pathlib import Path
 from typing import Iterator
 
 from repro.__main__ import main as repro_main
+from repro.core.faults import TRANSIENT, FaultInjector, FaultSpec
 from repro.core.objectrunner import ObjectRunner
+from repro.core.params import RunParams
 from repro.core.results import MultiSourceResult
 from repro.datasets import (
     build_knowledge,
@@ -39,7 +48,10 @@ from repro.datasets import (
     domain_spec,
     generate_source,
 )
+from repro.metrics.bench import bench_files, latest_bench, next_seq
+from repro.recognizers import RecognizerRegistry
 from repro.registry import WrapperRegistry
+from repro.sod.dsl import parse_sod
 from repro.wrapper.serialize import wrapper_to_dict
 from tests.conftest import FIGURE3_P1, FIGURE3_P2, FIGURE3_P3
 
@@ -116,8 +128,31 @@ def longest_examples(wrapper_json: str) -> int:
     return longest
 
 
-def test_clock_shift_changes_no_artifact(tmp_path, monkeypatch):
+def retry_delays(recognizers) -> list[float]:
+    """The jittered backoffs of a run whose wrapping fails twice."""
+    delays: list[float] = []
+    registry = RecognizerRegistry()
+    for recognizer in recognizers:
+        registry.register(recognizer)
+    runner = ObjectRunner(
+        parse_sod(SOD),
+        registry=registry,
+        params=RunParams(max_retries=2),
+        fault_injector=FaultInjector(
+            [FaultSpec(stage="wrapping", kind=TRANSIENT, times=2)]
+        ),
+        sleep=delays.append,
+    )
+    result = runner.run_source("fig3", [FIGURE3_P1, FIGURE3_P2, FIGURE3_P3])
+    assert result.objects and len(delays) == 2
+    return delays
+
+
+def test_clock_shift_changes_no_artifact(
+    tmp_path, monkeypatch, figure3_recognizers
+):
     plain = cold_run_artifacts(tmp_path / "plain")
+    plain_delays = retry_delays(figure3_recognizers)
     # A leak needs lists to reorder: the source must give some.
     assert longest_examples(plain["wrapper"]) >= 3
     offset_ns = int(CLOCK_OFFSET * 1e9)
@@ -129,6 +164,7 @@ def test_clock_shift_changes_no_artifact(tmp_path, monkeypatch):
     real_ns = time.time_ns
     monkeypatch.setattr(time, "time_ns", lambda: real_ns() + offset_ns)
     shifted = cold_run_artifacts(tmp_path / "shifted")
+    assert retry_delays(figure3_recognizers) == plain_delays
     assert shifted["wrapper"] == plain["wrapper"]
     assert shifted["objects"] == plain["objects"]
     assert shifted["registry"] == plain["registry"]
@@ -262,3 +298,90 @@ def test_hash_seed_changes_no_artifact():
         digests.append(done.stdout.strip())
     assert digests[0] == digests[1]
     assert len(digests[0]) == 64
+
+
+class ReversedScandir:
+    """An ``os.scandir`` iterator over a fixed list of entries."""
+
+    def __init__(self, entries: list) -> None:
+        self._entries = iter(entries)
+
+    def __iter__(self) -> "ReversedScandir":
+        return self
+
+    def __next__(self):
+        return next(self._entries)
+
+    def __enter__(self) -> "ReversedScandir":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+    def close(self) -> None:
+        """Nothing to release: the entries were read eagerly."""
+
+
+def reverse_listings(monkeypatch) -> None:
+    """Make every listing primitive yield its entries in reverse.
+
+    A listing made inside another (``Path.glob`` scans with
+    ``os.scandir``) passes through, so the outer one is reversed once.
+    """
+    depth = 0
+
+    def reversing(real, wrap):
+        def listing(*args, **kwargs):
+            nonlocal depth
+            if depth:
+                return real(*args, **kwargs)
+            depth += 1
+            try:
+                entries = list(real(*args, **kwargs))
+            finally:
+                depth -= 1
+            return wrap(entries[::-1])
+
+        return listing
+
+    for owner, name, wrap in (
+        (os, "listdir", list),
+        (os, "scandir", ReversedScandir),
+        (glob, "glob", list),
+        (glob, "iglob", iter),
+        (Path, "glob", iter),
+        (Path, "rglob", iter),
+        (Path, "iterdir", iter),
+    ):
+        monkeypatch.setattr(owner, name, reversing(getattr(owner, name), wrap))
+
+
+def listing_outputs(tmp_path: Path) -> str:
+    """What the registry maintenance and BENCH discovery report."""
+    registry = WrapperRegistry(tmp_path / "registry")
+    for name in ("b" * 64, "a" * 64, "c" * 64):
+        registry.entry_path(name).write_text("{}", encoding="utf-8")
+    runs = tmp_path / "runs"
+    return json.dumps(
+        {
+            "verify": registry.verify(),
+            "gc": registry.gc(dry_run=True),
+            "bench_files": [
+                [seq, path.name] for seq, path in bench_files(runs)
+            ],
+            "next_seq": next_seq(runs),
+            "latest": latest_bench(runs, before=10).name,
+        }
+    )
+
+
+def test_directory_order_changes_no_output(tmp_path, monkeypatch):
+    runs = tmp_path / "runs"
+    runs.mkdir()
+    for seq in ("2", "10", "1", "x"):
+        (runs / f"BENCH_{seq}.json").write_text("{}", encoding="utf-8")
+    plain = listing_outputs(tmp_path)
+    natural = os.listdir(runs)
+    reverse_listings(monkeypatch)
+    assert os.listdir(runs) == natural[::-1]
+    assert listing_outputs(tmp_path) == plain

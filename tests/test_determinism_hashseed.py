@@ -2,11 +2,12 @@
 
 Set and dict iteration order over strings depends on the interpreter's
 hash seed, so any code path that lets a bare set ordering leak into its
-output produces different bytes run-to-run.  The reprolint D103 rule
-catches these statically; this test catches them dynamically by running
-the audited modules — the synthetic site generator and the simulated
-Turk selection — in subprocesses with different hash seeds and comparing
-digests of everything they produce.
+output produces different bytes run-to-run.  This test catches them by
+running the synthetic site generator and the simulated Turk selection in
+subprocesses with different hash seeds and comparing digests of
+everything they produce; the hash-seed leg of
+``tests/test_determinism_ambient.py`` does the same for a cold
+induction's wrapper, objects and registry files.
 """
 
 import os

@@ -337,6 +337,36 @@ class TestDemoteVerifyGc:
         assert registry.gc() == preview
         assert not any(orphan.exists() for orphan in orphans)
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [("sod", "album(title, artist)"), ("fingerprint", "0" * 16)],
+    )
+    def test_verify_recomputes_the_address(self, tmp_path, induced, key, value):
+        wrapper, fingerprint = induced
+        registry = WrapperRegistry(tmp_path)
+        signature = registry.put(SOD, fingerprint, wrapper)
+        path = registry.entry_path(signature)
+        entry = json.loads(path.read_text(encoding="utf-8"))
+        entry[key] = value
+        path.write_text(json.dumps(entry), encoding="utf-8")
+        problems = registry.verify()
+        assert len(problems) == 1
+        assert problems[0].startswith(f"{signature}: stored sod and fingerprint")
+
+    @pytest.mark.parametrize("key", ["sod", "source", "fingerprint", "wrapper"])
+    def test_wrong_typed_entry_is_no_hit(self, tmp_path, induced, key):
+        wrapper, fingerprint = induced
+        registry = WrapperRegistry(tmp_path)
+        signature = registry.put(SOD, fingerprint, wrapper)
+        path = registry.entry_path(signature)
+        entry = json.loads(path.read_text(encoding="utf-8"))
+        entry[key] = 7
+        path.write_text(json.dumps(entry), encoding="utf-8")
+        problems = registry.verify()
+        assert len(problems) == 1 and f"{key!r} is int" in problems[0]
+        with pytest.raises(RegistryError, match=f"{key!r} is int"):
+            registry.lookup(SOD, fingerprint)
+
     def test_corrupt_entry_fails_verification(self, tmp_path, induced):
         wrapper, fingerprint = induced
         registry = WrapperRegistry(tmp_path)
