@@ -18,7 +18,7 @@ Quickstart::
 """
 
 from repro.core.cache import PreprocessCache
-from repro.core.faults import FaultInjector, FaultSpec, RetryPolicy, SourceFailure
+from repro.core.faults import FaultInjector, FaultSpec, SourceFailure
 from repro.core.objectrunner import ObjectRunner, ObjectRunnerSystem
 from repro.core.params import RunParams
 from repro.core.pipeline import (
@@ -36,7 +36,6 @@ from repro.errors import (
     ReproError,
     SodError,
     SourceDiscardedError,
-    TransientSourceError,
 )
 from repro.sod.dsl import parse_sod
 from repro.sod.instances import ObjectInstance
@@ -57,7 +56,6 @@ __all__ = [
     "SourceResult",
     "MultiSourceResult",
     "SourceFailure",
-    "RetryPolicy",
     "FaultInjector",
     "FaultSpec",
     "Pipeline",
@@ -78,7 +76,6 @@ __all__ = [
     "ReproError",
     "SodError",
     "SourceDiscardedError",
-    "TransientSourceError",
     "MultiSourceError",
     "__version__",
 ]

@@ -26,13 +26,10 @@ Subcommands:
   is given — falls back to full induction.
 
   Observability: ``--trace trace.jsonl`` writes one JSON line per
-  pipeline event (stage start/end with wall-clock timings and counters,
-  plus ``stage_retry`` events when retries happen).
+  pipeline event (stage start/end with wall-clock timings and counters).
 
-  Resilience: ``--max-retries N`` re-attempts stages that raise
-  ``TransientSourceError`` with deterministic exponential backoff, and
-  ``--failure-policy {fail_fast,isolate}`` selects how multi-source runs
-  react to an unexpected per-source failure.
+  Resilience: ``--failure-policy {fail_fast,isolate}`` selects how
+  multi-source runs react to an unexpected per-source failure.
 
 - ``serve`` — extraction-as-a-service: a JSON-lines request loop on
   stdin/stdout routing every request through a shared wrapper registry
@@ -144,14 +141,7 @@ def _cmd_extract(args: argparse.Namespace) -> int:
             GazetteerRecognizer(type_name, _load_dictionary(path))
         )
     pages = [Path(page).read_text(encoding="utf-8") for page in args.pages]
-    try:
-        params = RunParams().with_overrides(
-            failure_policy=args.failure_policy,
-            max_retries=args.max_retries,
-        )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    params = RunParams(failure_policy=args.failure_policy)
     wrapper_registry = (
         WrapperRegistry(args.registry) if args.registry else None
     )
@@ -499,14 +489,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="how multi-source runs treat an unexpected per-source "
         "failure: abort the batch (fail_fast) or record it and let "
         "sibling sources finish (isolate)",
-    )
-    extract.add_argument(
-        "--max-retries",
-        type=int,
-        default=0,
-        metavar="N",
-        help="retry a stage raising TransientSourceError up to N times "
-        "with deterministic exponential backoff (default: 0, no retries)",
     )
     extract.add_argument(
         "--shard",

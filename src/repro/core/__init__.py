@@ -22,7 +22,6 @@ from repro.core.faults import (
     ISOLATE,
     FaultInjector,
     FaultSpec,
-    RetryPolicy,
     SourceFailure,
     wall_sleep,
 )
@@ -70,7 +69,6 @@ __all__ = [
     "DEFAULT_STAGE_ORDER",
     "PreprocessCache",
     "CachedPages",
-    "RetryPolicy",
     "SourceFailure",
     "FaultInjector",
     "FaultSpec",

@@ -1,14 +1,9 @@
-"""Fault isolation, deterministic retry/backoff, and fault injection.
+"""Fault isolation and fault injection.
 
 Large-scale extraction runs over hundreds of noisy sources; one source
 crashing must never take its siblings down with it.  This module is the
 resilience layer the multi-source executor and the pipeline build on:
 
-- :class:`RetryPolicy` — how many times a stage raising
-  :class:`~repro.errors.TransientSourceError` is re-attempted, and how
-  long to back off between attempts.  Backoff is exponential with
-  *seeded* jitter (through :class:`~repro.utils.rng.DeterministicRng`),
-  so two runs compute byte-identical delay schedules.
 - :data:`FAIL_FAST` / :data:`ISOLATE` — the failure policies of
   ``ObjectRunner.run_sources``: abort the batch on the first unexpected
   per-source failure (cancelling pending work, partial results attached
@@ -16,9 +11,9 @@ resilience layer the multi-source executor and the pipeline build on:
   failure as a :class:`SourceFailure` and let the surviving sources
   finish untouched.
 - :class:`FaultInjector` — a deterministic test harness that wraps
-  pipeline stages to crash them, delay them, or make them transiently
-  fail on configured attempts (:class:`FaultSpec`), with every decision
-  derived from an explicit seed.
+  pipeline stages to crash or delay them on configured calls
+  (:class:`FaultSpec`), with every decision derived from an explicit
+  seed.
 
 Sleeping is owned by this module: :func:`wall_sleep` is the only place
 in the library that calls ``time.sleep``, and everything that might wait
@@ -32,9 +27,9 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, Iterable
+from typing import TYPE_CHECKING, Callable, Iterable
 
-from repro.errors import InjectedFaultError, TransientSourceError
+from repro.errors import InjectedFaultError
 from repro.utils.rng import DeterministicRng, derive_seed
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
@@ -54,84 +49,13 @@ SleepFn = Callable[[float], None]
 def wall_sleep(seconds: float) -> None:
     """Really sleep — the library's single ``time.sleep`` call site.
 
-    Everything that waits (retry backoff, injected delay faults) takes an
-    injectable :data:`SleepFn` defaulting to this function, so tests swap
+    Everything that waits (injected delay faults) takes an injectable
+    :data:`SleepFn` defaulting to this function, so tests swap
     in a recording fake and never spend wall-clock time (the sleep guard
     in ``tests/conftest.py`` fails any other ``time.sleep`` call).
     """
     if seconds > 0:
         time.sleep(seconds)
-
-
-# -- retry policy ----------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class RetryPolicy:
-    """Deterministic exponential backoff for transient stage failures.
-
-    A stage raising :class:`~repro.errors.TransientSourceError` is
-    re-attempted up to ``max_retries`` extra times.  The delay before
-    retry ``n`` (1-based) is ``base_delay * backoff_factor**(n-1)``
-    capped at ``max_delay``, then jittered by up to ``±jitter`` of
-    itself.  The jitter is drawn from a :class:`DeterministicRng` seeded
-    by ``(seed, source, stage, attempt)``, so the full delay schedule is
-    a pure function of the policy and the retry coordinates — no shared
-    RNG state, no cross-thread ordering effects.
-    """
-
-    #: Extra attempts after the first (0 disables retrying).
-    max_retries: int = 0
-    #: Seconds before the first retry.
-    base_delay: float = 0.05
-    #: Multiplier applied per further retry.
-    backoff_factor: float = 2.0
-    #: Upper bound on the un-jittered delay.
-    max_delay: float = 2.0
-    #: Jitter amplitude as a fraction of the delay, in [0, 1].
-    jitter: float = 0.1
-    #: Seed for the deterministic jitter stream.
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        """Reject configurations that could not have been intended."""
-        if self.max_retries < 0:
-            raise ValueError(f"max_retries must be >= 0, got {self.max_retries}")
-        if self.base_delay < 0:
-            raise ValueError(f"base_delay must be >= 0, got {self.base_delay}")
-        if self.backoff_factor < 1.0:
-            raise ValueError(
-                f"backoff_factor must be >= 1, got {self.backoff_factor}"
-            )
-        if not 0.0 <= self.jitter <= 1.0:
-            raise ValueError(f"jitter must be in [0, 1], got {self.jitter}")
-
-    @property
-    def max_attempts(self) -> int:
-        """Total attempts: the first try plus ``max_retries`` retries."""
-        return self.max_retries + 1
-
-    @classmethod
-    def from_params(cls, params: Any) -> "RetryPolicy":
-        """The policy implied by a :class:`~repro.core.params.RunParams`."""
-        return cls(max_retries=params.max_retries)
-
-    def delay(self, attempt: int, source: str = "", stage: str = "") -> float:
-        """Seconds to back off before retry number ``attempt`` (1-based).
-
-        Deterministic: the same ``(policy, source, stage, attempt)``
-        always yields the same delay, on any thread, in any order.
-        """
-        if attempt < 1:
-            raise ValueError(f"attempt is 1-based, got {attempt}")
-        base = min(
-            self.base_delay * self.backoff_factor ** (attempt - 1),
-            self.max_delay,
-        )
-        if not self.jitter or not base:
-            return base
-        rng = DeterministicRng(derive_seed(self.seed, source, stage, attempt))
-        return base * (1.0 + self.jitter * (2.0 * rng.random() - 1.0))
 
 
 # -- failure records -------------------------------------------------------
@@ -156,8 +80,6 @@ class SourceFailure:
     stage: str
     #: ``TypeName: message`` of the exception.
     error: str
-    #: How many attempts the failing stage made (> 1 after retries).
-    attempts: int = 1
     #: The original exception object, for programmatic inspection.
     exception: BaseException | None = field(
         default=None, repr=False, compare=False
@@ -168,14 +90,12 @@ class SourceFailure:
         """Build a record from an exception the pipeline marked.
 
         The pipeline stamps unexpected exceptions with ``repro_stage``
-        and ``repro_attempts`` before re-raising; absent stamps degrade
-        to an empty stage and a single attempt.
+        before re-raising; an absent stamp degrades to an empty stage.
         """
         return cls(
             source=source,
             stage=getattr(exc, "repro_stage", ""),
             error=f"{type(exc).__name__}: {exc}",
-            attempts=getattr(exc, "repro_attempts", 1),
             exception=exc,
         )
 
@@ -184,19 +104,18 @@ class SourceFailure:
 
 #: Fault kinds a :class:`FaultSpec` can inject.
 CRASH = "crash"
-TRANSIENT = "transient"
 DELAY = "delay"
-FAULT_KINDS = (CRASH, TRANSIENT, DELAY)
+FAULT_KINDS = (CRASH, DELAY)
 
 
 @dataclass(frozen=True)
 class FaultSpec:
     """One configured fault: which stage, which source, what happens.
 
-    ``times`` bounds how many attempts the fault fires on, counted per
-    ``(source, stage)``: a ``transient`` fault with ``times=1`` fails the
-    first attempt and lets the retry succeed — the canonical
-    succeeds-on-attempt-2 scenario.  ``probability`` below 1.0 makes the
+    ``times`` bounds how many calls the fault fires on, counted per
+    ``(source, stage)``: a fault with ``times=1`` fires on the first run
+    of the stage for that source and lets later runs (another pipeline
+    pass, another batch) through.  ``probability`` below 1.0 makes the
     decision stochastic but still deterministic: the coin flip is seeded
     by the injector's seed and the fault coordinates.
     """
@@ -205,13 +124,13 @@ class FaultSpec:
     stage: str
     #: Source the fault is limited to ('' matches every source).
     source: str = ""
-    #: One of :data:`CRASH`, :data:`TRANSIENT`, :data:`DELAY`.
+    #: One of :data:`CRASH`, :data:`DELAY`.
     kind: str = CRASH
-    #: Number of attempts (per source and stage) the fault fires on.
+    #: Number of calls (per source and stage) the fault fires on.
     times: int = 1
     #: Seconds a :data:`DELAY` fault sleeps (through the injectable sleep).
     delay: float = 0.0
-    #: Chance the fault fires on an eligible attempt, in [0, 1].
+    #: Chance the fault fires on an eligible call, in [0, 1].
     probability: float = 1.0
     #: Message carried by the raised error.
     message: str = "injected fault"
@@ -241,20 +160,13 @@ class FaultInjector:
 
     Wrap the stages of a pipeline (:meth:`wrap_all`) and every configured
     :class:`FaultSpec` fires *before* the wrapped stage body runs:
-    ``crash`` raises :class:`~repro.errors.InjectedFaultError`,
-    ``transient`` raises :class:`~repro.errors.TransientSourceError` (so
-    the pipeline's retry loop engages), and ``delay`` sleeps through the
-    injectable ``sleep``.  Attempts are counted per ``(source, stage)``
-    under a lock, so the harness is safe under the parallel multi-source
-    executor, and probabilistic faults flip a coin seeded by
-    ``(seed, source, stage, attempt)`` — re-running the same
-    configuration reproduces the same faults exactly.
-
-    The injector only fires faults and logs them on :attr:`fired`; the
-    retries they trigger surface as ``stage_retry`` events to the
-    pipeline's observers (``retries.<stage>`` counters in
-    :class:`~repro.metrics.observer.MetricsObserver`, one trace line each
-    in :class:`~repro.core.pipeline.TraceObserver`).
+    ``crash`` raises :class:`~repro.errors.InjectedFaultError` and
+    ``delay`` sleeps through the injectable ``sleep``.  Calls are counted
+    per ``(source, stage)`` under a lock, and probabilistic faults flip a
+    coin seeded by ``(seed, source, stage, n)`` for the n-th call —
+    re-running the same configuration reproduces the same faults
+    exactly.  Every fired
+    fault is logged on :attr:`fired`.
     """
 
     def __init__(
@@ -284,16 +196,15 @@ class FaultInjector:
         return [self.wrap(stage) for stage in stages]
 
     def attempts(self, source: str, stage: str) -> int:
-        """How many attempts the given source/stage has made so far."""
+        """How many times the given source/stage has run so far."""
         with self._lock:
             return self._attempts.get((source, stage), 0)
 
     def fire(self, source: str, stage: str) -> None:
-        """Apply the first matching fault for this attempt, if any.
+        """Apply the first matching fault for this call, if any.
 
-        Called by the stage wrapper on every attempt; counts the attempt
-        even when no fault fires so ``times`` budgets line up with the
-        pipeline's retry numbering.
+        Called by the stage wrapper on every run of the stage; counts the
+        call even when no fault fires, so ``times`` budgets count runs.
         """
         with self._lock:
             key = (source, stage)
@@ -319,8 +230,6 @@ class FaultInjector:
             f"{spec.message} (source={source!r}, stage={stage!r}, "
             f"attempt={attempt})"
         )
-        if spec.kind == TRANSIENT:
-            raise TransientSourceError(detail)
         raise InjectedFaultError(detail)
 
 

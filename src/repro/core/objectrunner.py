@@ -28,12 +28,7 @@ from typing import ContextManager, Iterable
 
 from repro.baselines.interface import SystemOutput
 from repro.core.cache import LazyPages, PreprocessCache
-from repro.core.faults import (
-    ISOLATE,
-    FaultInjector,
-    RetryPolicy,
-    SleepFn,
-)
+from repro.core.faults import ISOLATE, FaultInjector
 from repro.core.executor import (
     ShardResult,
     ShardTask,
@@ -115,8 +110,6 @@ class ObjectRunner:
         observers: Iterable[PipelineObserver] = (),
         cache: PreprocessCache | None = None,
         fault_injector: FaultInjector | None = None,
-        retry_policy: RetryPolicy | None = None,
-        sleep: SleepFn | None = None,
         wrapper_registry: WrapperRegistry | None = None,
     ):
         self.sod = sod
@@ -129,9 +122,6 @@ class ObjectRunner:
         #: Optional deterministic fault harness: wraps every stage of
         #: every pipeline this runner builds.
         self.fault_injector = fault_injector
-        #: Optional override of the params-derived transient-retry policy.
-        self.retry_policy = retry_policy
-        self._sleep = sleep
         self._ontology = ontology
         self._corpus = corpus
         self._gazetteer_classes = dict(gazetteer_classes or {})
@@ -234,12 +224,7 @@ class ObjectRunner:
         stages = build_stages(stage_names)
         if self.fault_injector is not None:
             stages = self.fault_injector.wrap_all(stages)
-        return Pipeline(
-            stages,
-            self.observers,
-            retry_policy=self.retry_policy,
-            sleep=self._sleep,
-        )
+        return Pipeline(stages, self.observers)
 
     def _run_pipeline(
         self,
@@ -486,8 +471,8 @@ class ObjectRunner:
     ) -> None:
         """Reject runner features that cannot cross a process boundary.
 
-        Fault injectors and custom sleep callables hold process-local
-        state (locks, recorded calls) the workers could not honor;
+        Fault injectors hold process-local state (locks, recorded calls)
+        the workers could not honor;
         non-metrics observers would silently see nothing.  Failing loudly
         beats a run that quietly measures less than it claims.
 
@@ -503,12 +488,6 @@ class ObjectRunner:
                 "fault_injector",
                 "the process backend does not support a fault injector; "
                 "use max_workers=1 for fault-injection runs",
-            )
-        if self._sleep is not None:
-            raise ProcessBackendConfigError(
-                "sleep",
-                "the process backend does not support a custom sleep "
-                "callable; use max_workers=1",
             )
         unsupported = [
             type(observer).__name__
@@ -543,7 +522,6 @@ class ObjectRunner:
             "gazetteer_classes": self._gazetteer_classes,
             "extra_gazetteer_entries": self._extra_gazetteer_entries,
             "params": self.params,
-            "retry_policy": self.retry_policy,
         }
         return kwargs, str(registry.root) if registry else None
 

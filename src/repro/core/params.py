@@ -62,10 +62,6 @@ class RunParams:
     #: :class:`~repro.core.faults.SourceFailure` and lets the surviving
     #: sources finish.
     failure_policy: str = "fail_fast"
-    #: Extra attempts for a stage raising
-    #: :class:`~repro.errors.TransientSourceError` (0 disables retrying);
-    #: backoff follows :class:`~repro.core.faults.RetryPolicy`.
-    max_retries: int = 0
     #: Pool of a ``run_sources`` fan-out (:data:`BACKENDS`): each of the
     #: ``max_workers`` worker processes runs sources off a shared queue
     #: with its own cache/metrics/registry view, and the per-source
@@ -84,10 +80,6 @@ class RunParams:
             raise ValueError(
                 f"unknown failure_policy {self.failure_policy!r} "
                 f"(known: {known})"
-            )
-        if self.max_retries < 0:
-            raise ValueError(
-                f"max_retries must be >= 0, got {self.max_retries}"
             )
         if self.backend not in BACKENDS:
             known = ", ".join(BACKENDS)

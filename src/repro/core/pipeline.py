@@ -19,11 +19,8 @@ stages can be slotted into the standard order without touching the core.
 A stage signals "this source cannot be wrapped" by raising
 :class:`~repro.errors.SourceDiscardedError`; the pipeline records the
 discard on the result and stops, exactly like the paper's alpha gate.
-A stage raising :class:`~repro.errors.TransientSourceError` is retried
-per the active :class:`~repro.core.faults.RetryPolicy`
-(``RunParams.max_retries``) with deterministic backoff, each retry
-announced as a ``stage_retry`` event; any other exception is stamped
-with the failing stage and attempt count and propagates unchanged.
+Every stage runs once; any other exception is stamped with the failing
+stage and propagates unchanged.
 """
 
 from __future__ import annotations
@@ -37,10 +34,9 @@ from pathlib import Path
 from typing import IO, TYPE_CHECKING, Any, Iterable, Sequence
 
 from repro.core.cache import PreprocessCache
-from repro.core.faults import RetryPolicy, SleepFn, wall_sleep
 from repro.core.params import RunParams
 from repro.core.results import SourceResult
-from repro.errors import SourceDiscardedError, TransientSourceError
+from repro.errors import SourceDiscardedError
 from repro.htmlkit.dom import Element
 from repro.recognizers.gazetteer import GazetteerRecognizer
 from repro.sod.types import SodType
@@ -96,13 +92,8 @@ class PipelineEvent:
     discard_stage: str = ""
     discard_reason: str = ""
     #: Set on the terminal ``pipeline_end`` event when a stage raised an
-    #: unexpected exception (``stage`` then names the failing stage), and
-    #: on ``stage_retry`` events with the transient error being retried.
+    #: unexpected exception (``stage`` then names the failing stage).
     error: str = ""
-    #: On ``stage_retry`` events: the attempt (1-based) that just failed.
-    attempt: int = 0
-    #: On ``stage_retry`` events: the backoff before the next attempt.
-    retry_delay: float = 0.0
 
     def to_json(self) -> dict[str, Any]:
         """The event as a JSON-serializable dict (empty fields dropped).
@@ -117,10 +108,6 @@ class PipelineEvent:
         data["pass"] = self.pass_index
         if self.kind in ("stage_end", "pipeline_end"):
             data["elapsed_s"] = round(self.elapsed, 6)
-        if self.attempt:
-            data["attempt"] = self.attempt
-        if self.kind == "stage_retry":
-            data["retry_delay_s"] = round(self.retry_delay, 6)
         if self.counters:
             data["counters"] = dict(self.counters)
         if self.discarded:
@@ -151,9 +138,6 @@ class PipelineObserver:
 
     def on_stage_end(self, event: PipelineEvent, ctx: "PipelineContext") -> None:
         """Called after each stage, with its wall-clock ``elapsed``."""
-
-    def on_stage_retry(self, event: PipelineEvent, ctx: "PipelineContext") -> None:
-        """Called when a transient stage failure is about to be retried."""
 
     def on_pipeline_end(self, event: PipelineEvent, ctx: "PipelineContext") -> None:
         """Called once after the last stage (or the discarding stage)."""
@@ -222,10 +206,6 @@ class TraceObserver(PipelineObserver):
 
     def on_stage_end(self, event: PipelineEvent, ctx: "PipelineContext") -> None:
         """Trace the stage timing and counter deltas."""
-        self._write(event)
-
-    def on_stage_retry(self, event: PipelineEvent, ctx: "PipelineContext") -> None:
-        """Trace the retry announcement (attempt, backoff, error)."""
         self._write(event)
 
     def on_pipeline_end(self, event: PipelineEvent, ctx: "PipelineContext") -> None:
@@ -398,48 +378,36 @@ class Pipeline:
     wall-clock measurement (filed under each stage's ``timing_field`` in
     ``ctx.result.timings``), counter-delta bookkeeping, discard handling
     (a stage raising :class:`SourceDiscardedError` marks the result and
-    stops the run), transient-failure retries with deterministic backoff,
-    and event emission through the :class:`EventBus`.
-
-    ``retry_policy`` overrides the policy otherwise derived from the
-    context's ``RunParams`` (``max_retries``); ``sleep`` replaces the
-    real backoff sleep — tests inject a recording fake so retry suites
-    never spend wall-clock time.
+    stops the run), and event emission through the :class:`EventBus`.
     """
 
     def __init__(
         self,
         stages: Iterable[Stage] | None = None,
         observers: Iterable[PipelineObserver] = (),
-        retry_policy: RetryPolicy | None = None,
-        sleep: SleepFn | None = None,
     ):
         self.stages: list[Stage] = (
             list(stages) if stages is not None else build_stages()
         )
         self.bus = EventBus(observers)
-        self._retry_policy = retry_policy
-        self._sleep: SleepFn = sleep if sleep is not None else wall_sleep
 
     def _fail(
         self,
         ctx: PipelineContext,
         run_started: float,
         stage_name: str,
-        attempt: int,
         exc: BaseException,
     ) -> None:
         """Record an unexpected stage failure before it propagates.
 
         Emits the terminal ``pipeline_end`` event naming the stage and
         error (so traces close coherently) and stamps the exception with
-        ``repro_stage``/``repro_attempts`` for the multi-source executor
+        ``repro_stage`` for the multi-source executor
         to turn into a :class:`~repro.core.faults.SourceFailure`.  The
         exception itself propagates to the caller unchanged.
         """
         try:
             exc.repro_stage = stage_name
-            exc.repro_attempts = attempt
         except AttributeError:  # pragma: no cover - slotted exceptions
             pass
         self.bus.emit(
@@ -450,7 +418,6 @@ class Pipeline:
                 pass_index=ctx.pass_index,
                 elapsed=time.perf_counter() - run_started,
                 counters=dict(ctx.counters),
-                attempt=attempt,
                 error=f"{type(exc).__name__}: {exc}",
             ),
             ctx,
@@ -469,7 +436,6 @@ class Pipeline:
             ),
             ctx,
         )
-        policy = self._retry_policy or RetryPolicy.from_params(ctx.params)
         for stage in self.stages:
             if not stage.enabled(ctx):
                 continue
@@ -484,40 +450,15 @@ class Pipeline:
             )
             counters_before = Counter(ctx.counters)
             stage_started = time.perf_counter()
-            attempt = 1
-            while True:
-                try:
-                    stage.run(ctx)
-                    break
-                except SourceDiscardedError as exc:
-                    result.discarded = True
-                    result.discard_stage = exc.stage
-                    result.discard_reason = exc.reason
-                    break
-                except TransientSourceError as exc:
-                    if attempt >= policy.max_attempts:
-                        self._fail(ctx, run_started, stage.name, attempt, exc)
-                        raise
-                    delay = policy.delay(
-                        attempt, source=ctx.source, stage=stage.name
-                    )
-                    self.bus.emit(
-                        PipelineEvent(
-                            kind="stage_retry",
-                            source=ctx.source,
-                            stage=stage.name,
-                            pass_index=ctx.pass_index,
-                            attempt=attempt,
-                            retry_delay=delay,
-                            error=f"{type(exc).__name__}: {exc}",
-                        ),
-                        ctx,
-                    )
-                    self._sleep(delay)
-                    attempt += 1
-                except Exception as exc:
-                    self._fail(ctx, run_started, stage.name, attempt, exc)
-                    raise
+            try:
+                stage.run(ctx)
+            except SourceDiscardedError as exc:
+                result.discarded = True
+                result.discard_stage = exc.stage
+                result.discard_reason = exc.reason
+            except Exception as exc:
+                self._fail(ctx, run_started, stage.name, exc)
+                raise
             elapsed = time.perf_counter() - stage_started
             if stage.timing_field:
                 timings = result.timings

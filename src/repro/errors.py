@@ -31,10 +31,6 @@ class UnknownTypeError(RecognizerError):
     """Raised when an entity type has no registered recognizer."""
 
 
-class AnnotationError(ReproError):
-    """Raised when the annotation stage is misconfigured."""
-
-
 class SourceDiscardedError(ReproError):
     """Raised when a source fails a quality gate and is discarded.
 
@@ -51,28 +47,15 @@ class SourceDiscardedError(ReproError):
         self.reason = reason
 
 
-class TransientSourceError(ReproError):
-    """Raised by a stage for failures worth retrying.
-
-    Flaky I/O, resource contention, a dependency momentarily unavailable:
-    anything where a fresh attempt may succeed.  The pipeline re-runs the
-    raising stage according to the active
-    :class:`~repro.core.faults.RetryPolicy` (``RunParams.max_retries``),
-    emitting a ``stage_retry`` event per attempt; once attempts are
-    exhausted the error propagates like any other unexpected failure.
-    """
-
-
 class ProcessBackendConfigError(ReproError, ValueError):
     """Raised when a runner configuration cannot cross a process boundary.
 
     The process backend ships task specs to worker processes by pickle;
-    fault injectors, custom sleep callables and non-metrics observers
-    hold process-local state the workers could not honor.  The error is
-    raised at :class:`~repro.core.objectrunner.ObjectRunner` construction
-    time — before any worker spawns — and ``field`` names the offending
-    constructor argument (``"fault_injector"``, ``"sleep"`` or
-    ``"observers"``).  Subclasses :class:`ValueError` so callers treating
+    fault injectors and non-metrics observers hold process-local state
+    the workers could not honor.  The error is raised at
+    :class:`~repro.core.objectrunner.ObjectRunner` construction time —
+    before any worker spawns — and ``field`` names the offending
+    constructor argument (``"fault_injector"`` or ``"observers"``).  Subclasses :class:`ValueError` so callers treating
     it as a plain configuration error keep working.
     """
 
@@ -132,14 +115,3 @@ class RegistryError(ReproError):
     own persistence layer.
     """
 
-
-class MatchingError(WrapperError):
-    """Raised when the SOD cannot be matched against the template tree."""
-
-
-class DatasetError(ReproError):
-    """Raised for dataset-generation configuration problems."""
-
-
-class EvaluationError(ReproError):
-    """Raised when evaluation inputs are inconsistent (e.g. missing gold)."""

@@ -11,7 +11,7 @@ over run.  This package provides the three layers of that loop:
   how many threads) they were filled.
 - :mod:`repro.metrics.observer` — :class:`MetricsObserver`, a pipeline
   observer that subscribes to the :class:`~repro.core.pipeline.EventBus`
-  and aggregates stage timings, retries, context counters, preprocessing
+  and aggregates stage timings, context counters, preprocessing
   cache statistics and per-source object counts into per-source
   registries that merge deterministically in input order.
 - :mod:`repro.metrics.bench` — the ``repro bench`` engine: runs the

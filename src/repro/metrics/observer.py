@@ -11,7 +11,7 @@ per-source :class:`~repro.metrics.registry.MetricsRegistry`:
 - context counter deltas (``objects_extracted``, ``pages_prepared``, ...)
   folded from ``stage_end`` events, so multi-pass enrichment runs sum
   instead of double-counting the run totals.
-- ``runs`` / ``discards`` counters and per-stage ``retries.<stage>``.
+- ``runs`` / ``discards`` counters.
 
 :meth:`MetricsObserver.snapshot` merges the per-source registries
 **deterministically in input order**: the order registered through
@@ -175,10 +175,6 @@ class MetricsObserver(PipelineObserver):
         registry.observe(f"stage.{event.stage}", event.elapsed)
         for name, delta in event.counters.items():
             registry.count(name, delta)
-
-    def on_stage_retry(self, event: PipelineEvent, ctx: "PipelineContext") -> None:
-        """Count the retry against its stage."""
-        self._registry(event.source).count(f"retries.{event.stage}")
 
     def on_pipeline_end(self, event: PipelineEvent, ctx: "PipelineContext") -> None:
         """Record the completed run: total elapsed, run and discard counts."""

@@ -91,9 +91,14 @@ def signature_for(sod: SodType, fingerprint: str) -> str:
     the same template resolve to the same signature regardless of SOD
     spelling (nesting sugar, whitespace) or page content.
     """
+    return _address(sod, fingerprint)[1]
+
+
+def _address(sod: SodType, fingerprint: str) -> tuple[str, str]:
+    """The canonical SOD text an entry stores, and :func:`signature_for`."""
     canonical = format_sod(canonicalize(sod))
     text = f"{REGISTRY_SCHEMA_VERSION}\n{canonical}\n{fingerprint}"
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+    return canonical, hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 def entry_for(
@@ -105,8 +110,7 @@ def entry_for(
     export, so an entry a batch source staged is byte-identical to the
     one a live store would have written.
     """
-    signature = signature_for(sod, fingerprint)
-    canonical = format_sod(canonicalize(sod))
+    canonical, signature = _address(sod, fingerprint)
     if isinstance(stored, StoredDiscard):
         return RegistryEntry(
             signature=signature,
@@ -305,18 +309,39 @@ class WrapperRegistry:
         Counts a hit or a miss (a tombstone is a hit — the registry
         resolved the source).  An index row whose entry file is gone is
         a miss, so the caller induces and stores the entry again; a
-        present-but-unreadable entry raises :class:`RegistryError`
-        rather than silently inducing again.
+        present-but-unreadable entry, or one whose stored ``sod`` or
+        ``fingerprint`` differs from the request's, raises
+        :class:`RegistryError` rather than silently inducing again.
         """
-        signature = signature_for(sod, fingerprint)
+        canonical, signature = _address(sod, fingerprint)
+        return self._lookup(canonical, signature, fingerprint)
+
+    def _lookup(
+        self, canonical: str, signature: str, fingerprint: str
+    ) -> Wrapper | StoredDiscard | None:
+        """:meth:`lookup` with the request's address already computed."""
         with self._lock:
             indexed = signature in self._index
-        stored = self.get(signature) if indexed else None
+        stored = (
+            self._load(signature, (canonical, fingerprint)) if indexed else None
+        )
         self._count("misses" if stored is None else "hits")
         return stored
 
     def get(self, signature: str) -> Wrapper | StoredDiscard | None:
         """Load what ``signature`` stores (``None`` if absent)."""
+        return self._load(signature)
+
+    def _load(
+        self, signature: str, key: tuple[str, str] | None = None
+    ) -> Wrapper | StoredDiscard | None:
+        """:meth:`get`, also checking the stored ``(sod, fingerprint)``.
+
+        Two string compares stand in for re-hashing the entry on every
+        hit: an entry edited after it was stored still has its
+        signature, but no longer the request's canonical SOD text or
+        fingerprint.
+        """
         path = self.entry_path(signature)
         try:
             entry = self._read_entry(path)
@@ -326,6 +351,11 @@ class WrapperRegistry:
             raise RegistryError(
                 f"{path}: entry signature {entry.signature!r} does not match "
                 f"its address {signature!r}"
+            )
+        if key is not None and (entry.sod, entry.fingerprint) != key:
+            raise RegistryError(
+                f"{path}: stored sod {entry.sod!r} and fingerprint "
+                f"{entry.fingerprint!r} do not match the request {key!r}"
             )
         if entry.kind == KIND_DISCARD:
             return entry.stored_discard()
@@ -662,14 +692,14 @@ class StagedRegistryView:
         self, sod: SodType, fingerprint: str
     ) -> Wrapper | StoredDiscard | None:
         """Lookup against the batch-start state plus this view's writes."""
-        signature = signature_for(sod, fingerprint)
+        canonical, signature = _address(sod, fingerprint)
         if signature in self.demoted:
             self.base._count("misses")
             return None
         if signature in self.staged:
             self.base._count("hits")
             return self.staged[signature][2]
-        return self.base.lookup(sod, fingerprint)
+        return self.base._lookup(canonical, signature, fingerprint)
 
     def put(self, sod: SodType, fingerprint: str, wrapper: Wrapper) -> str:
         """Buffer a store; applied to the base registry at batch end."""

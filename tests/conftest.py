@@ -1,9 +1,10 @@
 """Shared fixtures: the paper's Figure 3 pages and small generated sources.
 
-Also the sleep guard.  Every wait of the package goes through the
+Also the sleep guard, which ``benchmarks/conftest.py`` imports too.
+Every wait of the package (an injected delay fault) goes through the
 injectable sleep of :mod:`repro.core.faults`, whose ``wall_sleep`` is
 the one real ``time.sleep`` call, so tests fake time and never pay for
-a backoff.  The guard replaces ``time.sleep`` before any ``repro``
+a delay.  The guard replaces ``time.sleep`` before any ``repro``
 module is imported (so ``from time import sleep`` binds it too) and
 fails a sleep called directly from package, test or benchmark code
 anywhere but ``wall_sleep``; sleeps the standard library makes for

@@ -36,7 +36,7 @@ import pytest
 from repro.core.params import RunParams
 from repro.core.pipeline import TraceObserver
 from repro.core.stages.extract import ExtractionStage
-from repro.errors import RegistryError, TransientSourceError, WrapperSchemaError
+from repro.errors import RegistryError, WrapperSchemaError
 from repro.metrics.bench import (
     BENCH_SCHEMA_VERSION,
     compare_documents,
@@ -119,13 +119,9 @@ SHAPES: dict[str, dict[int | None, list[str]]] = {
         "counters", "discard_reason", "discard_stage", "discarded",
         "elapsed_s", "event", "pass", "source", "stage",
     ]},
-    "trace_event.stage_retry": {None: [
-        "attempt", "error", "event", "pass", "retry_delay_s", "source",
-        "stage",
-    ]},
     "trace_event.pipeline_end": {None: [
-        "attempt", "counters", "discard_reason", "discard_stage",
-        "discarded", "elapsed_s", "error", "event", "pass", "source", "stage",
+        "counters", "discard_reason", "discard_stage", "discarded",
+        "elapsed_s", "error", "event", "pass", "source", "stage",
     ]},
 }
 
@@ -269,28 +265,23 @@ class TestShapes:
 
     def test_serve_responses_and_trace_events(self, tmp_path, monkeypatch):
         original = ExtractionStage.run
-        flaked = []
 
         def run(stage, ctx):
             if ctx.source == "broken":
                 raise RuntimeError("extraction broke")
-            if ctx.source == "flaky" and not flaked:
-                flaked.append(ctx.source)
-                raise TransientSourceError("flaky extraction")
             return original(stage, ctx)
 
         monkeypatch.setattr(ExtractionStage, "run", run)
         sink = io.StringIO()
         service = ExtractionService(
             WrapperRegistry(tmp_path),
-            params=RunParams(max_retries=1),
             observers=[TraceObserver(sink)],
         )
         extract = {"sod": SOD_TEXT, "pages": PAGES, "dicts": DICTS}
         responses = {
             "extracted": [
                 service.handle({"id": 1, **extract, "source": "cold"}),
-                service.handle({"id": 2, **extract, "source": "flaky"}),
+                service.handle({"id": 2, **extract, "source": "warm"}),
             ],
             "discarded": [service.handle({"id": 3, **JUNK})],
             "rejected": [

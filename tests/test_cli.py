@@ -88,7 +88,6 @@ class TestResilienceFlags:
                 "--dict", f"artist={artists}",
                 "--dict", f"theater={theaters}",
                 "--failure-policy", "isolate",
-                "--max-retries", "2",
                 *pages,
             ]
         )
@@ -102,14 +101,6 @@ class TestResilienceFlags:
                 ["extract", "--sod", SOD,
                  "--failure-policy", "shrug", *pages]
             )
-
-    def test_negative_retries_rejected(self, figure3_files, capsys):
-        pages, __, __ = figure3_files
-        code = main(
-            ["extract", "--sod", SOD, "--max-retries", "-1", *pages]
-        )
-        assert code == 2
-        assert "max_retries" in capsys.readouterr().err
 
 
 class TestWrapperPersistenceFlags:

@@ -1,28 +1,18 @@
-"""End-to-end failure-policy acceptance: isolate, fail-fast, retries.
+"""End-to-end failure-policy acceptance: isolate and fail-fast.
 
 Four real album sources run through the full pipeline with a seeded
-:class:`~repro.core.faults.FaultInjector` crashing or destabilizing one
-of them.  Every test injects a recording fake sleep, so the suite pays
-zero wall-clock time for backoff.  Fault injectors and custom sleep
-cannot cross the process boundary, so every case runs at
+:class:`~repro.core.faults.FaultInjector` crashing one of them.  Fault
+injectors cannot cross the process boundary, so every case runs at
 ``max_workers=1``; failure merges across process shards are covered by
 ``tests/test_core_process_backend.py``.
 """
 
-import io
 import json
 
 import pytest
 
 from repro.core import ObjectRunner, RunParams
-from repro.core.faults import (
-    CRASH,
-    TRANSIENT,
-    FaultInjector,
-    FaultSpec,
-    RetryPolicy,
-)
-from repro.core.pipeline import TraceObserver
+from repro.core.faults import CRASH, FaultInjector, FaultSpec
 from repro.datasets import build_knowledge, domain_spec, generate_source
 from repro.datasets.sites import SiteSpec
 from repro.errors import MultiSourceError
@@ -46,17 +36,7 @@ def four_sources():
     return domain, knowledge, sources
 
 
-class FakeSleep:
-    """Records requested delays instead of sleeping."""
-
-    def __init__(self):
-        self.calls = []
-
-    def __call__(self, seconds):
-        self.calls.append(seconds)
-
-
-def make_runner(domain, knowledge, injector=None, sleep=None, **params):
+def make_runner(domain, knowledge, injector=None, **params):
     return ObjectRunner(
         domain.sod,
         ontology=knowledge.ontology,
@@ -64,7 +44,6 @@ def make_runner(domain, knowledge, injector=None, sleep=None, **params):
         gazetteer_classes=domain.gazetteer_classes,
         params=RunParams(**params),
         fault_injector=injector,
-        sleep=sleep or FakeSleep(),
     )
 
 
@@ -84,7 +63,7 @@ class TestIsolatePolicy:
         # isolate; the surviving three must be byte-identical to a
         # fault-free serial run of those three sources.
         domain, knowledge, sources = four_sources
-        injector = FaultInjector([crash_spec("flt-1")], sleep=FakeSleep())
+        injector = FaultInjector([crash_spec("flt-1")])
         faulty = make_runner(
             domain, knowledge, injector=injector,
             max_workers=1, failure_policy="isolate",
@@ -100,9 +79,9 @@ class TestIsolatePolicy:
         assert faulty.sources_ok == 3
         assert faulty.sources_failed == 1
 
-    def test_failure_record_carries_stage_error_attempts(self, four_sources):
+    def test_failure_record_carries_stage_and_error(self, four_sources):
         domain, knowledge, sources = four_sources
-        injector = FaultInjector([crash_spec("flt-1")], sleep=FakeSleep())
+        injector = FaultInjector([crash_spec("flt-1")])
         outcome = make_runner(
             domain, knowledge, injector=injector,
             max_workers=1, failure_policy="isolate",
@@ -111,14 +90,13 @@ class TestIsolatePolicy:
         assert failure.source == "flt-1"
         assert failure.stage == "wrapping"
         assert failure.error.startswith("InjectedFaultError:")
-        assert failure.attempts == 1
         assert injector.fired == [("flt-1", "wrapping", "crash", 1)]
 
 
 class TestFailFastPolicy:
     def test_parallel_fail_fast_raises_with_partial(self, four_sources):
         domain, knowledge, sources = four_sources
-        injector = FaultInjector([crash_spec("flt-1")], sleep=FakeSleep())
+        injector = FaultInjector([crash_spec("flt-1")])
         runner = make_runner(
             domain, knowledge, injector=injector,
             max_workers=1, failure_policy="fail_fast",
@@ -136,7 +114,7 @@ class TestFailFastPolicy:
 
     def test_fail_fast_partial_matches_serial_prefix(self, four_sources):
         domain, knowledge, sources = four_sources
-        injector = FaultInjector([crash_spec("flt-1")], sleep=FakeSleep())
+        injector = FaultInjector([crash_spec("flt-1")])
         runner = make_runner(
             domain, knowledge, injector=injector,
             max_workers=1, failure_policy="fail_fast",
@@ -150,7 +128,7 @@ class TestFailFastPolicy:
 
     def test_serial_fail_fast_skips_later_sources(self, four_sources):
         domain, knowledge, sources = four_sources
-        injector = FaultInjector([crash_spec("flt-1")], sleep=FakeSleep())
+        injector = FaultInjector([crash_spec("flt-1")])
         runner = make_runner(
             domain, knowledge, injector=injector,
             max_workers=1, failure_policy="fail_fast",
@@ -162,55 +140,3 @@ class TestFailFastPolicy:
         assert injector.attempts("flt-2", "wrapping") == 0
         assert injector.attempts("flt-3", "wrapping") == 0
 
-
-class TestTransientRetries:
-    def test_transient_fault_recovers_and_traces_retry(self, four_sources):
-        # A transient fault on attempt 1 that succeeds on attempt 2 must
-        # leave a stage_retry event in the JSON-lines trace and an
-        # outcome byte-identical to the fault-free run.
-        domain, knowledge, sources = four_sources
-        sink = io.StringIO()
-        sleep = FakeSleep()
-        injector = FaultInjector(
-            [FaultSpec(stage="wrapping", source="flt-2", kind=TRANSIENT)],
-            sleep=FakeSleep(),
-        )
-        runner = make_runner(
-            domain, knowledge, injector=injector, sleep=sleep,
-            max_workers=1, max_retries=1,
-        )
-        runner.add_observer(TraceObserver(sink))
-        outcome = runner.run_sources(sources)
-
-        clean = make_runner(domain, knowledge, max_workers=1).run_sources(
-            sources
-        )
-        assert as_bytes(outcome) == as_bytes(clean)
-        assert outcome.sources_ok == 4
-        assert not outcome.failures
-
-        events = [json.loads(line) for line in sink.getvalue().splitlines()]
-        [retry] = [e for e in events if e["event"] == "stage_retry"]
-        assert retry["source"] == "flt-2"
-        assert retry["stage"] == "wrapping"
-        assert retry["attempt"] == 1
-        assert retry["retry_delay_s"] > 0
-        assert "TransientSourceError" in retry["error"]
-        assert injector.fired == [("flt-2", "wrapping", "transient", 1)]
-
-    def test_backoff_uses_injected_sleep_not_wall_clock(self, four_sources):
-        domain, knowledge, sources = four_sources
-        sleep = FakeSleep()
-        injector = FaultInjector(
-            [FaultSpec(stage="wrapping", source="flt-2", kind=TRANSIENT)],
-            sleep=FakeSleep(),
-        )
-        runner = make_runner(
-            domain, knowledge, injector=injector, sleep=sleep,
-            max_workers=1, max_retries=1,
-        )
-        runner.run_sources(sources)
-        policy = RetryPolicy.from_params(RunParams(max_retries=1))
-        assert sleep.calls == [
-            policy.delay(1, source="flt-2", stage="wrapping")
-        ]

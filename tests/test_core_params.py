@@ -72,6 +72,3 @@ class TestValidation:
     def test_valid_failure_policies(self, value):
         assert RunParams(failure_policy=value).failure_policy == value
 
-    def test_max_retries_must_be_non_negative(self):
-        with pytest.raises(ValueError, match="max_retries"):
-            RunParams(max_retries=-1)

@@ -578,22 +578,6 @@ class TestProcessBackendSupport:
         assert excinfo.value.field == "fault_injector"
         assert "max_workers=1" in str(excinfo.value)
 
-    def test_rejects_custom_sleep(self, four_sources):
-        domain, knowledge, __ = four_sources
-        with pytest.raises(
-            ProcessBackendConfigError, match="sleep"
-        ) as excinfo:
-            ObjectRunner(
-                domain.sod,
-                ontology=knowledge.ontology,
-                corpus=knowledge.corpus,
-                gazetteer_classes=domain.gazetteer_classes,
-                params=RunParams(max_workers=4),
-                sleep=lambda seconds: None,
-            )
-        assert excinfo.value.field == "sleep"
-        assert "max_workers=1" in str(excinfo.value)
-
     def test_rejects_non_metrics_observers(self, four_sources):
         domain, knowledge, __ = four_sources
         with pytest.raises(

@@ -6,10 +6,9 @@ seeds and worker counts.  A value read from the process's surroundings
 that reaches an artifact breaks that silently, and only on the day the
 surroundings differ.  Each test here makes them differ on purpose:
 
-- **Clock.**  One catalog source runs cold twice in one process, and
-  so does a run whose wrapping stage fails transiently twice; the second
-  runs see every ``time`` clock shifted by a large, non-integral offset.
-  Artifacts and retry backoffs must not move.  Every clock read of the
+- **Clock.**  One catalog source runs cold twice in one process; the
+  second run sees every ``time`` clock shifted by a large, non-integral
+  offset.  Artifacts must not move.  Every clock read of the
   package goes through the ``time`` module (``metrics/observer.py``
   included), so patching its attributes reaches them all.
 - **Environment.**  A batch, a saved wrapper, a registry and a tiny
@@ -38,9 +37,7 @@ from pathlib import Path
 from typing import Iterator
 
 from repro.__main__ import main as repro_main
-from repro.core.faults import TRANSIENT, FaultInjector, FaultSpec
 from repro.core.objectrunner import ObjectRunner
-from repro.core.params import RunParams
 from repro.core.results import MultiSourceResult
 from repro.datasets import (
     build_knowledge,
@@ -49,9 +46,7 @@ from repro.datasets import (
     generate_source,
 )
 from repro.metrics.bench import bench_files, latest_bench, next_seq
-from repro.recognizers import RecognizerRegistry
 from repro.registry import WrapperRegistry
-from repro.sod.dsl import parse_sod
 from repro.wrapper.serialize import wrapper_to_dict
 from tests.conftest import FIGURE3_P1, FIGURE3_P2, FIGURE3_P3
 
@@ -128,31 +123,8 @@ def longest_examples(wrapper_json: str) -> int:
     return longest
 
 
-def retry_delays(recognizers) -> list[float]:
-    """The jittered backoffs of a run whose wrapping fails twice."""
-    delays: list[float] = []
-    registry = RecognizerRegistry()
-    for recognizer in recognizers:
-        registry.register(recognizer)
-    runner = ObjectRunner(
-        parse_sod(SOD),
-        registry=registry,
-        params=RunParams(max_retries=2),
-        fault_injector=FaultInjector(
-            [FaultSpec(stage="wrapping", kind=TRANSIENT, times=2)]
-        ),
-        sleep=delays.append,
-    )
-    result = runner.run_source("fig3", [FIGURE3_P1, FIGURE3_P2, FIGURE3_P3])
-    assert result.objects and len(delays) == 2
-    return delays
-
-
-def test_clock_shift_changes_no_artifact(
-    tmp_path, monkeypatch, figure3_recognizers
-):
+def test_clock_shift_changes_no_artifact(tmp_path, monkeypatch):
     plain = cold_run_artifacts(tmp_path / "plain")
-    plain_delays = retry_delays(figure3_recognizers)
     # A leak needs lists to reorder: the source must give some.
     assert longest_examples(plain["wrapper"]) >= 3
     offset_ns = int(CLOCK_OFFSET * 1e9)
@@ -164,7 +136,6 @@ def test_clock_shift_changes_no_artifact(
     real_ns = time.time_ns
     monkeypatch.setattr(time, "time_ns", lambda: real_ns() + offset_ns)
     shifted = cold_run_artifacts(tmp_path / "shifted")
-    assert retry_delays(figure3_recognizers) == plain_delays
     assert shifted["wrapper"] == plain["wrapper"]
     assert shifted["objects"] == plain["objects"]
     assert shifted["registry"] == plain["registry"]

@@ -5,19 +5,14 @@ import pytest
 from repro.core.faults import SourceFailure
 from repro.core.results import MultiSourceResult, SourceResult, StageTimings
 from repro.errors import (
-    AnnotationError,
-    DatasetError,
-    EvaluationError,
     HtmlParseError,
     InjectedFaultError,
-    MatchingError,
     MultiSourceError,
     RecognizerError,
     ReproError,
     SodError,
     SodSyntaxError,
     SourceDiscardedError,
-    TransientSourceError,
     UnknownTypeError,
     WrapperError,
 )
@@ -32,12 +27,7 @@ class TestHierarchy:
             SodSyntaxError,
             RecognizerError,
             UnknownTypeError,
-            AnnotationError,
             WrapperError,
-            MatchingError,
-            DatasetError,
-            EvaluationError,
-            TransientSourceError,
             MultiSourceError,
         ],
     )
@@ -52,9 +42,6 @@ class TestHierarchy:
 
     def test_sod_syntax_is_sod_error(self):
         assert issubclass(SodSyntaxError, SodError)
-
-    def test_matching_is_wrapper_error(self):
-        assert issubclass(MatchingError, WrapperError)
 
     def test_unknown_type_is_recognizer_error(self):
         assert issubclass(UnknownTypeError, RecognizerError)
@@ -120,7 +107,7 @@ class TestResultContainers:
         )
         multi = MultiSourceResult(results={}, failures={"c": failure})
         assert multi.sources_failed == 1
-        assert multi.failures["c"].attempts == 1
+        assert multi.failures["c"].stage == "wrapping"
 
     def test_failures_default_empty(self):
         assert MultiSourceResult().failures == {}

@@ -73,13 +73,6 @@ def _drive_observer(observer: MetricsObserver, seed: int) -> list[str]:
                 ),
                 None,
             )
-        if rng.random() < 0.5:
-            observer.on_stage_retry(
-                PipelineEvent(
-                    kind="stage_retry", source=source, stage="annotate"
-                ),
-                None,
-            )
         observer.on_pipeline_end(
             PipelineEvent(
                 kind="pipeline_end",

@@ -32,7 +32,6 @@ def scripted_events(source, salt):
     return [
         stage_end(source, "preprocess", 0.01 * salt, {"pages_prepared": salt}),
         stage_end(source, "wrapping", 0.10 * salt),
-        PipelineEvent(kind="stage_retry", source=source, stage="wrapping"),
         stage_end(source, "extraction", 0.02 * salt, {"objects_extracted": 3 * salt}),
         pipeline_end(source, 0.13 * salt),
     ]
@@ -48,7 +47,6 @@ class TestScriptedEventBus:
         assert source == "alpha"
         merged = observer.merged_registry()
         assert merged.counter_value("runs") == 2
-        assert merged.counter_value("retries.wrapping") == 2
         assert merged.counter_value("objects_extracted") == 9
         assert merged.observations("stage.wrapping") == (0.1, 0.2)
         summary = merged.summary("pipeline")

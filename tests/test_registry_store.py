@@ -353,6 +353,26 @@ class TestDemoteVerifyGc:
         assert len(problems) == 1
         assert problems[0].startswith(f"{signature}: stored sod and fingerprint")
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [("sod", "album(title, artist)"), ("fingerprint", "0" * 16)],
+    )
+    def test_edited_address_is_no_hit(self, tmp_path, induced, key, value):
+        # The entry keeps its signature, so only comparing the stored
+        # sod and fingerprint with the request's shows the edit.
+        wrapper, fingerprint = induced
+        registry = WrapperRegistry(tmp_path)
+        signature = registry.put(SOD, fingerprint, wrapper)
+        path = registry.entry_path(signature)
+        entry = json.loads(path.read_text(encoding="utf-8"))
+        entry[key] = value
+        path.write_text(json.dumps(entry), encoding="utf-8")
+        with pytest.raises(RegistryError, match="do not match the request"):
+            registry.lookup(SOD, fingerprint)
+        with pytest.raises(RegistryError, match="do not match the request"):
+            StagedRegistryView(registry).lookup(SOD, fingerprint)
+        assert registry.stats()["hits"] == 0
+
     @pytest.mark.parametrize("key", ["sod", "source", "fingerprint", "wrapper"])
     def test_wrong_typed_entry_is_no_hit(self, tmp_path, induced, key):
         wrapper, fingerprint = induced
