@@ -16,20 +16,11 @@ Subcommands:
 
   Wrap-once / extract-often: ``--registry DIR`` keeps induced wrappers
   in a content-addressed registry keyed by (SOD, template fingerprint);
-  re-running against the same registry skips induction on every hit.
-  The older single-file flags remain as deprecated aliases:
-  ``--save-wrapper wrapper.json`` persists the learned wrapper after a
-  successful run, and ``--load-wrapper wrapper.json`` re-extracts from
-  fresh pages without re-wrapping (the SOD travels inside the wrapper
-  file, so ``--sod`` may be omitted).  Saved files now record the pages'
-  structural fingerprint; on load a mismatch warns and — when ``--sod``
-  is given — falls back to full induction.
+  re-running against the same registry skips induction on every hit,
+  and pages of another template miss and are induced afresh.
 
   Observability: ``--trace trace.jsonl`` writes one JSON line per
   pipeline event (stage start/end with wall-clock timings and counters).
-
-  Resilience: ``--failure-policy {fail_fast,isolate}`` selects how
-  multi-source runs react to an unexpected per-source failure.
 
 - ``serve`` — extraction-as-a-service: a JSON-lines request loop on
   stdin/stdout routing every request through a shared wrapper registry
@@ -73,22 +64,12 @@ import os
 import sys
 from pathlib import Path
 
-from repro.core.faults import FAILURE_POLICIES
 from repro.core.objectrunner import ObjectRunner
-from repro.core.params import RunParams
 from repro.core.sharding import ShardSpec
 from repro.core.pipeline import TraceObserver
 from repro.errors import ReproError
-from repro.htmlkit.clean import clean_tree
-from repro.htmlkit.fingerprint import pages_fingerprint
-from repro.htmlkit.tidy import tidy
 from repro.recognizers.gazetteer import GazetteerRecognizer
 from repro.recognizers.registry import RecognizerRegistry
-from repro.registry.files import (
-    fingerprint_matches,
-    load_wrapper_file,
-    save_wrapper_file,
-)
 from repro.registry.store import WrapperRegistry
 from repro.sod.canonical import canonicalize
 from repro.sod.dsl import parse_sod
@@ -103,11 +84,6 @@ def _load_dictionary(path: str) -> list[str]:
     ]
 
 
-def _cli_fingerprint(pages: list[str]) -> str:
-    """The template fingerprint of raw pages, prepared as the pipeline does."""
-    return pages_fingerprint([clean_tree(tidy(page)) for page in pages])
-
-
 def _parse_shard(text: str | None) -> "ShardSpec | None":
     """Parse an ``I/N`` shard argument (``None`` passes through)."""
     if not text:
@@ -116,9 +92,6 @@ def _parse_shard(text: str | None) -> "ShardSpec | None":
 
 
 def _cmd_extract(args: argparse.Namespace) -> int:
-    if not args.sod and not args.load_wrapper:
-        print("--sod is required unless --load-wrapper is given", file=sys.stderr)
-        return 2
     try:
         shard = _parse_shard(args.shard)
     except ValueError as exc:
@@ -141,7 +114,6 @@ def _cmd_extract(args: argparse.Namespace) -> int:
             GazetteerRecognizer(type_name, _load_dictionary(path))
         )
     pages = [Path(page).read_text(encoding="utf-8") for page in args.pages]
-    params = RunParams(failure_policy=args.failure_policy)
     wrapper_registry = (
         WrapperRegistry(args.registry) if args.registry else None
     )
@@ -151,49 +123,13 @@ def _cmd_extract(args: argparse.Namespace) -> int:
         trace = TraceObserver(args.trace)
         observers.append(trace)
     try:
-        if args.load_wrapper:
-            print(
-                "note: --load-wrapper is deprecated; prefer --registry DIR",
-                file=sys.stderr,
-            )
-            wrapper, fingerprint = load_wrapper_file(args.load_wrapper)
-            sod = parse_sod(args.sod) if args.sod else wrapper.sod
-            runner = ObjectRunner(
-                sod, registry=registry, params=params, observers=observers
-            )
-            prepared = (
-                [clean_tree(tidy(page)) for page in pages]
-                if fingerprint is not None
-                else []
-            )
-            if fingerprint_matches(fingerprint, prepared) is False:
-                if args.sod:
-                    print(
-                        "warning: wrapper fingerprint does not match these "
-                        "pages; re-inducing from --sod",
-                        file=sys.stderr,
-                    )
-                    result = runner.run_source(args.source_name, pages)
-                else:
-                    print(
-                        "warning: wrapper fingerprint does not match these "
-                        "pages; extraction may return garbage "
-                        "(pass --sod to re-induce)",
-                        file=sys.stderr,
-                    )
-                    result = runner.extract_with(wrapper, pages)
-            else:
-                result = runner.extract_with(wrapper, pages)
-        else:
-            sod = parse_sod(args.sod)
-            runner = ObjectRunner(
-                sod,
-                registry=registry,
-                params=params,
-                observers=observers,
-                wrapper_registry=wrapper_registry,
-            )
-            result = runner.run_source(args.source_name, pages)
+        runner = ObjectRunner(
+            parse_sod(args.sod),
+            registry=registry,
+            observers=observers,
+            wrapper_registry=wrapper_registry,
+        )
+        result = runner.run_source(args.source_name, pages)
     finally:
         if trace is not None:
             trace.close()
@@ -203,15 +139,6 @@ def _cmd_extract(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 1
-    if args.save_wrapper and result.wrapper is not None:
-        print(
-            "note: --save-wrapper is deprecated; prefer --registry DIR",
-            file=sys.stderr,
-        )
-        save_wrapper_file(
-            args.save_wrapper, result.wrapper, _cli_fingerprint(pages)
-        )
-        print(f"wrapper saved to {args.save_wrapper}", file=sys.stderr)
     if wrapper_registry is not None:
         stats = wrapper_registry.stats()
         print(
@@ -446,10 +373,7 @@ def build_parser() -> argparse.ArgumentParser:
     extract = subparsers.add_parser(
         "extract", help="wrap HTML files with an SOD and print JSON objects"
     )
-    extract.add_argument(
-        "--sod",
-        help="SOD in the DSL syntax (optional with --load-wrapper)",
-    )
+    extract.add_argument("--sod", required=True, help="SOD in the DSL syntax")
     extract.add_argument(
         "--dict",
         action="append",
@@ -466,29 +390,9 @@ def build_parser() -> argparse.ArgumentParser:
         "template or store the freshly induced one",
     )
     extract.add_argument(
-        "--save-wrapper",
-        metavar="FILE",
-        help="(deprecated; prefer --registry) persist the learned wrapper "
-        "as JSON after a successful run",
-    )
-    extract.add_argument(
-        "--load-wrapper",
-        metavar="FILE",
-        help="(deprecated; prefer --registry) skip wrapping: extract with "
-        "a previously saved wrapper",
-    )
-    extract.add_argument(
         "--trace",
         metavar="FILE",
         help="write pipeline events (stage timings, counters) as JSON lines",
-    )
-    extract.add_argument(
-        "--failure-policy",
-        choices=FAILURE_POLICIES,
-        default="fail_fast",
-        help="how multi-source runs treat an unexpected per-source "
-        "failure: abort the batch (fail_fast) or record it and let "
-        "sibling sources finish (isolate)",
     )
     extract.add_argument(
         "--shard",

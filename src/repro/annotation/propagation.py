@@ -100,10 +100,3 @@ def propagate_upward(nodes: Iterable[Node], root: Element) -> list[Element]:
         if was_empty and element.annotations:
             gained.append(element)
     return gained
-
-
-def clear_annotations(root: Element) -> None:
-    """Remove every annotation in the subtree (used between re-runs)."""
-    for node in root.iter():
-        if isinstance(node, (Element, Text)):
-            node.annotations.clear()

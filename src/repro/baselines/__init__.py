@@ -6,11 +6,10 @@ ObjectRunner, ExAlg and RoadRunner on identical sources.
 """
 
 from repro.baselines.exalg import ExAlgSystem
-from repro.baselines.interface import ExtractionSystem, SystemOutput, TableRecord
+from repro.baselines.interface import SystemOutput, TableRecord
 from repro.baselines.roadrunner import RoadRunnerSystem
 
 __all__ = [
-    "ExtractionSystem",
     "SystemOutput",
     "TableRecord",
     "ExAlgSystem",

@@ -10,10 +10,6 @@ the mechanical equivalent, and is generous to the baselines).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Protocol, runtime_checkable
-
-from repro.htmlkit.dom import Element
-from repro.sod.types import SodType
 
 
 @dataclass
@@ -51,19 +47,3 @@ class SystemOutput:
     @property
     def labelled(self) -> bool:
         return bool(self.objects) or not self.records
-
-
-@runtime_checkable
-class ExtractionSystem(Protocol):
-    """A system that can wrap one source."""
-
-    @property
-    def name(self) -> str:
-        """Short system identifier used in reports."""
-        ...
-
-    def run(
-        self, source: str, pages: list[Element], sod: SodType
-    ) -> SystemOutput:
-        """Wrap the source and extract everything it holds."""
-        ...

@@ -60,30 +60,21 @@ SERVICE_PROCESS_BYTES = 512 * 1024 * 1024
 DEFAULT_BUDGET_BYTES = SERVICE_PROCESS_BYTES // 8
 
 
-def snapshot_bytes(snapshot: Snapshot) -> int:
-    """Bytes a snapshot holds: its tuple plus every string it references.
-
-    The integers in a snapshot are small and interned by the interpreter,
-    so they cost nothing beyond their tuple slot.  A string referenced
-    twice is counted twice, so the figure errs high, and more so for the
-    snapshots :meth:`PreprocessCache.clean_pages` stores, which share
-    their strings: on the 1,062 pages of perfbench's ``cold-batch``
-    (seed 7) the count is 2.9 times the bytes held once each shared
-    string is counted once.  It stays an upper bound.
-    """
-    getsizeof = sys.getsizeof
-    return getsizeof(snapshot) + sum(
-        [getsizeof(record) for record in snapshot if type(record) is str]
-    )
-
-
 def _shared(snapshot: Snapshot, strings: dict[str, str]) -> tuple[Snapshot, int]:
     """``snapshot`` with its strings taken from ``strings``, and its bytes.
 
     Each string record is replaced by the equal string already in
     ``strings``, or added to it, so the snapshots that share a table
-    share one object per distinct string.  The byte count is
-    :func:`snapshot_bytes` of the result, from the same walk.
+    share one object per distinct string.  The byte count, from the same
+    walk, is the result's tuple plus every string it references.
+
+    The integers in a snapshot are small and interned by the interpreter,
+    so they cost nothing beyond their tuple slot.  A string referenced
+    twice is counted twice, so the figure errs high, and more so because
+    the snapshots of one table share their strings: on the 1,062 pages of
+    perfbench's ``cold-batch`` (seed 7) the count is 2.9 times the bytes
+    held once each shared string is counted once.  It stays an upper
+    bound.
     """
     setdefault = strings.setdefault
     shared = tuple(
@@ -104,7 +95,8 @@ def _rows_bytes(wrapper_key: str | None, rows: str | None) -> int:
 
 
 #: One cached page: ``(snapshot, nbytes, fingerprint, wrapper_key, rows)``.
-#: ``nbytes`` is :func:`snapshot_bytes` plus what the rows slot holds.
+#: ``nbytes`` is the snapshot's bytes (see :func:`_shared`) plus what
+#: the rows slot holds.
 #: The fingerprint is ``None`` until a registry match first asks for it;
 #: ``wrapper_key`` and ``rows`` are ``None`` until an extraction fills
 #: them.  Filling a slot replaces the tuple.
@@ -168,7 +160,7 @@ class PreprocessCache:
     """LRU cache of cleaned page entries under a byte budget.
 
     ``budget_bytes`` bounds the summed bytes of the resident entries: each
-    snapshot's :func:`snapshot_bytes` plus its rows slot.  Inserting an
+    snapshot's tuple and strings plus its rows slot.  Inserting an
     entry or filling its rows evicts least recently used ones until the
     total fits again; a page whose snapshot alone exceeds the budget is
     served but not kept.

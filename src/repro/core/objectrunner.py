@@ -40,7 +40,6 @@ from repro.core.executor import (
 )
 from repro.core.params import RunParams
 from repro.core.pipeline import (
-    DEFAULT_STAGE_ORDER,
     Pipeline,
     PipelineContext,
     PipelineObserver,
@@ -67,7 +66,6 @@ from repro.sod.types import (
     SodType,
     entity_types,
 )
-from repro.wrapper.generate import Wrapper
 
 
 def _run_process_shard(task: ShardTask) -> ShardResult:
@@ -216,21 +214,14 @@ class ObjectRunner:
         if isinstance(observer, MetricsObserver):
             observer.observe_cache(self.cache)
 
-    def _build_pipeline(
-        self,
-        stage_names: Iterable[str] = DEFAULT_STAGE_ORDER,
-    ) -> Pipeline:
+    def _build_pipeline(self) -> Pipeline:
         """A pipeline with the runner's observers and fault harness."""
-        stages = build_stages(stage_names)
+        stages = build_stages()
         if self.fault_injector is not None:
             stages = self.fault_injector.wrap_all(stages)
         return Pipeline(stages, self.observers)
 
-    def _run_pipeline(
-        self,
-        ctx: PipelineContext,
-        stage_names: Iterable[str] = DEFAULT_STAGE_ORDER,
-    ) -> SourceResult:
+    def _run_pipeline(self, ctx: PipelineContext) -> SourceResult:
         """Run ``ctx`` through a pipeline, then release the trees it built.
 
         The trees the preprocess stage built from ``ctx.raw_pages`` (a
@@ -239,7 +230,7 @@ class ObjectRunner:
         Trees the caller passed in are never touched.
         """
         try:
-            return self._build_pipeline(stage_names).run(ctx)
+            return self._build_pipeline().run(ctx)
         finally:
             if isinstance(ctx.pages, LazyPages):
                 ctx.pages.release()
@@ -377,23 +368,6 @@ class ObjectRunner:
     ) -> SourceResult:
         """Run on already tidied/cleaned pages (shared-harness entry)."""
         return self._run(source, self.wrapper_registry, pages=pages)
-
-    def extract_with(self, wrapper: Wrapper, raw_pages: list[str]) -> SourceResult:
-        """Apply an existing (possibly persisted) wrapper to fresh pages.
-
-        Wrapping is the expensive step; this is the wrap-once /
-        extract-often path: load a wrapper with
-        :func:`repro.wrapper.serialize.wrapper_from_dict` and run it over a
-        re-crawl without re-annotating or re-inferring anything.  Only the
-        pre-processing and extraction stages run, so ``timings.wrapping``
-        stays zero.
-        """
-        ctx = self._context(wrapper.source, raw_pages=raw_pages)
-        ctx.wrapper = wrapper
-        ctx.result.wrapper = wrapper
-        ctx.result.support_used = wrapper.support
-        ctx.result.conflicts = wrapper.conflicts
-        return self._run_pipeline(ctx, stage_names=("preprocess", "extraction"))
 
     def run_sources(
         self,

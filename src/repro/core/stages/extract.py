@@ -3,9 +3,9 @@
 Each page is segmented with the learned record identity, records align
 against the template, and slot values assemble into instance trees shaped
 like the SOD.  The stage reads ``ctx.wrapper``, which is set either by the
-wrapper-generation stage upstream or directly by the wrap-once /
-extract-often entry point (:meth:`repro.core.objectrunner.ObjectRunner.
-extract_with`).
+wrapper-generation stage upstream or, on a wrapper-registry hit, by the
+:class:`~repro.core.stages.registry.RegistryMatchStage` (the wrap-once /
+extract-often path).
 
 Extraction is a pure function of the page and the wrapper, so pages that
 came through the preprocessing cache keep their rows in their cache entry,

@@ -15,7 +15,7 @@ Str-ICNorm-Thresh metric (paper Eq. 1).  We rebuild this stack:
 
 from repro.corpus.generator import CorpusGenerator, CorpusSpec
 from repro.corpus.hearst import HearstMatch, HearstPattern, default_patterns, find_matches
-from repro.corpus.scoring import StrICNormThresh, score_candidates
+from repro.corpus.scoring import StrICNormThresh
 from repro.corpus.store import Corpus
 
 __all__ = [
@@ -27,5 +27,4 @@ __all__ = [
     "default_patterns",
     "find_matches",
     "StrICNormThresh",
-    "score_candidates",
 ]

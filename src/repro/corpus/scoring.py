@@ -12,7 +12,7 @@ instance hit count (the *threshold* part, damping very rare strings).
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
+from collections import Counter
 from dataclasses import dataclass, field
 
 from repro.corpus.hearst import HearstMatch
@@ -68,20 +68,3 @@ class StrICNormThresh:
             instance: self.score(instance, type_name, count25)
             for instance in instances
         }
-
-
-def score_candidates(
-    corpus: Corpus, matches: list[HearstMatch]
-) -> dict[str, dict[str, float]]:
-    """Score all matches: type -> instance -> Eq. 1 confidence.
-
-    Convenience wrapper building one :class:`StrICNormThresh` and scoring
-    every type seen in ``matches``.
-    """
-    scorer = StrICNormThresh(corpus)
-    scorer.ingest(matches)
-    by_type: dict[str, dict[str, float]] = defaultdict(dict)
-    type_names = {match.type_name for match in matches}
-    for type_name in sorted(type_names):
-        by_type[type_name] = scorer.score_all(type_name)
-    return dict(by_type)

@@ -25,15 +25,6 @@ from repro.datasets.domains import DomainSpec
 from repro.datasets.golden import GoldObject, generate_gold
 from repro.utils.rng import DeterministicRng
 
-ARCHETYPES = (
-    "clean",
-    "partial_inline",
-    "partial_inline_plus",
-    "mixed_structure",
-    "unstructured",
-)
-
-
 @dataclass(frozen=True)
 class SiteSpec:
     """Configuration of one generated source."""
@@ -41,6 +32,8 @@ class SiteSpec:
     name: str
     domain: str
     page_type: str = "list"  # "list" | "detail"
+    #: "clean" | "partial_inline" | "partial_inline_plus" |
+    #: "mixed_structure" | "unstructured"
     archetype: str = "clean"
     optional_present: bool = True
     total_objects: int = 100

@@ -22,7 +22,6 @@ from repro.htmlkit.fingerprint import (
     pages_fingerprint,
     structural_fingerprint,
 )
-from repro.htmlkit.parser import parse_html
 from repro.htmlkit.serialize import to_html
 from repro.htmlkit.tidy import tidy
 from repro.htmlkit.tokenizer import tokenize_html
@@ -42,7 +41,6 @@ __all__ = [
     "Node",
     "Text",
     "pages_fingerprint",
-    "parse_html",
     "structural_fingerprint",
     "to_html",
     "tidy",

@@ -197,14 +197,3 @@ def build_tree(source: str, tidy_text: bool = False) -> TreeBuilder:
     scan(source, builder)
     builder.finish()
     return builder
-
-
-def parse_html(source: str) -> Element:
-    """Parse HTML text into a DOM tree rooted at a synthetic ``#document``.
-
-    Never raises on malformed markup.  The returned root is an element with
-    tag ``#document``; its children are the top-level nodes found in the
-    input (typically a single ``<html>`` element after tidying).  Every
-    text piece the lexer finds becomes its own text node.
-    """
-    return build_tree(source).root

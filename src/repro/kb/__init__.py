@@ -9,7 +9,6 @@ neighborhood search over the class graph.
 """
 
 from repro.kb.discovery import discover_classes, expand_instances
-from repro.kb.io import dump_ontology, load_corpus_file, load_ontology
 from repro.kb.neighborhood import NeighborhoodQuery, semantic_neighborhood
 from repro.kb.ontology import Fact, Ontology
 
@@ -20,7 +19,4 @@ __all__ = [
     "semantic_neighborhood",
     "discover_classes",
     "expand_instances",
-    "load_ontology",
-    "dump_ontology",
-    "load_corpus_file",
 ]

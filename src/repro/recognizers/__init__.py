@@ -17,7 +17,7 @@ positives.
 """
 
 from repro.recognizers.base import Match, Recognizer
-from repro.recognizers.build import DictionaryBuilder, build_gazetteer
+from repro.recognizers.build import DictionaryBuilder
 from repro.recognizers.gazetteer import GazetteerRecognizer
 from repro.recognizers.predefined import predefined_recognizer, predefined_names
 from repro.recognizers.regexes import RegexRecognizer
@@ -31,7 +31,6 @@ __all__ = [
     "GazetteerRecognizer",
     "RecognizerRegistry",
     "DictionaryBuilder",
-    "build_gazetteer",
     "predefined_recognizer",
     "predefined_names",
     "FullNodeRecognizer",

@@ -84,14 +84,3 @@ class DictionaryBuilder:
             if confidence > entries.get(instance, 0.0):
                 entries[instance] = confidence
         return GazetteerRecognizer(type_name or class_name, entries)
-
-
-def build_gazetteer(
-    class_name: str,
-    ontology: Ontology | None = None,
-    corpus: Corpus | None = None,
-    type_name: str | None = None,
-) -> GazetteerRecognizer:
-    """One-call convenience over :class:`DictionaryBuilder`."""
-    builder = DictionaryBuilder(ontology=ontology, corpus=corpus)
-    return builder.build(class_name, type_name=type_name)

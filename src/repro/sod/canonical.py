@@ -48,35 +48,3 @@ def canonicalize(sod: SodType) -> SodType:
         else:
             flattened.append(canonical)
     return TupleType(name=sod.name, components=tuple(flattened))
-
-
-def atoms_at_tuple_level(sod: SodType) -> list[EntityType]:
-    """Entity types directly owned by the top-level canonical tuple.
-
-    For an entity-type SOD this is the type itself; for a set or
-    disjunction it is empty (their atoms live below a structure boundary).
-    """
-    canonical = canonicalize(sod)
-    if isinstance(canonical, EntityType):
-        return [canonical]
-    if isinstance(canonical, TupleType):
-        return [
-            component
-            for component in canonical.components
-            if isinstance(component, EntityType)
-        ]
-    return []
-
-
-def nested_sets(sod: SodType) -> list[SetType]:
-    """Set types directly under the top-level canonical tuple."""
-    canonical = canonicalize(sod)
-    if isinstance(canonical, SetType):
-        return [canonical]
-    if isinstance(canonical, TupleType):
-        return [
-            component
-            for component in canonical.components
-            if isinstance(component, SetType)
-        ]
-    return []

@@ -235,11 +235,3 @@ def _collect_required(
         _collect_required(node.left, True, out)
         _collect_required(node.right, True, out)
 
-
-def arity(sod: SodType) -> int:
-    """Number of distinct entity types in the SOD.
-
-    This is the denominator of the per-source attribute columns in Table I
-    (e.g. "4/4" for the concert SOD).
-    """
-    return len(entity_types(sod))

@@ -26,7 +26,6 @@ __all__ = [
     "RoleKey",
     "group_by_vector",
     "occurrence_vectors",
-    "role_positions",
 ]
 
 
@@ -113,18 +112,3 @@ def group_by_vector(
     for roles in groups.values():
         roles.sort()
     return dict(groups)
-
-
-def role_positions(
-    pages: list[TokenizedPage], roles: set[RoleKey]
-) -> list[list[tuple[int, RoleKey]]]:
-    """Per page, the ordered positions of tokens belonging to ``roles``."""
-    positions: list[list[tuple[int, RoleKey]]] = []
-    for page in pages:
-        page_positions = [
-            (index, token.role_key)
-            for index, token in enumerate(page.tokens)
-            if token.role_key in roles
-        ]
-        positions.append(page_positions)
-    return positions

@@ -1,7 +1,7 @@
 """Tests for upward annotation propagation."""
 
 from repro.htmlkit.dom import Element, Text
-from repro.annotation.propagation import clear_annotations, propagate_annotations
+from repro.annotation.propagation import propagate_annotations
 
 
 def annotated_text(text, *annotations):
@@ -75,13 +75,3 @@ class TestPropagation:
         assert "theater" in level1.annotations
         assert "theater" in root.annotations
 
-
-class TestClear:
-    def test_clear_removes_everything(self):
-        div = Element("div")
-        span = div.append(Element("span"))
-        span.append(annotated_text("Muse", "artist"))
-        propagate_annotations(div)
-        clear_annotations(div)
-        for node in div.iter():
-            assert not node.annotations

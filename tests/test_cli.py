@@ -68,6 +68,13 @@ class TestExtract:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_sod_is_required(self, figure3_files, capsys):
+        pages, *_ = figure3_files
+        with pytest.raises(SystemExit) as exited:
+            main(["extract", *pages])
+        assert exited.value.code == 2
+        assert "--sod" in capsys.readouterr().err
+
     def test_discarded_source(self, tmp_path, capsys):
         page = tmp_path / "junk.html"
         page.write_text("<html><body><p>nothing here</p></body></html>")
@@ -76,114 +83,6 @@ class TestExtract:
         )
         assert code == 1
         assert "discarded" in capsys.readouterr().err
-
-
-class TestResilienceFlags:
-    def test_flags_accepted(self, figure3_files, capsys):
-        pages, artists, theaters = figure3_files
-        code = main(
-            [
-                "extract",
-                "--sod", SOD,
-                "--dict", f"artist={artists}",
-                "--dict", f"theater={theaters}",
-                "--failure-policy", "isolate",
-                *pages,
-            ]
-        )
-        assert code == 0
-        assert "extracted 4 objects" in capsys.readouterr().err
-
-    def test_unknown_policy_rejected_by_parser(self, figure3_files, capsys):
-        pages, __, __ = figure3_files
-        with pytest.raises(SystemExit):
-            main(
-                ["extract", "--sod", SOD,
-                 "--failure-policy", "shrug", *pages]
-            )
-
-
-class TestWrapperPersistenceFlags:
-    def test_save_then_load_wrapper_round_trip(self, figure3_files, capsys, tmp_path):
-        pages, artists, theaters = figure3_files
-        wrapper_path = str(tmp_path / "wrapper.json")
-        code = main(
-            [
-                "extract",
-                "--sod", SOD,
-                "--dict", f"artist={artists}",
-                "--dict", f"theater={theaters}",
-                "--save-wrapper", wrapper_path,
-                *pages,
-            ]
-        )
-        assert code == 0
-        first = capsys.readouterr()
-        saved = json.loads((tmp_path / "wrapper.json").read_text())
-        assert saved["version"] == 1
-
-        # Extract-often path: no --sod, no dictionaries, no re-wrapping.
-        code = main(["extract", "--load-wrapper", wrapper_path, *pages])
-        assert code == 0
-        second = capsys.readouterr()
-        assert second.out == first.out
-        assert "wrapping 0 ms" in second.err
-
-    def test_sod_required_without_load_wrapper(self, figure3_files, capsys):
-        pages, *_ = figure3_files
-        code = main(["extract", *pages])
-        assert code == 2
-        assert "--sod is required" in capsys.readouterr().err
-
-    def test_load_wrapper_missing_file(self, figure3_files, capsys):
-        pages, *_ = figure3_files
-        code = main(["extract", "--load-wrapper", "/nonexistent.json", *pages])
-        assert code == 1
-        assert "error:" in capsys.readouterr().err
-
-    def test_load_wrapper_corrupt_json(self, figure3_files, capsys, tmp_path):
-        pages, *_ = figure3_files
-        bad = tmp_path / "bad.json"
-        bad.write_text("{not json", encoding="utf-8")
-        code = main(["extract", "--load-wrapper", str(bad), *pages])
-        assert code == 1
-        assert "not valid JSON" in capsys.readouterr().err
-
-    def test_load_wrapper_unsupported_version(
-        self, figure3_files, capsys, tmp_path
-    ):
-        pages, *_ = figure3_files
-        stale = tmp_path / "stale.json"
-        stale.write_text(json.dumps({"version": 99}), encoding="utf-8")
-        code = main(["extract", "--load-wrapper", str(stale), *pages])
-        assert code == 1
-        assert "error:" in capsys.readouterr().err
-
-
-    def test_load_wrapper_wrong_typed_value(
-        self, figure3_files, capsys, tmp_path
-    ):
-        pages, artists, theaters = figure3_files
-        path = tmp_path / "wrapper.json"
-        code = main(
-            [
-                "extract",
-                "--sod", SOD,
-                "--dict", f"artist={artists}",
-                "--dict", f"theater={theaters}",
-                "--save-wrapper", str(path),
-                *pages,
-            ]
-        )
-        assert code == 0
-        capsys.readouterr()
-        saved = json.loads(path.read_text(encoding="utf-8"))
-        saved["sod"] = 7
-        path.write_text(json.dumps(saved), encoding="utf-8")
-        code = main(["extract", "--load-wrapper", str(path), *pages])
-        assert code == 1
-        err = capsys.readouterr().err
-        assert "error: malformed wrapper data: wrapper['sod'] is int" in err
 
 
 class TestTraceFlag:
@@ -336,89 +235,42 @@ class TestRegistryFlag:
         assert "orphan" in capsys.readouterr().out
 
 
-class TestWrapperFingerprintCheck:
-    def test_saved_wrapper_records_fingerprint(
-        self, figure3_files, capsys, tmp_path
-    ):
+    def stored_entry(self, figure3_files, registry_dir):
+        """The one entry file a cold ``--registry`` run stores."""
         pages, artists, theaters = figure3_files
-        wrapper_path = tmp_path / "wrapper.json"
-        main(
-            [
-                "extract",
-                "--sod", SOD,
-                "--dict", f"artist={artists}",
-                "--dict", f"theater={theaters}",
-                "--save-wrapper", str(wrapper_path),
-                *pages,
-            ]
-        )
-        capsys.readouterr()
-        saved = json.loads(wrapper_path.read_text())
-        assert saved["version"] == 1
-        assert len(saved["fingerprint"]) == 64
-
-    def test_mismatch_with_sod_reinduces(self, figure3_files, capsys, tmp_path):
-        pages, artists, theaters = figure3_files
-        wrapper_path = tmp_path / "wrapper.json"
-        base = [
+        argv = [
+            "extract",
             "--sod", SOD,
             "--dict", f"artist={artists}",
             "--dict", f"theater={theaters}",
+            "--registry", str(registry_dir),
+            *pages,
         ]
-        main(["extract", *base, "--save-wrapper", str(wrapper_path), *pages])
-        first = capsys.readouterr()
-        saved = json.loads(wrapper_path.read_text())
-        saved["fingerprint"] = "0" * 64
-        wrapper_path.write_text(json.dumps(saved))
+        assert main(argv) == 0
+        (entry,) = (registry_dir / "wrappers").glob("*.json")
+        return argv, entry
 
-        code = main(
-            ["extract", *base, "--load-wrapper", str(wrapper_path), *pages]
-        )
-        assert code == 0
-        second = capsys.readouterr()
-        assert "does not match" in second.err
-        assert "re-inducing" in second.err
-        assert second.out == first.out
-
-    def test_mismatch_without_sod_warns_and_proceeds(
+    def test_wrong_typed_stored_wrapper_is_an_error(
         self, figure3_files, capsys, tmp_path
     ):
-        pages, artists, theaters = figure3_files
-        wrapper_path = tmp_path / "wrapper.json"
-        main(
-            [
-                "extract",
-                "--sod", SOD,
-                "--dict", f"artist={artists}",
-                "--dict", f"theater={theaters}",
-                "--save-wrapper", str(wrapper_path),
-                *pages,
-            ]
+        argv, entry = self.stored_entry(figure3_files, tmp_path / "reg")
+        capsys.readouterr()
+        stored = json.loads(entry.read_text(encoding="utf-8"))
+        stored["wrapper"]["support"] = "3"
+        entry.write_text(json.dumps(stored), encoding="utf-8")
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert (
+            "error: malformed wrapper data: wrapper['support'] is str, "
+            "expected int" in err
         )
-        first = capsys.readouterr()
-        saved = json.loads(wrapper_path.read_text())
-        saved["fingerprint"] = "0" * 64
-        wrapper_path.write_text(json.dumps(saved))
 
-        code = main(["extract", "--load-wrapper", str(wrapper_path), *pages])
-        assert code == 0
-        second = capsys.readouterr()
-        assert "does not match" in second.err
-        assert second.out == first.out
-
-    def test_deprecation_notes(self, figure3_files, capsys, tmp_path):
-        pages, artists, theaters = figure3_files
-        wrapper_path = str(tmp_path / "wrapper.json")
-        main(
-            [
-                "extract",
-                "--sod", SOD,
-                "--dict", f"artist={artists}",
-                "--dict", f"theater={theaters}",
-                "--save-wrapper", wrapper_path,
-                *pages,
-            ]
-        )
-        assert "--save-wrapper is deprecated" in capsys.readouterr().err
-        main(["extract", "--load-wrapper", wrapper_path, *pages])
-        assert "--load-wrapper is deprecated" in capsys.readouterr().err
+    def test_stored_entry_that_is_not_json_is_an_error(
+        self, figure3_files, capsys, tmp_path
+    ):
+        argv, entry = self.stored_entry(figure3_files, tmp_path / "reg")
+        capsys.readouterr()
+        entry.write_text("{not json", encoding="utf-8")
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "not valid JSON" in err

@@ -2,12 +2,12 @@
 
 import io
 import json
+import sys
 
 import pytest
 
 import repro.core.cache as cache_module
 from repro.core import ObjectRunner, PreprocessCache, RunParams
-from repro.core.cache import snapshot_bytes
 from repro.core.pipeline import TraceObserver
 from repro.datasets import domain_spec, generate_source
 from repro.datasets.knowledge import completion_entries
@@ -27,8 +27,14 @@ OTHER = "<html><body><ul><li>item</li></ul></body></html>"
 
 
 def entry_bytes(raw):
-    """What one cache entry for ``raw`` counts against the budget."""
-    return snapshot_bytes(freeze(clean_tree(tidy(raw))))
+    """What one cache entry for ``raw`` counts against the budget.
+
+    The snapshot's tuple plus every string it references.
+    """
+    snapshot = freeze(clean_tree(tidy(raw)))
+    return sys.getsizeof(snapshot) + sum(
+        sys.getsizeof(record) for record in snapshot if type(record) is str
+    )
 
 
 def numbered(index):

@@ -138,61 +138,3 @@ class TestSystemAdapter:
         assert not output.failed
         assert output.objects
 
-
-class TestPersistedWrapperExtraction:
-    def test_extract_with_persisted_wrapper(self, albums_setup):
-        import json
-
-        from repro.wrapper.serialize import wrapper_from_dict, wrapper_to_dict
-
-        domain, source, knowledge = albums_setup
-        runner = make_runner(domain, knowledge)
-        first = runner.run_source(source.spec.name, source.pages)
-        assert first.ok
-
-        # Persist, reload, re-extract without re-wrapping.
-        payload = json.dumps(wrapper_to_dict(first.wrapper))
-        restored = wrapper_from_dict(json.loads(payload))
-        second = runner.extract_with(restored, source.pages)
-        assert second.timings.wrapping == 0.0
-        assert [o.values for o in second.objects] == [
-            o.values for o in first.objects
-        ]
-
-    def test_extract_with_skips_enrichment(self, albums_setup):
-        # Enrichment settings must not turn the extract-often path into
-        # the re-inducing loop: exactly preprocess and extraction run,
-        # once each, and no gazetteer grows.
-        from repro.core.pipeline import PipelineObserver
-
-        class StageRecorder(PipelineObserver):
-            def __init__(self):
-                self.stages = []
-
-            def on_stage_start(self, event, ctx):
-                self.stages.append(event.stage)
-
-        domain, source, knowledge = albums_setup
-        wrapper = make_runner(domain, knowledge).run_source(
-            source.spec.name, source.pages
-        ).wrapper
-        assert wrapper is not None
-        runner = make_runner(
-            domain,
-            knowledge,
-            RunParams(enrich_dictionaries=True, enrichment_passes=2),
-        )
-        recorder = StageRecorder()
-        runner.add_observer(recorder)
-        sizes = {
-            name: len(gazetteer)
-            for name, gazetteer in runner.gazetteers().items()
-        }
-        assert sizes
-        result = runner.extract_with(wrapper, source.pages)
-        assert result.objects
-        assert recorder.stages == ["preprocess", "extraction"]
-        assert {
-            name: len(gazetteer)
-            for name, gazetteer in runner.gazetteers().items()
-        } == sizes

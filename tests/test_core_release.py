@@ -32,6 +32,7 @@ from repro.metrics.bench import (
     BenchSession,
     CatalogCache,
 )
+from repro.registry.store import WrapperRegistry
 from repro.wrapper.matching import MatchResult
 from repro.wrapper.tokens import PageToken
 from tests.conftest import FIGURE3_P1, FIGURE3_P2, FIGURE3_P3
@@ -133,14 +134,18 @@ def test_a_failing_run_releases_the_trees_it_built(served_pages):
     assert all(_released(page) for page in pages)
 
 
-def test_extract_with_releases_the_trees_it_built(served_pages):
+def test_a_registry_hit_releases_the_trees_it_built(served_pages, tmp_path):
     entry = catalog_entries(scale=0.1)[0]
-    runner, source = _catalog_runner(entry)
-    wrapper = runner.run_source(entry.spec.name, source.pages).wrapper
+    runner, source = _catalog_runner(
+        entry, wrapper_registry=WrapperRegistry(tmp_path)
+    )
+    runner.run_source(entry.spec.name, source.pages)
     served_pages.clear()
     # A fresh runner, so its cache misses and extraction reads every tree.
-    fresh, __ = _catalog_runner(entry)
-    assert fresh.extract_with(wrapper, source.pages).objects
+    registry = WrapperRegistry(tmp_path)
+    fresh, __ = _catalog_runner(entry, wrapper_registry=registry)
+    assert fresh.run_source(entry.spec.name, source.pages).objects
+    assert registry.stats()["hits"] == 1
     (pages,) = served_pages
     assert all(_released(page) for page in pages)
 

@@ -2,7 +2,7 @@
 
 from repro.corpus.generator import CorpusGenerator, CorpusSpec
 from repro.corpus.hearst import find_matches
-from repro.corpus.scoring import score_candidates
+from repro.corpus.scoring import StrICNormThresh
 
 
 def build(spec):
@@ -40,7 +40,9 @@ class TestGenerator:
             seed=4,
         )
         corpus = build(spec)
-        scores = score_candidates(corpus, find_matches(corpus, "Band"))["Band"]
+        scorer = StrICNormThresh(corpus)
+        scorer.ingest(find_matches(corpus, "Band"))
+        scores = scorer.score_all("Band")
         assert scores["Muse"] >= scores.get("Randomword", 0.0)
 
     def test_noise_sentences_present(self):

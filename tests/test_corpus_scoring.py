@@ -1,12 +1,19 @@
 """Tests for Str-ICNorm-Thresh scoring (paper Eq. 1)."""
 
 from repro.corpus.hearst import find_matches
-from repro.corpus.scoring import StrICNormThresh, _percentile_25, score_candidates
+from repro.corpus.scoring import StrICNormThresh, _percentile_25
 from repro.corpus.store import Corpus
 
 
 def build_corpus(sentences):
     return Corpus(sentences)
+
+
+def eq1_scores(corpus, type_name):
+    """Instance -> Eq. 1 score, as ``DictionaryBuilder`` computes them."""
+    scorer = StrICNormThresh(corpus)
+    scorer.ingest(find_matches(corpus, type_name))
+    return scorer.score_all(type_name)
 
 
 class TestPercentile:
@@ -39,7 +46,7 @@ class TestScoring:
                 "Oddity again, in passing.",
             ]
         )
-        scores = score_candidates(corpus, find_matches(corpus, "Band"))["Band"]
+        scores = eq1_scores(corpus, "Band")
         assert scores["Muse"] > scores["Oddity"]
 
     def test_common_string_damped(self):
@@ -48,7 +55,7 @@ class TestScoring:
         sentences = ["Bands such as Paris played.", "Bands such as Zyx played."]
         sentences += ["Paris is lovely in spring."] * 20
         corpus = build_corpus(sentences)
-        scores = score_candidates(corpus, find_matches(corpus, "Band"))["Band"]
+        scores = eq1_scores(corpus, "Band")
         assert scores["Zyx"] > scores["Paris"]
 
     def test_score_zero_for_unseen_pair(self):
@@ -59,7 +66,7 @@ class TestScoring:
 
     def test_scores_positive_for_real_matches(self):
         corpus = build_corpus(["Artists such as Prince Clone performed."])
-        scores = score_candidates(corpus, find_matches(corpus, "Artist"))["Artist"]
+        scores = eq1_scores(corpus, "Artist")
         assert all(value > 0 for value in scores.values())
 
     def test_multiple_types_scored_separately(self):
@@ -69,12 +76,14 @@ class TestScoring:
                 "Venues such as Fillmore Hall hosted.",
             ]
         )
-        matches = find_matches(corpus, "Band") + find_matches(corpus, "Venue")
-        by_type = score_candidates(corpus, matches)
-        assert "Muse" in by_type["Band"]
-        assert "Fillmore Hall" in by_type["Venue"]
-        assert "Muse" not in by_type["Venue"]
+        scorer = StrICNormThresh(corpus)
+        scorer.ingest(find_matches(corpus, "Band") + find_matches(corpus, "Venue"))
+        assert "Muse" in scorer.score_all("Band")
+        assert "Fillmore Hall" in scorer.score_all("Venue")
+        assert "Muse" not in scorer.score_all("Venue")
 
     def test_empty_matches(self):
         corpus = build_corpus(["nothing relevant"])
-        assert score_candidates(corpus, []) == {}
+        scorer = StrICNormThresh(corpus)
+        scorer.ingest([])
+        assert scorer.score_all("Band") == {}

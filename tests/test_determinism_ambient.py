@@ -11,10 +11,10 @@ surroundings differ.  Each test here makes them differ on purpose:
   offset.  Artifacts must not move.  Every clock read of the
   package goes through the ``time`` module (``metrics/observer.py``
   included), so patching its attributes reaches them all.
-- **Environment.**  A batch, a saved wrapper, a registry and a tiny
-  BENCH capture run with ``os.environ`` replaced by a mapping that
-  records each key a ``repro`` frame reads.  Only the declared
-  variables may appear.
+- **Environment.**  A batch, two ``repro extract --registry`` runs (a
+  cold store, then a warm hit) and a tiny BENCH capture over a registry
+  run with ``os.environ`` replaced by a mapping that records each key a
+  ``repro`` frame reads.  Only the declared variables may appear.
 - **Hash seed.**  The same cold run in two fresh interpreters with
   different ``PYTHONHASHSEED`` values.
 - **Directory order.**  The registry's ``verify`` and ``gc`` and the
@@ -204,20 +204,21 @@ def test_environment_reads_are_declared(tmp_path, monkeypatch, capsys):
         "B.B King Blues and Grill\n",
         encoding="utf-8",
     )
-    wrapper_path = tmp_path / "wrapper.json"
+    extract = [
+        "extract", "--sod", SOD,
+        "--dict", f"artist={artists}", "--dict", f"theater={theaters}",
+        "--registry", str(tmp_path / "wrappers"), *pages,
+    ]
 
     environ = RecordingEnviron(os.environ)
     monkeypatch.setattr(os, "environ", environ)
     batch = run_batch(tmp_path / "batch", [SOURCE, "zvents-list"])
     assert batch.sources_ok == 2
-    assert repro_main(
-        [
-            "extract", "--sod", SOD,
-            "--dict", f"artist={artists}", "--dict", f"theater={theaters}",
-            "--save-wrapper", str(wrapper_path), *pages,
-        ]
-    ) == 0
-    assert repro_main(["extract", "--load-wrapper", str(wrapper_path), *pages]) == 0
+    # A cold store, then a warm hit: the CLI's registry writes and reads.
+    assert repro_main(extract) == 0
+    assert "1 stores" in capsys.readouterr().err
+    assert repro_main(extract) == 0
+    assert "1 hits" in capsys.readouterr().err
     assert repro_main(
         [
             "bench", "--scale", "0.01", "--systems", "objectrunner,roadrunner",

@@ -4,18 +4,23 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.htmlkit.dom import Element, Text
-from repro.htmlkit.parser import parse_html
+from repro.htmlkit.parser import build_tree
+
+
+def parse(source):
+    """The DOM the pipeline's tree builder makes of ``source``."""
+    return build_tree(source).root
 
 
 def body_of(source):
-    document = parse_html(source)
+    document = parse(source)
     html = document.find("html")
     return (html or document).find("body") or document
 
 
 class TestWellFormed:
     def test_nested_structure(self):
-        document = parse_html("<div><span>a</span><span>b</span></div>")
+        document = parse("<div><span>a</span><span>b</span></div>")
         div = document.find("div")
         assert div is not None
         assert [c.tag for c in div.children if isinstance(c, Element)] == [
@@ -24,18 +29,18 @@ class TestWellFormed:
         ]
 
     def test_text_nodes_attached(self):
-        document = parse_html("<p>hello <b>world</b></p>")
+        document = parse("<p>hello <b>world</b></p>")
         p = document.find("p")
         assert isinstance(p.children[0], Text)
         assert p.children[0].text == "hello "
 
     def test_attributes_preserved(self):
-        document = parse_html('<div id="main" class="x y"></div>')
+        document = parse('<div id="main" class="x y"></div>')
         div = document.find("div")
         assert div.attributes == {"id": "main", "class": "x y"}
 
     def test_void_elements_have_no_children(self):
-        document = parse_html("<div><br>text</div>")
+        document = parse("<div><br>text</div>")
         div = document.find("div")
         br = div.find("br")
         assert br.children == []
@@ -44,38 +49,38 @@ class TestWellFormed:
 
 class TestTagSoupRecovery:
     def test_unclosed_li_auto_closes(self):
-        document = parse_html("<ul><li>a<li>b<li>c</ul>")
+        document = parse("<ul><li>a<li>b<li>c</ul>")
         ul = document.find("ul")
         items = [c for c in ul.children if isinstance(c, Element) and c.tag == "li"]
         assert len(items) == 3
         assert [i.text_content() for i in items] == ["a", "b", "c"]
 
     def test_unclosed_p_auto_closes(self):
-        document = parse_html("<div><p>one<p>two</div>")
+        document = parse("<div><p>one<p>two</div>")
         div = document.find("div")
         paragraphs = div.find_all("p")
         assert [p.text_content() for p in paragraphs] == ["one", "two"]
 
     def test_td_closes_td(self):
-        document = parse_html("<tr><td>a<td>b</tr>")
+        document = parse("<tr><td>a<td>b</tr>")
         tr = document.find("tr")
         assert len(tr.find_all("td")) == 2
 
     def test_stray_end_tag_ignored(self):
-        document = parse_html("<div>a</span>b</div>")
+        document = parse("<div>a</span>b</div>")
         div = document.find("div")
         assert div.find("span") is None
         assert div.text_content() == "a b"  # both texts stay inside the div
 
     def test_unclosed_elements_closed_at_eof(self):
-        document = parse_html("<div><span>deep")
+        document = parse("<div><span>deep")
         span = document.find("span")
         assert span is not None
         assert span.text_content() == "deep"
 
     def test_mismatched_close_through_inline(self):
         # </div> closes the still-open <span> too.
-        document = parse_html("<div><span>x</div>after")
+        document = parse("<div><span>x</div>after")
         div = document.find("div")
         assert div.text_content() == "x"
 
@@ -86,21 +91,21 @@ class TestTagSoupRecovery:
             "</html>",
             "<li></ul><li>",
         ]:
-            parse_html(nasty)
+            parse(nasty)
 
     @given(st.text(alphabet="<>/abspan divli ", max_size=200))
     def test_arbitrary_soup_never_raises(self, source):
-        parse_html(source)
+        parse(source)
 
     @given(st.text(max_size=300))
     def test_arbitrary_text_roundtrips_content(self, source):
-        document = parse_html(source)
+        document = parse(source)
         assert document.tag == "#document"
 
 
 class TestParentPointers:
     def test_parents_consistent(self):
-        document = parse_html("<div><p><b>x</b></p></div>")
+        document = parse("<div><p><b>x</b></p></div>")
         for node in document.iter():
             if isinstance(node, Element):
                 for child in node.children:

@@ -2,7 +2,7 @@
 
 from repro.corpus.store import Corpus
 from repro.kb.ontology import Ontology
-from repro.recognizers.build import DictionaryBuilder, build_gazetteer
+from repro.recognizers.build import DictionaryBuilder
 
 
 def music_ontology():
@@ -67,8 +67,8 @@ class TestMerge:
         assert "Coldplay" in entries  # from corpus
 
     def test_type_name_override(self):
-        gazetteer = build_gazetteer(
-            "Artist", ontology=music_ontology(), type_name="artist"
+        gazetteer = DictionaryBuilder(ontology=music_ontology()).build(
+            "Artist", type_name="artist"
         )
         assert gazetteer.type_name == "artist"
 
@@ -81,5 +81,5 @@ class TestMerge:
         assert gazetteer.confidence_of("Coldplay") > 0.5
 
     def test_unknown_class_empty_gazetteer(self):
-        gazetteer = build_gazetteer("Nothing", ontology=music_ontology())
+        gazetteer = DictionaryBuilder(ontology=music_ontology()).build("Nothing")
         assert len(gazetteer) == 0

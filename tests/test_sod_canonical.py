@@ -1,6 +1,6 @@
 """Tests for SOD canonicalization (paper Figure 4)."""
 
-from repro.sod.canonical import atoms_at_tuple_level, canonicalize, nested_sets
+from repro.sod.canonical import canonicalize
 from repro.sod.dsl import parse_sod
 from repro.sod.types import EntityType, SetType, TupleType
 
@@ -60,20 +60,3 @@ class TestCanonicalize:
         once = canonicalize(sod)
         assert str(canonicalize(once)) == str(once)
 
-
-class TestHelpers:
-    def test_atoms_at_tuple_level(self):
-        sod = parse_sod("book(title, price, authors:{author}+)")
-        assert [a.name for a in atoms_at_tuple_level(sod)] == ["title", "price"]
-
-    def test_atoms_for_entity_sod(self):
-        assert [a.name for a in atoms_at_tuple_level(EntityType("x"))] == ["x"]
-
-    def test_nested_sets(self):
-        sod = parse_sod("book(title, authors:{author}+, tags:{tag}*)")
-        assert [s.name for s in nested_sets(sod)] == ["authors", "tags"]
-
-    def test_nested_sets_of_set_sod(self):
-        sod = parse_sod("t(s:{x}+)")
-        set_type = sod.components[0]
-        assert nested_sets(set_type) == [set_type]

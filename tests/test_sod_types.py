@@ -11,7 +11,6 @@ from repro.sod.types import (
     Multiplicity,
     SetType,
     TupleType,
-    arity,
     entity_types,
     iter_types,
     required_entity_types,
@@ -109,9 +108,6 @@ class TestTraversal:
             "theater",
             "address",
         ]
-
-    def test_arity(self):
-        assert arity(self.concert_sod()) == 4
 
     def test_required_excludes_optional(self):
         required = {e.name for e in required_entity_types(self.concert_sod())}

@@ -150,12 +150,11 @@ def test_cold_warm_and_demotion_runs_keep_the_contracts(
 ):
     registry = WrapperRegistry(tmp_path / "fig3")
     runner = make_runner(figure3_recognizers, wrapper_registry=registry)
-    cold = runner.run_source("fig3", FIGURE3_RAW)
+    runner.run_source("fig3", FIGURE3_RAW)
     runner.run_source("fig3", FIGURE3_RAW)
     runner.run_source_prepared(
         "fig3", [clean_tree(tidy(raw)) for raw in FIGURE3_RAW]
     )
-    runner.extract_with(cold.wrapper, FIGURE3_RAW)
     poisoned = poisoned_registry(tmp_path / "poisoned", figure3_recognizers)
     make_runner(figure3_recognizers, wrapper_registry=poisoned).run_source(
         "fig3", FIGURE3_RAW
